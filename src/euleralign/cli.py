@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .besov import DataError, besov_norm_from_blocks
+from .besov import DataError
 from .config import ConfigError, parse_config_file
 from .grid import Grid, GridError
 from .linear import (
@@ -25,12 +25,13 @@ from .linear import (
     regime_classify,
 )
 from .lp import LPDecomp
-from .model import VacuumError, conserved_quantities
+from .model import VacuumError
 from .operators import ParameterError
 from .simulation import (
     DecaySpec,
     decay_fit,
     default_norm_columns,
+    diagnostics_row,
     fractional_heat_trace,
     run,
 )
@@ -110,23 +111,9 @@ def _cmd_analyze(args) -> int:
     for path in args.snapshots:
         state, params = read_snapshot(path)
         st = state.to_representation("sigma_u", params)
-        grid = st.grid
-        lp = LPDecomp.for_grid(grid)
-        js = np.array(lp.j_range)
         ep = LinearEnergyParams.from_model(params)
-        sig_mf = st.scalar.mean_free()
-        u_mf = st.u.mean_free()
-        bn_sig = lp.block_norms(sig_mf)
-        bn_u = lp.block_norms(u_mf)
-        mass, mom = conserved_quantities(st, params)
-        row = {"t": st.t, "min_rho": st.min_rho(params), "mass": mass}
-        for i in range(grid.dim):
-            row[f"mom_{i + 1}"] = mom[i]
-        row["l2_sigma"] = sig_mf.l2()
-        row["l2_u"] = u_mf.l2()
-        for name, target, spec in default_norm_columns(params, grid.dim, ep.j0):
-            bn = bn_u if target == "u" else bn_sig
-            row[name] = besov_norm_from_blocks(js, bn, spec)
+        norms = default_norm_columns(params, st.grid.dim, ep.j0)
+        row, _, _ = diagnostics_row(st, params, LPDecomp.for_grid(st.grid), norms)
         if header is None:
             header = list(row.keys())
         rows.append([row[c] for c in header])

@@ -7,6 +7,7 @@ wavenumbers are xi = 2*pi*k/L with integer k per axis in [-n/2, n/2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,12 @@ class GridError(ValueError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only, so that a shared cached array stays intact."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -56,38 +63,34 @@ class Grid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
+    @functools.lru_cache(maxsize=32)
     def wavenumbers(self):
         """Integer wavenumber arrays per axis, broadcast against grid shape."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integers in [-n/2, n/2)
-        if self.dim == 1:
-            return (k,)
-        return tuple(np.meshgrid(k, k, indexing="ij"))
+        ks = (k,) if self.dim == 1 else np.meshgrid(k, k, indexing="ij")
+        return tuple(read_only(k) for k in ks)
 
     def xi(self):
         """Physical wavenumber vectors per axis: 2*pi*k/L."""
         scale = 2.0 * np.pi / self.L
         return tuple(scale * k for k in self.wavenumbers())
 
+    @functools.lru_cache(maxsize=32)
     def xi_norm(self) -> np.ndarray:
         """|xi| on the full frequency lattice."""
-        comps = self.xi()
-        return np.sqrt(sum(c**2 for c in comps))
+        return read_only(np.sqrt(sum(c**2 for c in self.xi())))
 
+    @functools.lru_cache(maxsize=32)
     def nyquist_mask(self) -> np.ndarray:
         """True at indices where any axis sits on the unpaired Nyquist mode."""
-        ks = self.wavenumbers()
-        mask = np.zeros(self.shape, dtype=bool)
-        for k in ks:
-            mask |= k == -self.n // 2
-        return mask
+        on_nyquist = [k == -self.n // 2 for k in self.wavenumbers()]
+        return read_only(np.logical_or.reduce(on_nyquist))
 
+    @functools.lru_cache(maxsize=32)
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True where a coefficient is kept."""
-        ks = self.wavenumbers()
-        keep = np.ones(self.shape, dtype=bool)
-        for k in ks:
-            keep &= np.abs(k) <= self.n / 3.0
-        return keep
+        keep = [np.abs(k) <= self.n / 3.0 for k in self.wavenumbers()]
+        return read_only(np.logical_and.reduce(keep))
 
     def cell_volume(self) -> float:
         return self.dx**self.dim

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .grid import SpectralField
 from .model import ModelParams
-from .operators import ParameterError, lambda_power
+from .operators import ParameterError, _lambda_symbol, lambda_power
 
 __all__ = [
     "LinearEnergyParams",
@@ -113,18 +113,18 @@ def mode_matrix(xi: float, ep: LinearEnergyParams):
     return m, -b
 
 
+def _mode_roots(a, b):
+    """Discriminant and roots (-b +- sqrt(disc))/2 of z^2 + b z + a^2."""
+    disc = b * b - 4.0 * a * a
+    rt = np.sqrt(np.asarray(disc, dtype=np.complex128))
+    return disc, (-b + rt) / 2.0, (-b - rt) / 2.0
+
+
 def mode_eigenvalues(xi: float, ep: LinearEnergyParams):
     """Eigenvalues of the mode matrix, ordered (fast, slow) by |Re|."""
-    a = ep.lam * xi
-    b = ep.mu * xi**ep.alpha
-    disc = b * b - 4.0 * a * a
-    rt = np.sqrt(complex(disc))
-    z1 = (-b + rt) / 2.0
-    z2 = (-b - rt) / 2.0
+    _, z1, z2 = _mode_roots(ep.lam * xi, ep.mu * xi**ep.alpha)
     # fast = more negative real part
-    if z1.real <= z2.real:
-        return z1, z2
-    return z2, z1
+    return (z1, z2) if z1.real <= z2.real else (z2, z1)
 
 
 def regime_classify(xi: float, ep: LinearEnergyParams) -> str:
@@ -189,10 +189,7 @@ def _expm_2x2_coeffs(a: np.ndarray, b: np.ndarray, t: float):
     z^2 + b z + a^2.  Falls back to the double-root branch when the
     discriminant is negligible against b^2.
     """
-    disc = b * b - 4.0 * a * a
-    rt = np.sqrt(disc.astype(np.complex128))
-    zp = (-b + rt) / 2.0
-    zm = (-b - rt) / 2.0
+    disc, zp, zm = _mode_roots(a, b)
     ezp = np.exp(zp * t)
     ezm = np.exp(zm * t)
     diff = zp - zm
@@ -213,12 +210,8 @@ def linear_propagate(mode: ModeState, t: float, ep: LinearEnergyParams) -> ModeS
         raise ParameterError(f"t must be >= 0, got {t}")
     a = np.array(ep.lam * mode.xi)
     b = np.array(ep.mu * mode.xi**ep.alpha)
-    c0, c1 = _expm_2x2_coeffs(a, b, t)
-    sig = c0 * mode.sigma + c1 * (-a * mode.d)
-    d = c1 * (a * mode.sigma) + (c0 - c1 * b) * mode.d
-    pu = None
-    if mode.pu is not None:
-        pu = np.asarray(mode.pu) * np.exp(-b * t)
+    sig, d = _apply_pair_flow(mode.sigma, mode.d, a, b, t, frozen=False)
+    pu = None if mode.pu is None else np.asarray(mode.pu) * np.exp(-b * t)
     return ModeState(mode.xi, complex(sig), complex(d), pu)
 
 
@@ -249,9 +242,7 @@ def propagate_pair_field(
     grid = sigma.grid
     xi = grid.xi_norm()
     a = ep.lam * (xi if coupling is None else coupling)
-    with np.errstate(invalid="ignore"):
-        b = ep.mu * np.where(xi > 0, xi, 1.0) ** ep.alpha
-    b = np.where(xi > 0, b, 0.0)
+    b = ep.mu * _lambda_symbol(grid, ep.alpha)
     s1, d1 = _apply_pair_flow(sigma.coef[0], d.coef[0], a, b, t, frozen=(xi == 0))
     return SpectralField(grid, s1[np.newaxis]), SpectralField(grid, d1[np.newaxis])
 

@@ -9,11 +9,12 @@ partition of unity away from the origin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, read_only
 
 __all__ = ["chi_profile", "phi_profile", "LPDecomp"]
 
@@ -48,6 +49,18 @@ def phi_profile(r) -> np.ndarray:
     """Dyadic bump phi(r) = chi(r/2) - chi(r), supported in [3/4, 8/3]."""
     r = np.asarray(r, dtype=np.float64)
     return chi_profile(r / 2.0) - chi_profile(r)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_weights(lp: LPDecomp):
+    """phi(2^{-j} xi)^2 per block, kept on its support only: a tuple of
+    (flat lattice indices, weights), one pair per j in lp.j_range."""
+    out = []
+    for j in lp.j_range:
+        w2 = lp.block_multiplier(j).ravel() ** 2
+        idx = np.flatnonzero(w2)
+        out.append((read_only(idx), read_only(w2[idx])))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,14 +112,11 @@ class LPDecomp:
 
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of all blocks (vector fields: joint l2 over components)."""
-        xi = self.grid.xi_norm()
-        energy = np.sum(np.abs(f.coef) ** 2, axis=0)
+        energy = np.sum(np.abs(f.coef) ** 2, axis=0).ravel()
         vol = self.grid.volume()
-        out = np.empty(len(self.j_range))
-        for i, j in enumerate(self.j_range):
-            mult = phi_profile(xi * 2.0 ** (-j))
-            out[i] = np.sqrt(np.sum(mult**2 * energy) * vol)
-        return out
+        return np.array(
+            [np.sqrt(np.sum(w2 * energy[idx]) * vol) for idx, w2 in _block_weights(self)]
+        )
 
     def partition_defect(self) -> float:
         """Max |sum_j phi_j(xi) - 1| over resolved nonzero frequencies."""
@@ -114,7 +124,5 @@ class LPDecomp:
         lo = 2.0 * np.pi / self.grid.L
         hi = (self.grid.n / 3.0) * (2.0 * np.pi / self.grid.L)
         sel = (xi >= lo) & (xi <= hi)
-        total = np.zeros_like(xi)
-        for j in self.j_range:
-            total += phi_profile(xi * 2.0 ** (-j))
+        total = sum(self.block_multiplier(j) for j in self.j_range)
         return float(np.max(np.abs(total[sel] - 1.0)))

@@ -14,15 +14,19 @@ normalization constant of the singular-integral fractional Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, zeta as hurwitz_zeta
 
-from .grid import Grid, GridError, SpectralField
+from .grid import Grid, GridError, SpectralField, read_only
 from .operators import (
     ParameterError,
+    _heat_multiplier,
+    _lambda_symbol,
+    _xi_tilde,
     dealias,
     divergence,
     fractional_laplacian,
@@ -41,6 +45,8 @@ __all__ = [
     "h_of_sigma",
     "alignment_commutator",
     "alignment_direct",
+    "SpectralPlan",
+    "plan_for",
     "rhs",
     "scaling_check",
 ]
@@ -262,21 +268,6 @@ def alignment_direct(
 # -- right-hand sides -------------------------------------------------------
 
 
-def _advection(u: SpectralField, f: SpectralField) -> SpectralField:
-    """u . grad f computed pseudospectrally with dealiasing (f scalar or vector)."""
-    grid = u.grid
-    out = None
-    for comp in range(f.components):
-        acc = None
-        fc = SpectralField(grid, f.coef[comp : comp + 1])
-        for ax in range(grid.dim):
-            dfc = spectral_derivative(fc, ax)
-            term = physical_product(SpectralField(grid, u.coef[ax : ax + 1]), dfc)
-            acc = term if acc is None else acc + term
-        out = acc if out is None else SpectralField(grid, np.concatenate([out.coef, acc.coef]))
-    return out
-
-
 def _alignment_force(rho: SpectralField, u: SpectralField, params: ModelParams) -> SpectralField:
     """D = -mu * rho * (Lambda^alpha q - u Lambda^alpha rho), q = rho u.
 
@@ -293,26 +284,84 @@ def _alignment_force(rho: SpectralField, u: SpectralField, params: ModelParams) 
     return SpectralField.from_physical(grid, vals)
 
 
-def _rhs_sigma_u(state: State, params: ModelParams, linear_only: bool = False):
-    """Tendencies of (sigma, u) in the reformulated system."""
-    grid = state.grid
-    sig = dealias(state.scalar)
-    u = dealias(state.u)
-    lam = params.lam
-    div_u = divergence(u)
-    grad_sig = gradient(sig)
+class SpectralPlan:
+    """Half-spectrum multipliers and the sigma-u tendency of one (grid, params).
 
-    dsig = -lam * div_u
-    du = -lam * grad_sig - params.mu * fractional_laplacian(u, params.alpha)
-    if not linear_only:
-        sig_phys = sig.to_physical()[0]
-        dsig = dsig - _advection(u, sig) - (params.gamma - 1.0) * physical_product(
-            sig, div_u
-        )
-        du = du - _advection(u, u)
-        hval = SpectralField.from_physical(grid, h_of_sigma(sig_phys, params))
-        du = du - params.mu * alignment_commutator(u, dealias(hval), params.alpha)
-    return dealias(dsig), dealias(du)
+    Arrays follow the ``numpy.fft.rfftn`` layout (last axis k = 0..n/2) in the
+    package normalization; ``physical``/``spectral`` are the batched real FFTs
+    between it and grid values.  Each array is a read-only restriction of a
+    cached full-layout symbol: ``ixi`` (i*xi per axis, Nyquist zeroed),
+    ``lam_alpha`` (|xi|^alpha, mean zeroed), ``mask`` (2/3 rule).  Use ``plan_for``.
+    """
+
+    def __init__(self, grid: Grid, params: ModelParams):
+        self.grid, self.params = grid, params
+        self._cols = (Ellipsis, slice(0, grid.n // 2 + 1))
+        self._axes = tuple(range(-grid.dim, 0))
+        self.ixi = read_only(np.stack([1j * xt[self._cols] for xt in _xi_tilde(grid)]))
+        self.lam_alpha = _lambda_symbol(grid, params.alpha)[self._cols]
+        self.mask = grid.dealias_mask()[self._cols]
+
+    def half(self, coef: np.ndarray) -> np.ndarray:
+        """Half-spectrum view of the full coefficients of real data."""
+        return coef[self._cols]
+
+    def full(self, half: np.ndarray) -> np.ndarray:
+        """Full coefficients of real data, filled in by coef(-k) = conj(coef(k))."""
+        tail = half[..., self.grid.n // 2 - 1 : 0 : -1]
+        for ax in self._axes[:-1]:  # k -> -k on the other axes
+            tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
+        return np.concatenate([half, np.conj(tail)], axis=-1)
+
+    def physical(self, half: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(half, s=self.grid.shape, axes=self._axes, norm="forward")
+
+    def spectral(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values, axes=self._axes, norm="forward")
+
+    @functools.lru_cache(maxsize=4)
+    def semigroup(self, dt: float):
+        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised per dt."""
+        p = self.params
+        e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0)[self._cols])
+        return e_half, read_only(e_half * e_half)
+
+    def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
+        """Dealiased tendencies of half-spectrum (sigma, u), without the stiff
+        -mu Lambda^alpha u term.
+
+        sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
+        u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
+        with g = h(sigma) = rho - 1.  The nonlinear terms cost four batched
+        transforms: (sigma, u, grad sigma, grad u) to the grid, h(sigma) back,
+        (g, Lambda^alpha g) to the grid, and the three products back.
+        """
+        p, dim, mask = self.params, self.grid.dim, self.mask
+        sig, u = sig * mask, u * mask
+        grad_sig = self.ixi * sig
+        dsig = -p.lam * np.sum(self.ixi * u, axis=0, keepdims=True)
+        du = -p.lam * grad_sig
+        if linear_only:
+            return dsig, du
+        grad_u = (self.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
+        phys = self.physical(np.concatenate([sig, u, grad_sig, grad_u]))
+        sv, uv = phys[0], phys[1 : 1 + dim]
+        gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
+        div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
+        g_half = self.spectral(h_of_sigma(sv, p)) * mask
+        gv, lam_g = self.physical(np.stack([g_half, self.lam_alpha * g_half]))
+        n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
+        n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
+        prods = self.spectral(np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
+        dsig = dsig + prods[:1]
+        du = du + prods[1 : 1 + dim] - p.mu * self.lam_alpha * prods[1 + dim :]
+        return dsig * mask, du * mask
+
+
+@functools.lru_cache(maxsize=8)
+def plan_for(grid: Grid, params: ModelParams) -> SpectralPlan:
+    """The shared SpectralPlan of (grid, params), built on first use."""
+    return SpectralPlan(grid, params)
 
 
 def _rhs_rho_u(state: State, params: ModelParams, linear_only: bool = False):
@@ -358,10 +407,17 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     """Time derivative of the state in its own representation.
 
     Returns a pair of spectral fields (scalar tendency, velocity tendency).
+    A sigma_u state goes through ``plan_for(grid, params).tendency`` on the
+    half spectrum, the kernel the stepper uses: four real FFTs (none with
+    ``linear_only``), plus the stiff term -mu Lambda^alpha u.
     """
-    if state.representation == "sigma_u":
-        return _rhs_sigma_u(state, params, linear_only)
-    return _rhs_rho_u(state, params, linear_only)
+    if state.representation == "rho_u":
+        return _rhs_rho_u(state, params, linear_only)
+    plan = plan_for(state.grid, params)
+    u = plan.half(state.u.coef)
+    dsig, du = plan.tendency(plan.half(state.scalar.coef), u, linear_only)
+    du = du - params.mu * plan.lam_alpha * (u * plan.mask)
+    return SpectralField(state.grid, plan.full(dsig)), SpectralField(state.grid, plan.full(du))
 
 
 def conserved_quantities(state: State, params: ModelParams):

@@ -10,9 +10,11 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .grid import Grid, GridError, SpectralField
+from .grid import Grid, GridError, SpectralField, read_only
 
 __all__ = [
     "fractional_laplacian",
@@ -35,6 +37,31 @@ def _apply_scalar_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralFiel
     return SpectralField(f.grid, f.coef * mult[np.newaxis])
 
 
+@functools.lru_cache(maxsize=32)
+def _lambda_symbol(grid: Grid, power: float) -> np.ndarray:
+    """|xi|^power with the mean mode zeroed, built once per (grid, power)."""
+    xi = grid.xi_norm()
+    mult = np.zeros_like(xi)
+    nz = xi > 0
+    mult[nz] = xi[nz] ** power
+    return read_only(mult)
+
+
+@functools.lru_cache(maxsize=32)
+def _xi_tilde(grid: Grid):
+    """Per-axis xi with the unpaired Nyquist mode zeroed, built once per grid:
+    i*xi_tilde is the odd multiplier, so projections commute with derivatives."""
+    return tuple(
+        read_only(np.where(k == -grid.n // 2, 0.0, xi))
+        for k, xi in zip(grid.wavenumbers(), grid.xi())
+    )
+
+
+def _heat_multiplier(grid: Grid, alpha: float, mu: float, t: float) -> np.ndarray:
+    """Symbol e^{-mu t |xi|^alpha} of the fractional heat semigroup."""
+    return np.exp(-mu * t * _lambda_symbol(grid, alpha))
+
+
 def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """Lambda^alpha f via the symbol |xi|^alpha; mean mode annihilated.
 
@@ -44,55 +71,26 @@ def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """
     if not (0.0 < alpha < 4.0):
         raise ParameterError(f"alpha must lie in (0, 4), got {alpha}")
-    xi = f.grid.xi_norm()
-    mult = np.zeros_like(xi)
-    nz = xi > 0
-    mult[nz] = xi[nz] ** alpha
-    return _apply_scalar_multiplier(f, mult)
+    return lambda_power(f, alpha)
 
 
 def lambda_power(f: SpectralField, power: float) -> SpectralField:
     """|xi|^power multiplier with the mean mode zeroed (any real power)."""
-    xi = f.grid.xi_norm()
-    mult = np.zeros_like(xi)
-    nz = xi > 0
-    mult[nz] = xi[nz] ** power
-    return _apply_scalar_multiplier(f, mult)
-
-
-def _odd_multiplier_axis(grid: Grid, axis: int) -> np.ndarray:
-    """i*xi_axis with the Nyquist mode of that axis zeroed."""
-    xi = grid.xi()[axis]
-    ks = grid.wavenumbers()[axis]
-    mult = 1j * xi
-    mult = np.where(ks == -grid.n // 2, 0.0, mult)
-    return mult
-
-
-def _xi_tilde(grid: Grid):
-    """Per-axis xi with the unpaired Nyquist mode zeroed (matches the odd
-    multipliers, so projections commute with discrete derivatives)."""
-    out = []
-    for ax in range(grid.dim):
-        xi = grid.xi()[ax]
-        ks = grid.wavenumbers()[ax]
-        out.append(np.where(ks == -grid.n // 2, 0.0, xi))
-    return tuple(out)
+    return _apply_scalar_multiplier(f, _lambda_symbol(f.grid, power))
 
 
 def spectral_derivative(f: SpectralField, axis: int = 0) -> SpectralField:
     """Partial derivative along one axis (odd multiplier, Nyquist zeroed)."""
     if axis < 0 or axis >= f.grid.dim:
         raise GridError(f"axis {axis} out of range for dim {f.grid.dim}")
-    mult = _odd_multiplier_axis(f.grid, axis)
-    return SpectralField(f.grid, f.coef * mult[np.newaxis])
+    return _apply_scalar_multiplier(f, 1j * _xi_tilde(f.grid)[axis])
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Gradient of a scalar field; result has dim components."""
     if not f.is_scalar:
         raise GridError("gradient expects a scalar field")
-    parts = [f.coef[0] * _odd_multiplier_axis(f.grid, ax) for ax in range(f.grid.dim)]
+    parts = [f.coef[0] * (1j * xt) for xt in _xi_tilde(f.grid)]
     return SpectralField(f.grid, np.stack(parts))
 
 
@@ -103,8 +101,8 @@ def divergence(u: SpectralField) -> SpectralField:
             f"divergence expects {u.grid.dim} components, got {u.components}"
         )
     out = np.zeros(u.grid.shape, dtype=np.complex128)
-    for ax in range(u.grid.dim):
-        out += u.coef[ax] * _odd_multiplier_axis(u.grid, ax)
+    for ax, xt in enumerate(_xi_tilde(u.grid)):
+        out += u.coef[ax] * (1j * xt)
     return SpectralField(u.grid, out[np.newaxis])
 
 
@@ -150,7 +148,7 @@ def grad_lambda_inv(d: SpectralField) -> SpectralField:
     xin = np.sqrt(sum(c**2 for c in _xi_tilde(d.grid)))
     safe = np.where(xin > 0, xin, 1.0)
     base = np.where(xin > 0, d.coef[0] / safe, 0.0)
-    parts = [-base * _odd_multiplier_axis(d.grid, ax) for ax in range(d.grid.dim)]
+    parts = [-base * (1j * xt) for xt in _xi_tilde(d.grid)]
     return SpectralField(d.grid, np.stack(parts))
 
 
@@ -162,15 +160,12 @@ def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> Spect
         raise ParameterError(f"mu must be > 0, got {mu}")
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    xi = f.grid.xi_norm()
-    mult = np.exp(-mu * t * xi**alpha)
-    return _apply_scalar_multiplier(f, mult)
+    return _apply_scalar_multiplier(f, _heat_multiplier(f.grid, alpha, mu, t))
 
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all coefficients with any |k_i| > n/3 (2/3 rule); idempotent."""
-    keep = f.grid.dealias_mask()
-    return SpectralField(f.grid, f.coef * keep[np.newaxis])
+    return _apply_scalar_multiplier(f, f.grid.dealias_mask())
 
 
 def physical_product(f: SpectralField, g: SpectralField, dealiased: bool = True) -> SpectralField:

@@ -4,7 +4,9 @@ The stepper is an integrating-factor RK4: the stiff dissipation mu*Lambda^alpha
 acting on u is integrated exactly through the fractional heat semigroup, and
 everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
-transformed.
+transformed.  The stages run on half-spectrum (real-FFT) arrays through the
+grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares: 4 FFTs per
+right-hand side, 17 per step with the vacuum guard.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .model import (
     VACUUM_THRESHOLD,
     VacuumError,
     conserved_quantities,
+    plan_for,
     rho_from_sigma,
-    rhs,
 )
 from .operators import (
     ParameterError,
+    _lambda_symbol,
     _xi_tilde,
     dealias,
     grad_lambda_inv,
@@ -44,6 +47,7 @@ __all__ = [
     "initial_state",
     "step",
     "run",
+    "diagnostics_row",
     "linear_exact_flow",
     "fractional_heat_trace",
     "z_norms",
@@ -170,21 +174,18 @@ def initial_state(config: SimConfig) -> State:
 # -- stepper ----------------------------------------------------------------
 
 
-def _semigroup_multiplier(grid: Grid, params: ModelParams, t: float) -> np.ndarray:
-    xi = grid.xi_norm()
-    return np.exp(-params.mu * t * xi**params.alpha)
-
-
 def step(
     state: State,
     params: ModelParams,
     dt: float,
     linear_only: bool = False,
-    check_vacuum: bool = True,
 ) -> State:
     """One integrating-factor RK4 step.
 
-    Works in sigma_u internally; a rho_u state is converted in and out.
+    Works in sigma_u internally; a rho_u state is converted in and out.  The
+    four stages run on half-spectrum arrays through ``plan_for(grid, params)``
+    (four FFTs each, one more for the vacuum guard); full-spectrum fields are
+    built only for the returned state.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -192,57 +193,25 @@ def step(
     if original != "sigma_u":
         state = state.to_representation("sigma_u", params)
     grid = state.grid
+    plan = plan_for(grid, params)
+    e_half, e_full = plan.semigroup(dt)
 
-    e_half = _semigroup_multiplier(grid, params, dt / 2.0)
-    e_full = e_half * e_half
+    tend = plan.tendency  # everything but the stiff term, dealiased
+    s0, u0 = plan.half(state.scalar.coef), plan.half(state.u.coef)
+    k1s, k1u = tend(s0, u0, linear_only)
+    k2s, k2u = tend(s0 + 0.5 * dt * k1s, (u0 + 0.5 * dt * k1u) * e_half, linear_only)
+    k3s, k3u = tend(s0 + 0.5 * dt * k2s, u0 * e_half + 0.5 * dt * k2u, linear_only)
+    k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u, linear_only)
+    s_new = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
+    s_new, u_new = s_new * plan.mask, u_new * plan.mask
 
-    def nonstiff(sig: SpectralField, u: SpectralField):
-        """Full tendency with the stiff mu*Lambda^alpha u term added back."""
-        st = State("sigma_u", sig, u, state.t)
-        dsig, du = rhs(st, params, linear_only=linear_only)
-        xi = grid.xi_norm()
-        du = SpectralField(
-            grid, du.coef + params.mu * (xi**params.alpha)[np.newaxis] * u.coef
-        )
-        return dsig, du
-
-    s0, u0 = state.scalar, state.u
-    k1s, k1u = nonstiff(s0, u0)
-
-    s_a = SpectralField(grid, s0.coef + 0.5 * dt * k1s.coef)
-    u_a = SpectralField(grid, (u0.coef + 0.5 * dt * k1u.coef) * e_half)
-    k2s, k2u = nonstiff(s_a, u_a)
-
-    s_b = SpectralField(grid, s0.coef + 0.5 * dt * k2s.coef)
-    u_b = SpectralField(grid, u0.coef * e_half + 0.5 * dt * k2u.coef)
-    k3s, k3u = nonstiff(s_b, u_b)
-
-    s_c = SpectralField(grid, s0.coef + dt * k3s.coef)
-    u_c = SpectralField(grid, u0.coef * e_full + dt * e_half * k3u.coef)
-    k4s, k4u = nonstiff(s_c, u_c)
-
-    s_new = SpectralField(
-        grid,
-        s0.coef + dt / 6.0 * (k1s.coef + 2.0 * k2s.coef + 2.0 * k3s.coef + k4s.coef),
-    )
-    u_new = SpectralField(
-        grid,
-        u0.coef * e_full
-        + dt
-        / 6.0
-        * (
-            e_full * k1u.coef
-            + 2.0 * e_half * (k2u.coef + k3u.coef)
-            + k4u.coef
-        ),
-    )
-    out = State("sigma_u", dealias(s_new), dealias(u_new), state.t + dt)
-
-    if check_vacuum:
-        mn = out.min_rho(params)
-        # written so that a NaN (blown-up state) also trips the guard
-        if not (mn >= VACUUM_THRESHOLD):
-            raise VacuumError(mn)
+    mn = float(np.min(rho_from_sigma(plan.physical(s_new[0]), params)))
+    # written so that a NaN (blown-up state) also trips the guard
+    if not (mn >= VACUUM_THRESHOLD):
+        raise VacuumError(mn)
+    sigma, u = (SpectralField(grid, plan.full(a)) for a in (s_new, u_new))
+    out = State("sigma_u", sigma, u, state.t + dt)
     if original != "sigma_u":
         out = out.to_representation(original, params)
     return out
@@ -294,6 +263,23 @@ def default_norm_columns(params: ModelParams, dim: int, j0: int):
     ]
 
 
+def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
+    """Trace columns of a sigma_u state (t, min rho, mass, momentum, L2 norms,
+    one Besov-type norm per ``norm_list`` entry), and its sigma and u block norms."""
+    js = np.array(lp.j_range)
+    sig_mf, u_mf = st.scalar.mean_free(), st.u.mean_free()
+    bn_sig, bn_u = lp.block_norms(sig_mf), lp.block_norms(u_mf)
+    mass, mom = conserved_quantities(st, params)
+    row = {"t": st.t, "min_rho": st.min_rho(params), "mass": mass}
+    for i in range(st.grid.dim):
+        row[f"mom_{i + 1}"] = mom[i]
+    row["l2_sigma"] = sig_mf.l2()
+    row["l2_u"] = u_mf.l2()
+    for name, target, spec in norm_list:
+        row[name] = besov_norm_from_blocks(js, bn_u if target == "u" else bn_sig, spec)
+    return row, bn_sig, bn_u
+
+
 def run(config: SimConfig, store_states: bool = False):
     """Advance the system to t_end, recording the norm trace.
 
@@ -316,6 +302,8 @@ def run(config: SimConfig, store_states: bool = False):
     dt = config.t_end / nsteps
 
     norm_list = default_norm_columns(params, grid.dim, j0) + list(config.norms)
+    # X1/X2 apply the two default columns' norms to the running block sups
+    (_, _, spec_x1), (_, _, spec_x2) = norm_list[:2]
 
     # Chemin-Lerner accumulators for the composite norm constituents
     sup_sig_blocks = np.zeros(len(js))
@@ -336,10 +324,7 @@ def run(config: SimConfig, store_states: bool = False):
     def record(st: State, t: float):
         nonlocal int_sig, int_u, prev_sig_inst, prev_u_inst, prev_t
         nonlocal sup_sig_blocks, sup_u_blocks
-        sig_mf = st.scalar.mean_free()
-        u_mf = st.u.mean_free()
-        bn_sig = lp.block_norms(sig_mf)
-        bn_u = lp.block_norms(u_mf)
+        row, bn_sig, bn_u = diagnostics_row(st, params, lp, norm_list)
         sup_sig_blocks = np.maximum(sup_sig_blocks, bn_sig)
         sup_u_blocks = np.maximum(sup_u_blocks, bn_u)
         x3_inst = besov_norm_from_blocks(js, bn_sig, spec_x3)
@@ -348,28 +333,8 @@ def run(config: SimConfig, store_states: bool = False):
             int_sig += 0.5 * (prev_sig_inst + x3_inst) * (t - prev_t)
             int_u += 0.5 * (prev_u_inst + x4_inst) * (t - prev_t)
         prev_sig_inst, prev_u_inst, prev_t = x3_inst, x4_inst, t
-
-        mass, mom = conserved_quantities(st, params)
-        row = {
-            "t": t,
-            "min_rho": st.min_rho(params),
-            "mass": mass,
-        }
-        for i in range(grid.dim):
-            row[f"mom_{i + 1}"] = mom[i]
-        row["l2_sigma"] = sig_mf.l2()
-        row["l2_u"] = u_mf.l2()
-        for name, target, spec in norm_list:
-            bn = bn_u if target == "u" else bn_sig
-            row[name] = besov_norm_from_blocks(js, bn, spec)
-        row["X1_sigma_sup"] = besov_norm_from_blocks(
-            js,
-            sup_sig_blocks,
-            NormSpec.hybrid(half_n + 1.0 - params.alpha, half_n, j0),
-        )
-        row["X2_u_sup"] = besov_norm_from_blocks(
-            js, sup_u_blocks, NormSpec.homogeneous(half_n + 1.0 - params.alpha, 1)
-        )
+        row["X1_sigma_sup"] = besov_norm_from_blocks(js, sup_sig_blocks, spec_x1)
+        row["X2_u_sup"] = besov_norm_from_blocks(js, sup_u_blocks, spec_x2)
         row["X3_sigma_int"] = int_sig
         row["X4_u_int"] = int_u
         trace.append(t, row)
@@ -430,15 +395,10 @@ def fractional_heat_trace(
     while the sup is insensitive to the infrared cutoff.
     """
     if profile == "gaussian":
-        pts = grid.points()
-        c = grid.L / 2.0
-        r2 = sum((p - c) ** 2 for p in pts)
-        u0 = SpectralField.from_physical(grid, np.exp(-r2 / (2.0 * width**2)))
+        u0 = SpectralField.from_physical(grid, _gaussian(grid, width))
     elif profile == "power":
-        xi = grid.xi_norm()
-        coef = np.where(
-            xi > 0, np.where(xi > 0, xi, 1.0) ** (s0 - grid.dim / 2.0), 0.0
-        ) * np.exp(-(xi**2))
+        envelope = _lambda_symbol(grid, s0 - grid.dim / 2.0)
+        coef = envelope * np.exp(-(grid.xi_norm() ** 2))
         u0 = SpectralField(grid, coef[np.newaxis])
     else:
         raise ParameterError(f"unknown profile {profile!r}")
@@ -448,10 +408,8 @@ def fractional_heat_trace(
     js = np.array(lp.j_range)
     spec = NormSpec.homogeneous(s1, r)
     trace = NormTrace()
-    xi = grid.xi_norm()
-    decay_sym = xi**alpha
     for t in np.asarray(times, dtype=float):
-        ut = SpectralField(grid, u0.coef * np.exp(-mu * t * decay_sym))
+        ut = heat_semigroup(u0, alpha, mu, t)
         bn = lp.block_norms(ut)
         trace.append(
             t,
