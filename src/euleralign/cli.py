@@ -2,16 +2,14 @@
 
 All CSV output is RFC-4180 (CRLF line endings, '.' decimal point) with 17
 significant digits.  Exit codes: 0 success, 2 validation error, 3 vacuum
-abort.
+abort, 4 CFL abort; an aborted run still writes its partial trace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -35,13 +33,15 @@ from .simulation import (
     fractional_heat_trace,
     run,
 )
-from .snapshot import SnapshotError, read_snapshot, write_snapshot
+from .snapshot import SnapshotError, atomic_open, read_snapshot, write_snapshot
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VACUUM = 3
+EXIT_CFL = 4
+_ABORT_EXIT = {"vacuum": EXIT_VACUUM, "cfl": EXIT_CFL}  # by trace.status
 
 
 def _fmt(x) -> str:
@@ -62,16 +62,8 @@ def _write_csv(path, header, rows):
     if path == "-":
         emit(sys.stdout)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        emit(fh)
 
 
 def _cmd_run(args) -> int:
@@ -99,9 +91,9 @@ def _cmd_run(args) -> int:
             print(f"decay fit [{config.decay_column}]: exponent={_fmt(exponent)} r2={_fmt(r2)}")
         except ValueError as exc:
             print(f"decay fit skipped: {exc}", file=sys.stderr)
-    if trace.status == "vacuum":
-        print("vacuum abort: partial trace written", file=sys.stderr)
-        return EXIT_VACUUM
+    if trace.status in _ABORT_EXIT:
+        print(f"{trace.status} abort: partial trace written", file=sys.stderr)
+        return _ABORT_EXIT[trace.status]
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import SpectralField
 from .model import ModelParams
@@ -258,6 +257,8 @@ def kernel_bound_check(
     The tau^{-s} endpoint is integrable for s < 1; adaptive quadrature with an
     explicit endpoint declaration handles it.
     """
+    from scipy.integrate import quad  # here, so runs never load SciPy
+
     if not (0.0 <= s < 1.0):
         raise ParameterError(f"s must lie in [0, 1), got {s}")
     if c <= 0:

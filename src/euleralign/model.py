@@ -15,11 +15,11 @@ normalization constant of the singular-integral fractional Laplacian.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, zeta as hurwitz_zeta
 
 from .grid import Grid, GridError, SpectralField, read_only
 from .operators import (
@@ -71,8 +71,8 @@ def frac_laplacian_constant(alpha: float, dim: int) -> float:
     """
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    c = 2.0**alpha * gamma_fn((dim + alpha) / 2.0) / (
-        np.pi ** (dim / 2.0) * gamma_fn(-alpha / 2.0)
+    c = 2.0**alpha * math.gamma((dim + alpha) / 2.0) / (
+        math.pi ** (dim / 2.0) * math.gamma(-alpha / 2.0)
     )
     return abs(c)
 
@@ -202,6 +202,8 @@ def _periodized_kernel(z: np.ndarray, alpha: float, L: float) -> np.ndarray:
     For z in (0, L) the image sum is a pair of Hurwitz zeta values:
     sum_m |z + mL|^{-1-a} = L^{-1-a} [zeta(1+a, z/L) + zeta(1+a, 1 - z/L)].
     """
+    from scipy.special import zeta as hurwitz_zeta  # here, so runs never load SciPy
+
     c = frac_laplacian_constant(alpha, 1)
     frac = np.mod(z / L, 1.0)
     s = 1.0 + alpha
@@ -360,7 +362,14 @@ class SpectralPlan:
 
 @functools.lru_cache(maxsize=8)
 def plan_for(grid: Grid, params: ModelParams) -> SpectralPlan:
-    """The shared SpectralPlan of (grid, params), built on first use."""
+    """The shared SpectralPlan of (grid, params), built on first use.
+
+    ``params.dim`` must match ``grid.dim``: the default mu depends on it.
+    """
+    if params.dim != grid.dim:
+        raise ParameterError(
+            f"ModelParams.dim = {params.dim} does not match the {grid.dim}D grid"
+        )
     return SpectralPlan(grid, params)
 
 

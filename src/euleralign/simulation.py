@@ -103,7 +103,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Decay-law target: fitted exponent should approach -(s1+s0)/alpha."""
+    """Decay-law target (s0, s1) and its rate ``exponent`` = (s0+s1)/alpha.
+
+    The fitted log-log slope of the decaying norm tends to -``exponent``.
+    """
 
     s0: float
     s1: float
@@ -245,10 +248,15 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
 # -- run orchestration ------------------------------------------------------
 
 
-def default_dt(config: SimConfig, state: State, params: ModelParams) -> float:
+def cfl_limit(config: SimConfig, state: State, params: ModelParams) -> float:
+    """Acoustic CFL limit cfl * dx / (max|u| + lam) of a state."""
     umax = float(np.max(np.abs(state.u.to_physical())))
-    dx = config.grid().dx
-    return min(config.cfl * dx / (umax + params.lam), 0.5 * dx)
+    return config.cfl * config.grid().dx / (umax + params.lam)
+
+
+def default_dt(config: SimConfig, state: State, params: ModelParams) -> float:
+    """The CFL limit of the initial state, capped at dx/2."""
+    return min(cfl_limit(config, state, params), 0.5 * config.grid().dx)
 
 
 def default_norm_columns(params: ModelParams, dim: int, j0: int):
@@ -284,7 +292,10 @@ def run(config: SimConfig, store_states: bool = False):
     """Advance the system to t_end, recording the norm trace.
 
     Returns (trace, states) where ``states`` holds the sampled states when
-    ``store_states`` is set (always including the final state).
+    ``store_states`` is set (including the final state of a completed run).
+    A run that stops early keeps the records so far and sets ``trace.status``:
+    "vacuum" when the density guard trips, "cfl" after three consecutive
+    records whose dt exceeds ``cfl_limit``.
     """
     grid = config.grid()
     params = config.model_params()
@@ -349,9 +360,7 @@ def run(config: SimConfig, store_states: bool = False):
                 t = istep * dt
                 state.t = t
                 record(state, t)
-                limit = config.cfl * grid.dx / (
-                    float(np.max(np.abs(state.u.to_physical()))) + params.lam
-                )
+                limit = cfl_limit(config, state, params)
                 if dt > limit:
                     cfl_strikes += 1
                     warnings.warn(
@@ -359,7 +368,8 @@ def run(config: SimConfig, store_states: bool = False):
                         RuntimeWarning,
                     )
                     if cfl_strikes >= 3:
-                        raise RuntimeError("repeated CFL violations; aborting run")
+                        trace.status = "cfl"
+                        break
                 else:
                     cfl_strikes = 0
     except VacuumError:

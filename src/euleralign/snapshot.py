@@ -16,6 +16,7 @@ Physical values are stored, so the round trip is exact at the byte level.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -38,6 +39,21 @@ class SnapshotError(ValueError):
     """Malformed or incompatible snapshot file."""
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Open a temp file beside ``path``, renamed over it when the block exits
+    cleanly and removed when it raises."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_snapshot(path: str, state: State, params: ModelParams) -> None:
     """Serialize a state; the write is atomic (temp file + rename)."""
     grid = state.grid
@@ -56,19 +72,11 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
     )
     scalar = np.ascontiguousarray(state.scalar.to_physical()[0], dtype="<f8")
     u = state.u.to_physical()
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(scalar.tobytes())
-            for comp in range(grid.dim):
-                fh.write(np.ascontiguousarray(u[comp], dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(header)
+        fh.write(scalar.tobytes())
+        for comp in range(grid.dim):
+            fh.write(np.ascontiguousarray(u[comp], dtype="<f8").tobytes())
 
 
 def read_snapshot(path: str):

@@ -306,6 +306,31 @@ amplitude = 30.0
             rows = list(csv.reader(fh))
         assert len(rows) >= 2  # header + at least the t=0 row
 
+    def test_cfl_exits_4_with_partial_trace(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            """
+[grid]
+n = 64
+
+[time]
+t_end = 10.0
+dt = 0.2
+cadence = 1
+
+[ic]
+preset = single_mode
+""",
+        )
+        out = str(tmp_path / "trace.csv")
+        with pytest.warns(RuntimeWarning, match="CFL violation"):
+            assert main(["run", "--config", cfg, "--output", out]) == 4
+        assert "cfl abort" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        # header, the t=0 row and the three strike records
+        assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.2, 0.4, 0.6])
+
     def test_linear_row_values(self, tmp_path):
         out = str(tmp_path / "lin.csv")
         rc = main(

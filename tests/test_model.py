@@ -32,6 +32,17 @@ class TestConstantsAndParams:
                 c = frac_laplacian_constant(alpha, dim)
                 assert np.isfinite(c) and c > 0
 
+    def test_constant_matches_scipy_gamma(self):
+        from scipy.special import gamma
+
+        for alpha in (0.3, 1.2, 1.5, 1.8):
+            for dim in (1, 2):
+                ref = abs(
+                    2.0**alpha * gamma((dim + alpha) / 2.0)
+                    / (np.pi ** (dim / 2.0) * gamma(-alpha / 2.0))
+                )
+                assert frac_laplacian_constant(alpha, dim) == pytest.approx(ref, rel=1e-14)
+
     def test_constant_alpha_range(self):
         with pytest.raises(ParameterError):
             frac_laplacian_constant(2.0, 1)

@@ -14,6 +14,7 @@ from euleralign.model import (
     rhs,
 )
 from euleralign.operators import (
+    ParameterError,
     dealias,
     divergence,
     fractional_laplacian,
@@ -109,6 +110,15 @@ def test_plan_is_shared_and_read_only():
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
     assert plan.semigroup(0.1) is plan.semigroup(0.1)
+
+
+def test_plan_rejects_a_dimension_mismatch():
+    # a 1D state with 2D params would silently run with the 2D default mu
+    st = random_state(1, 32, seed=5)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2)
+    for call in (lambda: rhs(st, p), lambda: step(st, p, 0.01)):
+        with pytest.raises(ParameterError, match="dim"):
+            call()
 
 
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])

@@ -85,8 +85,8 @@ class TestInitialState:
 
 
 class TestStep:
-    def _params(self, mu=1.0):
-        return ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=mu)
+    def _params(self, mu=1.0, dim=1):
+        return ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=dim, mu=mu)
 
     def test_equilibrium_fixed_point(self):
         g = Grid(1, 64, 2 * np.pi)
@@ -100,7 +100,7 @@ class TestStep:
     def test_linear_step_matches_exact_flow(self, dim, n, tol):
         c = SimConfig(dim=dim, n=n, ic="single_mode", amplitude=1e-3)
         st = initial_state(c)
-        p = self._params()
+        p = self._params(dim=dim)
         dt = 0.01
         num = step(st, p, dt, linear_only=True)
         ex = linear_exact_flow(st, p, dt)
@@ -251,13 +251,24 @@ class TestRun:
         assert np.all(trace.column("extra") >= 0)
 
     def test_cfl_violation_escalates(self):
-        # huge dt against the acoustic speed triggers repeated warnings then abort
+        # huge dt against the acoustic speed: three warned strikes, then a
+        # "cfl" stop that keeps the t=0 record and the three strike records
         c = SimConfig(
             n=64, t_end=10.0, dt=1.0, cadence=1, ic="single_mode", amplitude=1e-3
         )
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(RuntimeError):
-                run(c)
+        with pytest.warns(RuntimeWarning, match="CFL violation"):
+            trace, states = run(c, store_states=True)
+        assert trace.status == "cfl"
+        assert trace.t.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert [st.t for st in states] == trace.t.tolist()
+
+    def test_user_dt_above_the_cap_does_not_strike(self, recwarn):
+        # the dx/2 cap bounds only the default dt, not the strike check
+        c = SimConfig(n=64, t_end=0.5, dt=0.05, cfl=1e9, cadence=1, ic="single_mode")
+        assert c.dt > 0.5 * c.grid().dx
+        trace, _ = run(c)
+        assert trace.status == "ok"
+        assert not [w for w in recwarn if "CFL" in str(w.message)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_vacuum_sets_status(self):
@@ -282,6 +293,12 @@ class TestRun:
         p = c.model_params()
         dt = default_dt(c, st, p)
         assert 0 < dt <= 0.5 * c.grid().dx
+
+    def test_default_dt_of_the_criterion_06_run(self):
+        # the default dt stored with the criterion-06 benchmark reference
+        c = SimConfig(n=256, t_end=40.0, amplitude=1e-2)
+        st = initial_state(c)
+        assert default_dt(c, st, c.model_params()) == 0.009735375145143516
 
 
 class TestFractionalHeatTrace:
