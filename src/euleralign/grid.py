@@ -1,8 +1,12 @@
 """Periodic FFT grid and spectral field containers.
 
-All spectral data uses the normalization coef(k) = (1/n^dim) * sum_x f(x) e^{-i xi.x},
-i.e. numpy's forward FFT divided by the number of grid points.  Physical
-wavenumbers are xi = 2*pi*k/L with integer k per axis in [-n/2, n/2).
+A real field is stored by its half spectrum, the ``numpy.fft.rfftn``
+coefficients coef(k) = (1/n^dim) * sum_x f(x) e^{-i xi.x} (``norm="forward"``).
+The leading axis of a 2D grid holds the integers k in [-n/2, n/2); the last
+axis holds k = 0..n/2, so its Nyquist mode is +n/2.  The coefficients left
+out are coef(-k) = conj(coef(k)); Plancherel therefore counts each stored
+coefficient twice, except on the last-axis columns k = 0 and n/2, which hold
+their own conjugates.  Physical wavenumbers are xi = 2*pi*k/L.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ class Grid:
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the half spectrum: the last axis keeps k = 0..n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
 
@@ -63,11 +72,20 @@ class Grid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
+    def physical(self, coef: np.ndarray) -> np.ndarray:
+        """Grid samples of half-spectrum coefficients; leading axes are batched."""
+        return np.fft.irfftn(coef, s=self.shape, axes=tuple(range(-self.dim, 0)), norm="forward")
+
+    def spectral(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of real grid samples; leading axes are batched."""
+        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)), norm="forward")
+
     @functools.lru_cache(maxsize=32)
     def wavenumbers(self):
-        """Integer wavenumber arrays per axis, broadcast against grid shape."""
+        """Integer wavenumber arrays per axis on the half-spectrum lattice."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integers in [-n/2, n/2)
-        ks = (k,) if self.dim == 1 else np.meshgrid(k, k, indexing="ij")
+        k_last = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # 0..n/2
+        ks = (k_last,) if self.dim == 1 else np.meshgrid(k, k_last, indexing="ij")
         return tuple(read_only(k) for k in ks)
 
     def xi(self):
@@ -77,13 +95,13 @@ class Grid:
 
     @functools.lru_cache(maxsize=32)
     def xi_norm(self) -> np.ndarray:
-        """|xi| on the full frequency lattice."""
+        """|xi| on the half-spectrum lattice."""
         return read_only(np.sqrt(sum(c**2 for c in self.xi())))
 
     @functools.lru_cache(maxsize=32)
     def nyquist_mask(self) -> np.ndarray:
         """True at indices where any axis sits on the unpaired Nyquist mode."""
-        on_nyquist = [k == -self.n // 2 for k in self.wavenumbers()]
+        on_nyquist = [np.abs(k) == self.n // 2 for k in self.wavenumbers()]
         return read_only(np.logical_or.reduce(on_nyquist))
 
     @functools.lru_cache(maxsize=32)
@@ -91,6 +109,14 @@ class Grid:
         """2/3-rule mask: True where a coefficient is kept."""
         keep = [np.abs(k) <= self.n / 3.0 for k in self.wavenumbers()]
         return read_only(np.logical_and.reduce(keep))
+
+    @functools.lru_cache(maxsize=32)
+    def plancherel_weights(self) -> np.ndarray:
+        """Times each stored coefficient occurs in the full spectrum: once on
+        the last-axis columns k = 0 and n/2, twice elsewhere."""
+        w = np.full(self.spectral_shape, 2.0)
+        w[..., 0] = w[..., -1] = 1.0
+        return read_only(w)
 
     def cell_volume(self) -> float:
         return self.dx**self.dim
@@ -101,10 +127,11 @@ class Grid:
 
 @dataclass
 class SpectralField:
-    """Scalar or vector field stored as Fourier coefficients.
+    """Real scalar or vector field stored by its half spectrum.
 
-    ``coef`` has shape (components,) + grid.shape and is complex.  A field
-    representing real data satisfies conjugate symmetry coef(-k) = conj(coef(k)).
+    ``coef`` has shape (components,) + grid.spectral_shape and is complex.  A
+    field built by ``from_physical`` keeps its exact samples for
+    ``to_physical``, so its ``coef`` is read-only: a write cannot leave them stale.
     """
 
     grid: Grid
@@ -113,7 +140,7 @@ class SpectralField:
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=np.complex128)
-        expect = self.grid.shape
+        expect = self.grid.spectral_shape
         if self.coef.ndim == self.grid.dim:
             self.coef = self.coef[np.newaxis]
         if self.coef.shape[1:] != expect:
@@ -132,14 +159,12 @@ class SpectralField:
             raise GridError(
                 f"sample shape {values.shape} incompatible with grid {grid.shape}"
             )
-        axes = tuple(range(1, grid.dim + 1))
-        coef = np.fft.fftn(values, axes=axes) / grid.n**grid.dim
         # keep the exact samples so to_physical() round-trips bitwise
-        return cls(grid, coef, values.copy())
+        return cls(grid, read_only(grid.spectral(values)), values.copy())
 
     @classmethod
     def zeros(cls, grid: Grid, components: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((components,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((components,) + grid.spectral_shape, dtype=np.complex128))
 
     # -- basic properties ---------------------------------------------------
 
@@ -154,9 +179,7 @@ class SpectralField:
     def to_physical(self) -> np.ndarray:
         if self._phys is not None:
             return self._phys.copy()
-        axes = tuple(range(1, self.grid.dim + 1))
-        vals = np.fft.ifftn(self.coef * self.grid.n**self.grid.dim, axes=axes)
-        return np.real(vals)
+        return self.grid.physical(self.coef)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coef.copy())
@@ -177,19 +200,12 @@ class SpectralField:
 
     def l2(self) -> float:
         """Physical L2 norm via Plancherel."""
-        return float(
-            np.sqrt(np.sum(np.abs(self.coef) ** 2) * self.grid.volume())
-        )
+        return float(np.sqrt(self.inner(self)))
 
-    def conj_symmetry_defect(self) -> float:
-        """Max relative deviation from conjugate symmetry."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        flipped = self.coef.copy()
-        for ax in axes:
-            flipped = np.flip(flipped, axis=ax)
-            flipped = np.roll(flipped, 1, axis=ax)
-        scale = np.max(np.abs(self.coef)) or 1.0
-        return float(np.max(np.abs(self.coef - np.conj(flipped))) / scale)
+    def inner(self, other: "SpectralField") -> float:
+        """Real L2 inner product (self | other) via Plancherel."""
+        prod = np.real(np.conj(self.coef) * other.coef)
+        return float(np.sum(self.grid.plancherel_weights() * prod) * self.grid.volume())
 
     # -- arithmetic ---------------------------------------------------------
 

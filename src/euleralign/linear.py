@@ -141,11 +141,6 @@ def rate_floor(xi: float, ep: LinearEnergyParams) -> float:
 # -- block energies ---------------------------------------------------------
 
 
-def _pair_inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 inner product (f | g) from spectral coefficients."""
-    return float(np.real(np.sum(np.conj(f.coef) * g.coef)) * f.grid.volume())
-
-
 def energy_Yj(
     sigma_block: SpectralField,
     d_block: SpectralField,
@@ -161,7 +156,7 @@ def energy_Yj(
               - 2 (lam/mu) (d | Lambda^{a-1} s)
     """
     lam_s = lambda_power(sigma_block, ep.alpha - 1.0)
-    cross = _pair_inner(d_block, lam_s)
+    cross = d_block.inner(lam_s)
     if j <= ep.j0:
         y2 = (
             sigma_block.l2() ** 2

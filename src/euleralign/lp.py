@@ -53,11 +53,11 @@ def phi_profile(r) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _block_weights(lp: LPDecomp):
-    """phi(2^{-j} xi)^2 per block, kept on its support only: a tuple of
-    (flat lattice indices, weights), one pair per j in lp.j_range."""
+    """Plancherel-weighted phi(2^{-j} xi)^2 per block, kept on its support
+    only: a tuple of (flat lattice indices, weights), one pair per j in lp.j_range."""
     out = []
     for j in lp.j_range:
-        w2 = lp.block_multiplier(j).ravel() ** 2
+        w2 = (lp.block_multiplier(j) ** 2 * lp.grid.plancherel_weights()).ravel()
         idx = np.flatnonzero(w2)
         out.append((read_only(idx), read_only(w2[idx])))
     return tuple(out)

@@ -241,18 +241,15 @@ def alignment_direct(
     x = grid.axis_points()
     rv = rho.to_physical()[0]
 
+    # the coarse Nyquist mode is an ordinary mode of the fine grids: halved,
+    # it counts once, as cos(n x/2), not twice
+    r_coef, u_coef = (f.coef[0] * np.append(np.ones(grid.n // 2), 0.5) for f in (rho, u))
+
     def midpoint_sum(factor: int) -> np.ndarray:
         m = grid.n * factor
         fine = Grid(1, m, grid.L)
-        pad_r = np.zeros(m, dtype=np.complex128)
-        pad_u = np.zeros(m, dtype=np.complex128)
-        half = grid.n // 2
-        pad_r[:half] = rho.coef[0][:half]
-        pad_r[m - half :] = rho.coef[0][half:]
-        pad_u[:half] = u.coef[0][:half]
-        pad_u[m - half :] = u.coef[0][half:]
-        rf = np.real(np.fft.ifft(pad_r * m))
-        uf = np.real(np.fft.ifft(pad_u * m))
+        rf = np.fft.irfft(r_coef, n=m, norm="forward")
+        uf = np.fft.irfft(u_coef, n=m, norm="forward")
         y = fine.axis_points()
         z = x[:, None] - y[None, :]
         kern = _periodized_kernel(z, alpha, grid.L)
@@ -287,50 +284,30 @@ def _alignment_force(rho: SpectralField, u: SpectralField, params: ModelParams) 
 
 
 class SpectralPlan:
-    """Half-spectrum multipliers and the sigma-u tendency of one (grid, params).
+    """Multipliers and the sigma-u tendency of one (grid, params).
 
-    Arrays follow the ``numpy.fft.rfftn`` layout (last axis k = 0..n/2) in the
-    package normalization; ``physical``/``spectral`` are the batched real FFTs
-    between it and grid values.  Each array is a read-only restriction of a
-    cached full-layout symbol: ``ixi`` (i*xi per axis, Nyquist zeroed),
-    ``lam_alpha`` (|xi|^alpha, mean zeroed), ``mask`` (2/3 rule).  Use ``plan_for``.
+    Arrays are the grid's cached read-only half-spectrum symbols: ``ixi``
+    (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean zeroed)
+    and ``mask`` (2/3 rule); the tendency moves between them and grid values
+    with the grid's ``physical``/``spectral`` real FFTs.  Use ``plan_for``.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
         self.grid, self.params = grid, params
-        self._cols = (Ellipsis, slice(0, grid.n // 2 + 1))
-        self._axes = tuple(range(-grid.dim, 0))
-        self.ixi = read_only(np.stack([1j * xt[self._cols] for xt in _xi_tilde(grid)]))
-        self.lam_alpha = _lambda_symbol(grid, params.alpha)[self._cols]
-        self.mask = grid.dealias_mask()[self._cols]
-
-    def half(self, coef: np.ndarray) -> np.ndarray:
-        """Half-spectrum view of the full coefficients of real data."""
-        return coef[self._cols]
-
-    def full(self, half: np.ndarray) -> np.ndarray:
-        """Full coefficients of real data, filled in by coef(-k) = conj(coef(k))."""
-        tail = half[..., self.grid.n // 2 - 1 : 0 : -1]
-        for ax in self._axes[:-1]:  # k -> -k on the other axes
-            tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-        return np.concatenate([half, np.conj(tail)], axis=-1)
-
-    def physical(self, half: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(half, s=self.grid.shape, axes=self._axes, norm="forward")
-
-    def spectral(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self._axes, norm="forward")
+        self.ixi = read_only(np.stack([1j * xt for xt in _xi_tilde(grid)]))
+        self.lam_alpha = _lambda_symbol(grid, params.alpha)
+        self.mask = grid.dealias_mask()
 
     @functools.lru_cache(maxsize=4)
     def semigroup(self, dt: float):
         """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised per dt."""
         p = self.params
-        e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0)[self._cols])
+        e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
         return e_half, read_only(e_half * e_half)
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
-        """Dealiased tendencies of half-spectrum (sigma, u), without the stiff
-        -mu Lambda^alpha u term.
+        """Dealiased tendencies of the coefficients (sigma, u), without the
+        stiff -mu Lambda^alpha u term.
 
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
@@ -346,15 +323,15 @@ class SpectralPlan:
         if linear_only:
             return dsig, du
         grad_u = (self.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
-        phys = self.physical(np.concatenate([sig, u, grad_sig, grad_u]))
+        phys = self.grid.physical(np.concatenate([sig, u, grad_sig, grad_u]))
         sv, uv = phys[0], phys[1 : 1 + dim]
         gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
         div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
-        g_half = self.spectral(h_of_sigma(sv, p)) * mask
-        gv, lam_g = self.physical(np.stack([g_half, self.lam_alpha * g_half]))
+        g_hat = self.grid.spectral(h_of_sigma(sv, p)) * mask
+        gv, lam_g = self.grid.physical(np.stack([g_hat, self.lam_alpha * g_hat]))
         n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
         n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
-        prods = self.spectral(np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
+        prods = self.grid.spectral(np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
         dsig = dsig + prods[:1]
         du = du + prods[1 : 1 + dim] - p.mu * self.lam_alpha * prods[1 + dim :]
         return dsig * mask, du * mask
@@ -416,17 +393,17 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     """Time derivative of the state in its own representation.
 
     Returns a pair of spectral fields (scalar tendency, velocity tendency).
-    A sigma_u state goes through ``plan_for(grid, params).tendency`` on the
-    half spectrum, the kernel the stepper uses: four real FFTs (none with
-    ``linear_only``), plus the stiff term -mu Lambda^alpha u.
+    A sigma_u state goes through ``plan_for(grid, params).tendency``, the
+    kernel the stepper uses: four real FFTs (none with ``linear_only``), plus
+    the stiff term -mu Lambda^alpha u.
     """
     if state.representation == "rho_u":
         return _rhs_rho_u(state, params, linear_only)
     plan = plan_for(state.grid, params)
-    u = plan.half(state.u.coef)
-    dsig, du = plan.tendency(plan.half(state.scalar.coef), u, linear_only)
+    u = state.u.coef
+    dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
     du = du - params.mu * plan.lam_alpha * (u * plan.mask)
-    return SpectralField(state.grid, plan.full(dsig)), SpectralField(state.grid, plan.full(du))
+    return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
 
 
 def conserved_quantities(state: State, params: ModelParams):

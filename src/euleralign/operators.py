@@ -52,9 +52,15 @@ def _xi_tilde(grid: Grid):
     """Per-axis xi with the unpaired Nyquist mode zeroed, built once per grid:
     i*xi_tilde is the odd multiplier, so projections commute with derivatives."""
     return tuple(
-        read_only(np.where(k == -grid.n // 2, 0.0, xi))
+        read_only(np.where(np.abs(k) == grid.n // 2, 0.0, xi))
         for k, xi in zip(grid.wavenumbers(), grid.xi())
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _xi_tilde_norm(grid: Grid) -> np.ndarray:
+    """|xi_tilde|, the wavenumber magnitude the odd multipliers see."""
+    return read_only(np.sqrt(sum(c**2 for c in _xi_tilde(grid))))
 
 
 def _heat_multiplier(grid: Grid, alpha: float, mu: float, t: float) -> np.ndarray:
@@ -100,9 +106,7 @@ def divergence(u: SpectralField) -> SpectralField:
         raise GridError(
             f"divergence expects {u.grid.dim} components, got {u.components}"
         )
-    out = np.zeros(u.grid.shape, dtype=np.complex128)
-    for ax, xt in enumerate(_xi_tilde(u.grid)):
-        out += u.coef[ax] * (1j * xt)
+    out = sum(u.coef[ax] * (1j * xt) for ax, xt in enumerate(_xi_tilde(u.grid)))
     return SpectralField(u.grid, out[np.newaxis])
 
 
@@ -119,9 +123,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     xi = _xi_tilde(u.grid)
     xi2 = sum(c**2 for c in xi)
     safe = np.where(xi2 > 0, xi2, 1.0)
-    dot = np.zeros(u.grid.shape, dtype=np.complex128)
-    for ax in range(u.grid.dim):
-        dot += xi[ax] * u.coef[ax]
+    dot = sum(xi[ax] * u.coef[ax] for ax in range(u.grid.dim))
     out = np.empty_like(u.coef)
     for ax in range(u.grid.dim):
         out[ax] = u.coef[ax] - np.where(xi2 > 0, xi[ax] * dot / safe, 0.0)
@@ -134,7 +136,7 @@ def lambda_inv_div(u: SpectralField) -> SpectralField:
         raise GridError(
             f"lambda_inv_div expects {u.grid.dim} components, got {u.components}"
         )
-    xin = np.sqrt(sum(c**2 for c in _xi_tilde(u.grid)))
+    xin = _xi_tilde_norm(u.grid)
     safe = np.where(xin > 0, xin, 1.0)
     div = divergence(u).coef[0]
     d = np.where(xin > 0, div / safe, 0.0)
@@ -145,7 +147,7 @@ def grad_lambda_inv(d: SpectralField) -> SpectralField:
     """-grad Lambda^{-1} d, the compressible velocity carried by d."""
     if not d.is_scalar:
         raise GridError("grad_lambda_inv expects a scalar field")
-    xin = np.sqrt(sum(c**2 for c in _xi_tilde(d.grid)))
+    xin = _xi_tilde_norm(d.grid)
     safe = np.where(xin > 0, xin, 1.0)
     base = np.where(xin > 0, d.coef[0] / safe, 0.0)
     parts = [-base * (1j * xt) for xt in _xi_tilde(d.grid)]

@@ -4,9 +4,9 @@ The stepper is an integrating-factor RK4: the stiff dissipation mu*Lambda^alpha
 acting on u is integrated exactly through the fractional heat semigroup, and
 everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
-transformed.  The stages run on half-spectrum (real-FFT) arrays through the
-grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares: 4 FFTs per
-right-hand side, 17 per step with the vacuum guard.
+transformed.  The stages run on the fields' half-spectrum coefficients
+through the grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares:
+4 real FFTs per right-hand side, 17 per step with the vacuum guard.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .model import (
 from .operators import (
     ParameterError,
     _lambda_symbol,
-    _xi_tilde,
+    _xi_tilde_norm,
     dealias,
     grad_lambda_inv,
     heat_semigroup,
@@ -87,6 +87,12 @@ class SimConfig:
             raise ParameterError(f"t_end must be > 0, got {self.t_end}")
         if self.amplitude <= 0:
             raise ParameterError(f"amplitude must be > 0, got {self.amplitude}")
+        if self.dt is not None and not self.dt > 0:
+            raise ParameterError(f"dt must be > 0, got {self.dt}")
+        if not self.cfl > 0:
+            raise ParameterError(f"cfl must be > 0, got {self.cfl}")
+        if self.cadence is not None and self.cadence < 1:
+            raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if self.representation not in ("rho_u", "sigma_u"):
             raise ParameterError(f"unknown representation {self.representation!r}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
@@ -186,9 +192,8 @@ def step(
     """One integrating-factor RK4 step.
 
     Works in sigma_u internally; a rho_u state is converted in and out.  The
-    four stages run on half-spectrum arrays through ``plan_for(grid, params)``
-    (four FFTs each, one more for the vacuum guard); full-spectrum fields are
-    built only for the returned state.
+    four stages run on the coefficient arrays through ``plan_for(grid, params)``
+    (four FFTs each, one more for the vacuum guard).
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -200,7 +205,7 @@ def step(
     e_half, e_full = plan.semigroup(dt)
 
     tend = plan.tendency  # everything but the stiff term, dealiased
-    s0, u0 = plan.half(state.scalar.coef), plan.half(state.u.coef)
+    s0, u0 = state.scalar.coef, state.u.coef
     k1s, k1u = tend(s0, u0, linear_only)
     k2s, k2u = tend(s0 + 0.5 * dt * k1s, (u0 + 0.5 * dt * k1u) * e_half, linear_only)
     k3s, k3u = tend(s0 + 0.5 * dt * k2s, u0 * e_half + 0.5 * dt * k2u, linear_only)
@@ -209,12 +214,11 @@ def step(
     u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
     s_new, u_new = s_new * plan.mask, u_new * plan.mask
 
-    mn = float(np.min(rho_from_sigma(plan.physical(s_new[0]), params)))
+    mn = float(np.min(rho_from_sigma(grid.physical(s_new[0]), params)))
     # written so that a NaN (blown-up state) also trips the guard
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
-    sigma, u = (SpectralField(grid, plan.full(a)) for a in (s_new, u_new))
-    out = State("sigma_u", sigma, u, state.t + dt)
+    out = State("sigma_u", SpectralField(grid, s_new), SpectralField(grid, u_new), state.t + dt)
     if original != "sigma_u":
         out = out.to_representation(original, params)
     return out
@@ -234,7 +238,7 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     pu = leray_project(state.u)
     # couple through the Nyquist-zeroed wavenumbers that the discrete
     # derivatives actually see (sigma is frozen where they vanish)
-    coupling = np.sqrt(sum(c**2 for c in _xi_tilde(state.grid)))
+    coupling = _xi_tilde_norm(state.grid)
     sig_t, d_t = propagate_pair_field(state.scalar, d, t, ep, coupling=coupling)
     u_comp = grad_lambda_inv(d_t)
     pu_t = heat_semigroup(pu, params.alpha, params.mu, t)

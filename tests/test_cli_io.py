@@ -281,6 +281,16 @@ class TestCLI:
         cfg = _write_config(tmp_path, "[model]\nalpha = 2.5\n")
         assert main(["run", "--config", cfg, "--output", "-"]) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["dt = -0.01", "dt = 0", "cfl = -0.4", "cfl = 0", "cadence = -1", "cadence = 0"]
+    )
+    def test_non_positive_time_step_exits_2(self, tmp_path, capsys, line):
+        cfg = _write_config(tmp_path, f"[grid]\nn = 32\n\n[time]\nt_end = 0.1\n{line}\n")
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_vacuum_exits_3_with_partial_trace(self, tmp_path, capsys):
         cfg = _write_config(

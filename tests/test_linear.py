@@ -212,7 +212,7 @@ class TestPairField:
         t = 0.2
         s1, d1 = propagate_pair_field(s, d, t, EP)
         ks = g.wavenumbers()[0]
-        for idx in (1, 5, 64, 100):
+        for idx in (1, 5, 40, 64):  # 64 = n/2, the Nyquist mode
             xi = abs(2.0 * np.pi / g.L * ks[idx])
             m = linear_propagate(ModeState(xi, s.coef[0, idx], d.coef[0, idx]), t, EP)
             assert s1.coef[0, idx] == pytest.approx(m.sigma, rel=1e-12, abs=1e-15)
@@ -238,7 +238,7 @@ class TestPairField:
 
     def test_coupling_override_freezes_sigma(self):
         g, s, d = self._pair()
-        s1, d1 = propagate_pair_field(s, d, 0.5, EP, coupling=np.zeros(g.shape))
+        s1, d1 = propagate_pair_field(s, d, 0.5, EP, coupling=np.zeros(g.spectral_shape))
         # zero coupling: sigma unchanged, d decays at the pure rate
         assert (s1 - s).l2() < 1e-13
         xi = g.xi_norm()

@@ -197,6 +197,22 @@ class TestAlignmentDirect:
         d = alignment_direct(rho, u, 1.5)
         assert abs(np.sum(d.to_physical()) * g.cell_volume()) < 1e-10
 
+    def test_nyquist_mode_counted_once(self):
+        # cos(8x) is the Nyquist mode of n = 16; the expected values come from
+        # zero-padding the full spectrum, which holds that mode once
+        g = Grid(1, 16, 2 * np.pi)
+        x = g.axis_points()
+        rho = SpectralField.from_physical(g, 1.0 + 0.2 * np.cos(x) + 0.05 * np.cos(8 * x))
+        u = SpectralField.from_physical(g, 0.3 * np.sin(x) + 0.1 * np.cos(8 * x))
+        expect = [
+            -3.4146733770163147, 2.7896161462630578, -3.4230641213949218, 2.117126652924906,
+            -2.730210037731433, 1.579435740507196, -1.95387870905053, 1.32768745948933,
+            -1.5851902397691988, 1.4429393220081335, -1.6656640745444105, 1.9928435098691657,
+            -2.096291777500695, 2.762222192803263, -2.783758527027785, 3.1365557792982166,
+        ]
+        out = alignment_direct(rho, u, 1.5, refine=2).to_physical()[0]
+        np.testing.assert_allclose(out, expect, rtol=1e-10, atol=0)
+
     def test_guards(self):
         g = Grid(1, 1024, 2 * np.pi)
         f = SpectralField.zeros(g)
