@@ -35,6 +35,7 @@ from .model import (
     h_of_sigma,
     rho_from_sigma,
     rhs,
+    rhs_conservative,
     scaling_check,
     sigma_from_rho,
 )

@@ -101,8 +101,7 @@ def _cmd_analyze(args) -> int:
     rows = []
     header = None
     for path in args.snapshots:
-        state, params = read_snapshot(path)
-        st = state.to_representation("sigma_u", params)
+        st, params = read_snapshot(path)
         ep = LinearEnergyParams.from_model(params)
         norms = default_norm_columns(params, st.grid.dim, ep.j0)
         row, _, _ = diagnostics_row(st, params, LPDecomp.for_grid(st.grid), norms)

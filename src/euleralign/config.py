@@ -6,8 +6,10 @@ Sections and keys (defaults in parentheses):
     [model]  alpha (1.5), kappa (1.0), gamma (1.0), mu (1/|c| normalization)
     [time]   t_end (10.0), dt (auto CFL), cfl (0.4), cadence (auto)
     [ic]     preset (gaussian_bump), amplitude (0.01), seed (0), mode (1)
-    [output] representation (sigma_u), snapshot (none), norms (none)
+    [output] snapshot (none), norms (none)
     [decay]  s0, s1, t_a, t_b, column (l2_sigma), kind (power)
+
+Every number must be finite; ``inf`` is accepted only as a norm exponent r.
 
 The [output] ``norms`` value is a semicolon-separated list of custom norm
 columns, each "name target kind args..." with target in {sigma, u} and kind
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 
 import numpy as np
 
@@ -37,7 +40,7 @@ _KNOWN = {
     "model": {"alpha", "kappa", "gamma", "mu"},
     "time": {"t_end", "dt", "cfl", "cadence"},
     "ic": {"preset", "amplitude", "seed", "mode"},
-    "output": {"representation", "snapshot", "norms"},
+    "output": {"snapshot", "norms"},
     "decay": {"s0", "s1", "t_a", "t_b", "column", "kind"},
 }
 
@@ -50,9 +53,12 @@ def _get(cp, section, key, cast, default, required=False):
         return default
     raw = cp.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot parse {raw!r} ({exc})") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_norms(raw: str):
@@ -129,7 +135,6 @@ def parse_config(text: str) -> SimConfig:
         kwargs["seed"] = _get(cp, "ic", "seed", int, 0)
         kwargs["ic_mode"] = _get(cp, "ic", "mode", int, 1)
     if has("output"):
-        kwargs["representation"] = _get(cp, "output", "representation", str, "sigma_u")
         norms_raw = _get(cp, "output", "norms", str, "")
         if norms_raw:
             kwargs["norms"] = _parse_norms(norms_raw)

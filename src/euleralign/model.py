@@ -1,10 +1,11 @@
-"""The Euler-alignment model: parameters, state conversions, and right-hand sides.
+"""The Euler-alignment model: parameters, state, and right-hand sides.
 
-Two equivalent state representations are supported:
-
-  * rho_u:   density rho > 0 and velocity u (conservative form internally);
-  * sigma_u: the acoustic variable sigma (a monotone function of rho that
-    vanishes at the equilibrium rho = 1) and u.
+A state holds the acoustic variable sigma (a monotone function of the
+density rho that vanishes at the equilibrium rho = 1) and the velocity u;
+``sigma_from_rho`` and ``rho_from_sigma`` convert samples.  ``rhs`` is the
+sigma-u right-hand side that the stepper shares.  ``rhs_conservative`` takes
+(rho, u) through the conservative form; like the quadrature
+``alignment_direct``, it is an oracle for tests, not a second solver path.
 
 The alignment force uses the commutator form -mu * rho * (Lambda^alpha(rho u)
 - u Lambda^alpha rho), with Lambda^alpha realized by its Fourier symbol.  The
@@ -45,6 +46,7 @@ __all__ = [
     "h_of_sigma",
     "alignment_commutator",
     "alignment_direct",
+    "rhs_conservative",
     "SpectralPlan",
     "plan_for",
     "rhs",
@@ -141,16 +143,13 @@ def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
 
 @dataclass
 class State:
-    """Instantaneous state: a scalar field (rho or sigma) and velocity u."""
+    """Instantaneous state: the acoustic variable sigma (``scalar``) and velocity u."""
 
-    representation: str
     scalar: SpectralField
     u: SpectralField
     t: float = 0.0
 
     def __post_init__(self):
-        if self.representation not in ("rho_u", "sigma_u"):
-            raise ValueError(f"unknown representation {self.representation!r}")
         if not self.scalar.is_scalar:
             raise GridError("state scalar must have one component")
         if self.u.components != self.u.grid.dim:
@@ -161,25 +160,7 @@ class State:
         return self.scalar.grid
 
     def min_rho(self, params: ModelParams) -> float:
-        if self.representation == "rho_u":
-            return float(np.min(self.scalar.to_physical()))
-        rho = rho_from_sigma(self.scalar.to_physical()[0], params)
-        return float(np.min(rho))
-
-    def to_representation(self, representation: str, params: ModelParams) -> "State":
-        if representation == self.representation:
-            return State(self.representation, self.scalar.copy(), self.u.copy(), self.t)
-        vals = self.scalar.to_physical()[0]
-        if representation == "sigma_u":
-            out = sigma_from_rho(vals, params)
-        else:
-            out = rho_from_sigma(vals, params)
-        return State(
-            representation,
-            SpectralField.from_physical(self.grid, out),
-            self.u.copy(),
-            self.t,
-        )
+        return float(np.min(rho_from_sigma(self.scalar.to_physical()[0], params)))
 
 
 # -- alignment force --------------------------------------------------------
@@ -267,22 +248,6 @@ def alignment_direct(
 # -- right-hand sides -------------------------------------------------------
 
 
-def _alignment_force(rho: SpectralField, u: SpectralField, params: ModelParams) -> SpectralField:
-    """D = -mu * rho * (Lambda^alpha q - u Lambda^alpha rho), q = rho u.
-
-    The same pointwise product q is reused in both terms so that the discrete
-    momentum integral of D cancels to machine precision.
-    """
-    grid = rho.grid
-    rv = rho.to_physical()[0]
-    uv = u.to_physical()
-    q = SpectralField.from_physical(grid, rv * uv)
-    lam_q = fractional_laplacian(q, params.alpha)
-    lam_rho = fractional_laplacian(rho, params.alpha).to_physical()[0]
-    vals = -params.mu * (rv * lam_q.to_physical() - q.to_physical() * lam_rho)
-    return SpectralField.from_physical(grid, vals)
-
-
 class SpectralPlan:
     """Multipliers and the sigma-u tendency of one (grid, params).
 
@@ -350,16 +315,18 @@ def plan_for(grid: Grid, params: ModelParams) -> SpectralPlan:
     return SpectralPlan(grid, params)
 
 
-def _rhs_rho_u(state: State, params: ModelParams, linear_only: bool = False):
-    """Tendencies of (rho, u) from the conservative form.
+def rhs_conservative(
+    rho: SpectralField, u: SpectralField, params: ModelParams, linear_only: bool = False
+):
+    """Tendencies of (rho, u) from the conservative form (test oracle).
 
     Mass and momentum tendencies integrate to zero: the flux and pressure
     terms are exact spectral divergences/gradients and the alignment force is
     discretely antisymmetric.
     """
-    grid = state.grid
-    rho = dealias(state.scalar)
-    u = dealias(state.u)
+    grid = rho.grid
+    rho = dealias(rho)
+    u = dealias(u)
     rv = rho.to_physical()[0]
     mn = float(np.min(rv))
     if mn <= 0:
@@ -379,7 +346,11 @@ def _rhs_rho_u(state: State, params: ModelParams, linear_only: bool = False):
     pressure = SpectralField.from_physical(grid, params.kappa * rv**params.gamma)
     dm -= gradient(pressure).to_physical()
     if not linear_only:
-        dm += _alignment_force(rho, u, params).to_physical()
+        # D = -mu rho (Lambda^alpha q - u Lambda^alpha rho) with q the flux: the
+        # same product q in both terms makes the momentum integral of D cancel
+        lam_q = fractional_laplacian(flux, params.alpha).to_physical()
+        lam_rho = fractional_laplacian(rho, params.alpha).to_physical()[0]
+        dm -= params.mu * (rv * lam_q - flux.to_physical() * lam_rho)
     dmom = SpectralField.from_physical(grid, dm)
 
     # du/dt = (d(rho u)/dt - u * d rho/dt) / rho, pointwise
@@ -390,15 +361,12 @@ def _rhs_rho_u(state: State, params: ModelParams, linear_only: bool = False):
 
 
 def rhs(state: State, params: ModelParams, linear_only: bool = False):
-    """Time derivative of the state in its own representation.
+    """Time derivative of the state: the spectral fields (d sigma/dt, du/dt).
 
-    Returns a pair of spectral fields (scalar tendency, velocity tendency).
-    A sigma_u state goes through ``plan_for(grid, params).tendency``, the
-    kernel the stepper uses: four real FFTs (none with ``linear_only``), plus
-    the stiff term -mu Lambda^alpha u.
+    It goes through ``plan_for(grid, params).tendency``, the kernel the
+    stepper uses: four real FFTs (none with ``linear_only``), plus the stiff
+    term -mu Lambda^alpha u.
     """
-    if state.representation == "rho_u":
-        return _rhs_rho_u(state, params, linear_only)
     plan = plan_for(state.grid, params)
     u = state.u.coef
     dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
@@ -409,10 +377,7 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
 def conserved_quantities(state: State, params: ModelParams):
     """(mass, momentum vector) = (int rho, int rho u)."""
     grid = state.grid
-    if state.representation == "rho_u":
-        rv = state.scalar.to_physical()[0]
-    else:
-        rv = rho_from_sigma(state.scalar.to_physical()[0], params)
+    rv = rho_from_sigma(state.scalar.to_physical()[0], params)
     uv = state.u.to_physical()
     cell = grid.cell_volume()
     mass = float(np.sum(rv) * cell)
@@ -427,10 +392,11 @@ def scaling_check(state: State, params: ModelParams, scale: float) -> float:
     """Relative residual of the system's scaling equivariance.
 
     Rescaling x -> scale*x, t -> scale^alpha * t maps the box length to
-    L/scale while the sampled arrays are unchanged; the velocity picks up
-    scale^{alpha-1} and the pressure coefficient scale^{2(alpha-1)}.  The
-    returned value is ||rhs(scaled) - scaled rhs|| / ||scaled rhs|| in L2
-    over both tendency components.
+    L/scale while the sampled arrays are unchanged; the velocity and sigma
+    (which scales with the sound speed) pick up scale^{alpha-1} and the
+    pressure coefficient scale^{2(alpha-1)}.  The returned value is
+    ||rhs(scaled) - scaled rhs|| / ||scaled rhs|| in L2 over both tendency
+    components.
     """
     if scale <= 0 or np.log2(scale) != round(np.log2(scale)):
         raise ParameterError(f"scale must be a positive power of two, got {scale}")
@@ -438,10 +404,7 @@ def scaling_check(state: State, params: ModelParams, scale: float) -> float:
     a = params.alpha
 
     g2 = Grid(state.grid.dim, state.grid.n, state.grid.L / lam_s)
-    scaled_scalar = SpectralField(g2, state.scalar.coef.copy())
-    if state.representation == "sigma_u":
-        # sigma = lam/(gamma-1)(rho^{gamma-1}-1) scales with lam (kappa scaling)
-        scaled_scalar = SpectralField(g2, state.scalar.coef * lam_s ** (a - 1.0))
+    scaled_scalar = SpectralField(g2, state.scalar.coef * lam_s ** (a - 1.0))
     scaled_u = SpectralField(g2, state.u.coef * lam_s ** (a - 1.0))
     scaled_params = ModelParams(
         alpha=a,
@@ -450,16 +413,13 @@ def scaling_check(state: State, params: ModelParams, scale: float) -> float:
         dim=params.dim,
         mu=params.mu,
     )
-    scaled_state = State(state.representation, scaled_scalar, scaled_u, state.t)
+    scaled_state = State(scaled_scalar, scaled_u, state.t)
 
     ds_s, du_s = rhs(scaled_state, scaled_params)
     ds, du = rhs(state, params)
 
-    # d/dt picks up scale^alpha; fields carry their own prefactors
-    if state.representation == "sigma_u":
-        ref_s = SpectralField(g2, ds.coef * lam_s ** (2.0 * a - 1.0))
-    else:
-        ref_s = SpectralField(g2, ds.coef * lam_s**a)
+    # d/dt picks up scale^alpha on top of the fields' own scale^{alpha-1}
+    ref_s = SpectralField(g2, ds.coef * lam_s ** (2.0 * a - 1.0))
     ref_u = SpectralField(g2, du.coef * lam_s ** (2.0 * a - 1.0))
 
     num = np.sqrt((ds_s - ref_s).l2() ** 2 + (du_s - ref_u).l2() ** 2)

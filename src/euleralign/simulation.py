@@ -75,7 +75,6 @@ class SimConfig:
     ic_mode: int = 1
     cadence: Optional[int] = None
     norms: list = field(default_factory=list)  # (name, 'sigma'|'u', NormSpec)
-    representation: str = "sigma_u"
     decay: Optional["DecaySpec"] = None
     decay_window: Optional[tuple] = None
     decay_column: str = "l2_sigma"
@@ -83,18 +82,16 @@ class SimConfig:
     snapshot_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ParameterError(f"t_end must be > 0, got {self.t_end}")
-        if self.amplitude <= 0:
-            raise ParameterError(f"amplitude must be > 0, got {self.amplitude}")
+        if not 0 < self.t_end < np.inf:
+            raise ParameterError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not 0 < self.amplitude < np.inf:
+            raise ParameterError(f"amplitude must be finite and > 0, got {self.amplitude}")
         if self.dt is not None and not self.dt > 0:
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if not self.cfl > 0:
             raise ParameterError(f"cfl must be > 0, got {self.cfl}")
         if self.cadence is not None and self.cadence < 1:
             raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
-        if self.representation not in ("rho_u", "sigma_u"):
-            raise ParameterError(f"unknown representation {self.representation!r}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
             raise ParameterError(f"unknown ic preset {self.ic!r}")
 
@@ -146,7 +143,7 @@ def _gaussian(grid: Grid, width: float) -> np.ndarray:
 
 
 def initial_state(config: SimConfig) -> State:
-    """Build the preset initial condition in sigma_u representation."""
+    """Build the preset initial condition."""
     grid = config.grid()
     amp = config.amplitude
     if config.ic == "gaussian_bump":
@@ -177,7 +174,7 @@ def initial_state(config: SimConfig) -> State:
         uv = np.stack([draw() for _ in range(grid.dim)])
     sigma = dealias(SpectralField.from_physical(grid, sig))
     u = dealias(SpectralField.from_physical(grid, uv))
-    return State("sigma_u", sigma, u, 0.0)
+    return State(sigma, u, 0.0)
 
 
 # -- stepper ----------------------------------------------------------------
@@ -191,15 +188,11 @@ def step(
 ) -> State:
     """One integrating-factor RK4 step.
 
-    Works in sigma_u internally; a rho_u state is converted in and out.  The
-    four stages run on the coefficient arrays through ``plan_for(grid, params)``
-    (four FFTs each, one more for the vacuum guard).
+    The four stages run on the coefficient arrays through
+    ``plan_for(grid, params)`` (four FFTs each, one more for the vacuum guard).
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    original = state.representation
-    if original != "sigma_u":
-        state = state.to_representation("sigma_u", params)
     grid = state.grid
     plan = plan_for(grid, params)
     e_half, e_full = plan.semigroup(dt)
@@ -218,10 +211,7 @@ def step(
     # written so that a NaN (blown-up state) also trips the guard
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
-    out = State("sigma_u", SpectralField(grid, s_new), SpectralField(grid, u_new), state.t + dt)
-    if original != "sigma_u":
-        out = out.to_representation(original, params)
-    return out
+    return State(SpectralField(grid, s_new), SpectralField(grid, u_new), state.t + dt)
 
 
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
@@ -231,8 +221,6 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     closed-form mode exponential; the incompressible part decays under the
     fractional heat semigroup.
     """
-    if state.representation != "sigma_u":
-        state = state.to_representation("sigma_u", params)
     ep = LinearEnergyParams.from_model(params)
     d = lambda_inv_div(state.u)
     pu = leray_project(state.u)
@@ -246,7 +234,7 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     u_new = SpectralField(state.grid, u_comp.coef + pu_t.coef)
     idx = (slice(None),) + (0,) * state.grid.dim
     u_new.coef[idx] = state.u.coef[idx]
-    return State("sigma_u", sig_t, u_new, state.t + t)
+    return State(sig_t, u_new, state.t + t)
 
 
 # -- run orchestration ------------------------------------------------------
@@ -276,7 +264,7 @@ def default_norm_columns(params: ModelParams, dim: int, j0: int):
 
 
 def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
-    """Trace columns of a sigma_u state (t, min rho, mass, momentum, L2 norms,
+    """Trace columns of a state (t, min rho, mass, momentum, L2 norms,
     one Besov-type norm per ``norm_list`` entry), and its sigma and u block norms."""
     js = np.array(lp.j_range)
     sig_mf, u_mf = st.scalar.mean_free(), st.u.mean_free()
@@ -354,7 +342,7 @@ def run(config: SimConfig, store_states: bool = False):
         row["X4_u_int"] = int_u
         trace.append(t, row)
         if store_states:
-            states.append(st.to_representation(config.representation, params))
+            states.append(st)
 
     record(state, 0.0)
     try:
@@ -380,7 +368,7 @@ def run(config: SimConfig, store_states: bool = False):
         trace.status = "vacuum"
     if store_states and (trace.status == "ok"):
         if not states or states[-1].t != state.t:
-            states.append(state.to_representation(config.representation, params))
+            states.append(state)
     return trace, states
 
 
@@ -454,8 +442,6 @@ def z_norms(
     High part: t^s sum_{j > j0} [2^{jN/2} ||D_j sigma||
                                  + 2^{j(N/2+1-alpha)} ||D_j u||]
     """
-    if state.representation != "sigma_u":
-        raise ParameterError("z_norms expects a sigma_u state")
     if lp is None:
         lp = LPDecomp.for_grid(state.grid)
     js = np.array(lp.j_range)

@@ -7,7 +7,8 @@ Layout (little-endian):
     u32       dim
     u32       n (points per axis)
     f64 x 6   L, t, alpha, kappa, gamma, mu
-    u8        representation (0 = rho_u, 1 = sigma_u)
+    u8        scalar field code: 1 = sigma, always written; 0 = rho, written
+              by older versions and converted to sigma on reading
     f64[...]  scalar field, row-major physical values
     f64[...]  velocity components, each row-major
 
@@ -24,15 +25,14 @@ import tempfile
 import numpy as np
 
 from .grid import Grid, SpectralField
-from .model import ModelParams, State
+from .model import ModelParams, State, sigma_from_rho
 
 __all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
 
 MAGIC = b"EASNAP01"
 VERSION = 1
 _HEADER = struct.Struct("<8sBII6dB")
-_REPR_CODE = {"rho_u": 0, "sigma_u": 1}
-_REPR_NAME = {v: k for k, v in _REPR_CODE.items()}
+_RHO, _SIGMA = 0, 1  # scalar field codes; _RHO is only read
 
 
 class SnapshotError(ValueError):
@@ -68,7 +68,7 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
         params.kappa,
         params.gamma,
         params.mu,
-        _REPR_CODE[state.representation],
+        _SIGMA,
     )
     scalar = np.ascontiguousarray(state.scalar.to_physical()[0], dtype="<f8")
     u = state.u.to_physical()
@@ -80,18 +80,18 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 
 def read_snapshot(path: str):
-    """Read a snapshot; returns (state, params)."""
+    """Read a snapshot; returns (state, params).  A rho file becomes a sigma state."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise SnapshotError(f"{path}: truncated header")
-        magic, version, dim, n, L, t, alpha, kappa, gamma, mu, rep = _HEADER.unpack(raw)
+        magic, version, dim, n, L, t, alpha, kappa, gamma, mu, code = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise SnapshotError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"{path}: unsupported version {version}")
-        if rep not in _REPR_NAME:
-            raise SnapshotError(f"{path}: unknown representation code {rep}")
+        if code not in (_RHO, _SIGMA):
+            raise SnapshotError(f"{path}: unknown scalar field code {code}")
         grid = Grid(dim, n, L)
         count = n**dim
         body = np.frombuffer(fh.read(8 * count * (1 + dim)), dtype="<f8")
@@ -100,8 +100,9 @@ def read_snapshot(path: str):
     scalar = body[:count].reshape(grid.shape)
     u = body[count:].reshape((dim,) + grid.shape)
     params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)
+    if code == _RHO:
+        scalar = sigma_from_rho(scalar, params)
     state = State(
-        _REPR_NAME[rep],
         SpectralField.from_physical(grid, scalar),
         SpectralField.from_physical(grid, u),
         t,

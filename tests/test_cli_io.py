@@ -9,8 +9,8 @@ import pytest
 from euleralign.cli import main
 from euleralign.config import ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
-from euleralign.model import ModelParams, State
-from euleralign.snapshot import MAGIC, SnapshotError, read_snapshot, write_snapshot
+from euleralign.model import ModelParams, State, sigma_from_rho
+from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
 
 
 MINIMAL = """
@@ -63,7 +63,6 @@ amplitude = 0.005
 seed = 11
 
 [output]
-representation = rho_u
 snapshot = out.snap
 norms = extra sigma homogeneous 0.5 1; hi u high 1.0 4 inf
 
@@ -76,7 +75,6 @@ kind = power
 """
         c = parse_config(text)
         assert c.alpha == 1.8 and c.mu == 0.7
-        assert c.representation == "rho_u"
         assert c.snapshot_path == "out.snap"
         assert len(c.norms) == 2
         name, target, spec = c.norms[1]
@@ -129,24 +127,19 @@ kind = power
 
 
 class TestSnapshot:
-    def _state(self, representation="sigma_u"):
+    def _state(self):
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, mu=1.0)
         g = Grid(1, 64, 2 * np.pi)
         x = g.axis_points()
         sig = SpectralField.from_physical(g, 0.01 * np.cos(x))
         u = SpectralField.from_physical(g, 0.02 * np.sin(x))
-        st = State("sigma_u", sig, u, t=1.25)
-        if representation == "rho_u":
-            st = st.to_representation("rho_u", p)
-        return st, p
+        return State(sig, u, t=1.25), p
 
-    @pytest.mark.parametrize("representation", ["sigma_u", "rho_u"])
-    def test_round_trip_bit_exact(self, tmp_path, representation):
-        st, p = self._state(representation)
+    def test_round_trip_bit_exact(self, tmp_path):
+        st, p = self._state()
         path = str(tmp_path / "s.snap")
         write_snapshot(path, st, p)
         back, p2 = read_snapshot(path)
-        assert back.representation == representation
         assert back.t == st.t
         assert np.array_equal(back.scalar.to_physical(), st.scalar.to_physical())
         assert np.array_equal(back.u.to_physical(), st.u.to_physical())
@@ -165,7 +158,6 @@ class TestSnapshot:
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2, mu=1.0)
         rng = np.random.default_rng(0)
         st = State(
-            "sigma_u",
             SpectralField.from_physical(g, rng.standard_normal(g.shape)),
             SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape)),
         )
@@ -199,6 +191,35 @@ class TestSnapshot:
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(str(path))
+
+    def _legacy_rho_file(self, path, code=0):
+        """A file as older versions wrote it for a density-velocity state."""
+        st, p = self._state()
+        g = st.grid
+        rho = 1.0 + 0.2 * np.cos(g.axis_points())
+        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, st.t, p.alpha, p.kappa, p.gamma, p.mu, code)
+        body = np.concatenate([rho, st.u.to_physical()[0]]).astype("<f8").tobytes()
+        path.write_bytes(header + body)
+        return rho, st, p
+
+    def test_legacy_rho_file_reads_as_sigma(self, tmp_path):
+        rho, st, p = self._legacy_rho_file(tmp_path / "rho.snap")
+        back, _ = read_snapshot(str(tmp_path / "rho.snap"))
+        assert np.array_equal(back.scalar.to_physical()[0], sigma_from_rho(rho, p))
+        assert np.array_equal(back.u.to_physical(), st.u.to_physical())
+
+        # cli analyze sees the same state as in a sigma file
+        sig = SpectralField.from_physical(st.grid, sigma_from_rho(rho, p))
+        write_snapshot(str(tmp_path / "sigma.snap"), State(sig, st.u, st.t), p)
+        for name in ("rho", "sigma"):
+            snap, out = str(tmp_path / f"{name}.snap"), str(tmp_path / f"{name}.csv")
+            assert main(["analyze", snap, "--output", out]) == 0
+        assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
+
+    def test_unknown_scalar_code(self, tmp_path):
+        self._legacy_rho_file(tmp_path / "bad.snap", code=2)
+        with pytest.raises(SnapshotError, match="code 2"):
+            read_snapshot(str(tmp_path / "bad.snap"))
 
     def test_truncated_body(self, tmp_path):
         st, p = self._state()
@@ -289,6 +310,35 @@ class TestCLI:
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
         assert line.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("time", "t_end", "inf"),
+            ("model", "kappa", "inf"),
+            ("model", "mu", "inf"),
+            ("model", "gamma", "inf"),
+            ("grid", "L", "inf"),
+            ("ic", "amplitude", "inf"),
+            ("time", "t_end", "nan"),
+            ("model", "kappa", "nan"),
+            ("model", "mu", "nan"),
+            ("model", "gamma", "nan"),
+            ("ic", "amplitude", "nan"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value):
+        sections = {"grid": {"n": "32"}, "time": {"t_end": "0.1"}}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        )
+        cfg = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -15,10 +15,11 @@ from euleralign.model import (
     h_of_sigma,
     rho_from_sigma,
     rhs,
+    rhs_conservative,
     scaling_check,
     sigma_from_rho,
 )
-from euleralign.operators import ParameterError, dealias, fractional_laplacian, physical_product
+from euleralign.operators import ParameterError, dealias, fractional_laplacian
 
 
 class TestConstantsAndParams:
@@ -106,23 +107,21 @@ class TestConversions:
             h_of_sigma(np.array([-10.0 * p.lam]), p)
 
     def test_state_representation_round_trip(self):
+        # a state holds sigma; its density comes back from the samples
         g = Grid(1, 64, 2 * np.pi)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, mu=1.0)
-        rho = SpectralField.from_physical(g, 1.0 + 0.2 * np.cos(g.axis_points()))
-        u = SpectralField.from_physical(g, 0.1 * np.sin(g.axis_points()))
-        st = State("rho_u", rho, u)
-        back = st.to_representation("sigma_u", p).to_representation("rho_u", p)
-        assert (back.scalar - st.scalar).l2() < 1e-14
-        assert (back.u - st.u).l2() == 0.0
+        rho = 1.0 + 0.2 * np.cos(g.axis_points())
+        sig = SpectralField.from_physical(g, sigma_from_rho(rho, p))
+        st = State(sig, SpectralField.from_physical(g, 0.1 * np.sin(g.axis_points())))
+        assert np.max(np.abs(rho_from_sigma(st.scalar.to_physical()[0], p) - rho)) < 1e-14
+        assert st.min_rho(p) == pytest.approx(0.8, rel=1e-14)
 
     def test_state_validation(self):
         g = Grid(2, 16, 1.0)
-        with pytest.raises(ValueError):
-            State("bogus", SpectralField.zeros(g), SpectralField.zeros(g, 2))
         with pytest.raises(GridError):
-            State("rho_u", SpectralField.zeros(g, 2), SpectralField.zeros(g, 2))
+            State(SpectralField.zeros(g, 2), SpectralField.zeros(g, 2))
         with pytest.raises(GridError):
-            State("rho_u", SpectralField.zeros(g), SpectralField.zeros(g))
+            State(SpectralField.zeros(g), SpectralField.zeros(g))
 
 
 class TestAlignmentCommutator:
@@ -224,10 +223,10 @@ class TestAlignmentDirect:
             alignment_direct(f2, f2, 1.5, refine=3)
 
 
-def _smooth_state(representation, n=64, amp=0.05, dim=1, seed=3):
+def _smooth_fields(n=64, amp=0.05, dim=1):
+    """Dealiased low-mode (rho, u) and their parameters."""
     g = Grid(dim, n, 2 * np.pi)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim, mu=1.0)
-    rng = np.random.default_rng(seed)
     if dim == 1:
         x = g.axis_points()
         rho_vals = 1.0 + amp * (np.cos(x) + 0.5 * np.sin(2 * x))
@@ -238,63 +237,62 @@ def _smooth_state(representation, n=64, amp=0.05, dim=1, seed=3):
         u_vals = amp * np.stack([np.sin(xs[0]), np.sin(xs[1] + 0.3)])
     rho = dealias(SpectralField.from_physical(g, rho_vals))
     u = dealias(SpectralField.from_physical(g, u_vals))
-    st = State("rho_u", rho, u)
-    if representation == "sigma_u":
-        st = st.to_representation("sigma_u", p)
-    return st, p
+    return rho, u, p
+
+
+def _smooth_state(n=64, amp=0.05, dim=1):
+    """The state of ``_smooth_fields``, sigma sampled from its rho."""
+    rho, u, p = _smooth_fields(n, amp, dim)
+    sig = sigma_from_rho(rho.to_physical()[0], p)
+    return State(SpectralField.from_physical(rho.grid, sig), u.copy()), p
 
 
 class TestRHS:
     def test_equilibrium_is_stationary(self):
         g = Grid(1, 64, 2 * np.pi)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, mu=1.0)
-        st = State(
-            "sigma_u",
-            SpectralField.zeros(g),
-            SpectralField.zeros(g, 1),
-        )
+        st = State(SpectralField.zeros(g), SpectralField.zeros(g, 1))
         ds, du = rhs(st, p)
         assert ds.l2() == 0.0 and du.l2() == 0.0
 
     def test_representations_agree(self):
-        st_r, p = _smooth_state("rho_u")
-        st_s = st_r.to_representation("sigma_u", p)
-        dr, du_r = rhs(st_r, p)
+        rho, u, p = _smooth_fields()
+        st_s, _ = _smooth_state()
+        dr, du_r = rhs_conservative(rho, u, p)
         dsig, du_s = rhs(st_s, p)
         # velocity tendency must match directly
         scale = max(du_r.l2(), 1e-30)
         assert (du_r - du_s).l2() / scale < 1e-10
         # scalar tendencies relate via the chain rule d sigma = sigma'(rho) d rho
-        rho_vals = st_r.scalar.to_physical()[0]
+        rho_vals = rho.to_physical()[0]
         sprime = p.lam * rho_vals ** (p.gamma - 2.0)
-        chain = SpectralField.from_physical(
-            st_r.grid, sprime * dr.to_physical()[0]
-        )
+        chain = SpectralField.from_physical(rho.grid, sprime * dr.to_physical()[0])
         chain = dealias(chain)
         assert (dealias(dsig) - chain).l2() / max(chain.l2(), 1e-30) < 1e-6
 
     def test_mass_and_momentum_tendency_vanish(self):
-        st, p = _smooth_state("rho_u", n=128, amp=0.05)
-        dr, du = rhs(st, p)
-        cell = st.grid.cell_volume()
+        rho, u, p = _smooth_fields(n=128, amp=0.05)
+        dr, du = rhs_conservative(rho, u, p)
+        cell = rho.grid.cell_volume()
         assert abs(np.sum(dr.to_physical()) * cell) < 1e-12
         # momentum tendency: d(rho u)/dt = rho du + u drho
-        rv = st.scalar.to_physical()[0]
-        uv = st.u.to_physical()
+        rv = rho.to_physical()[0]
+        uv = u.to_physical()
         dmom = rv * du.to_physical() + uv * dr.to_physical()[0]
         assert abs(np.sum(dmom) * cell) < 1e-10
 
     def test_conserved_quantities(self):
-        st, p = _smooth_state("rho_u")
+        rho, u, p = _smooth_fields()
+        st, _ = _smooth_state()
         mass, mom = conserved_quantities(st, p)
-        rv = st.scalar.to_physical()[0]
-        uv = st.u.to_physical()[0]
+        rv = rho.to_physical()[0]
+        uv = u.to_physical()[0]
         cell = st.grid.cell_volume()
         assert mass == pytest.approx(np.sum(rv) * cell, rel=1e-14)
         assert mom[0] == pytest.approx(np.sum(rv * uv) * cell, rel=1e-12, abs=1e-15)
 
     def test_linear_only_drops_nonlinear_terms(self):
-        st, p = _smooth_state("sigma_u", amp=1e-7)
+        st, p = _smooth_state(amp=1e-7)
         ds_full, du_full = rhs(st, p)
         ds_lin, du_lin = rhs(st, p, linear_only=True)
         # at tiny amplitude the nonlinear remainder is O(amp^2)
@@ -305,32 +303,30 @@ class TestRHS:
         g = Grid(1, 64, 2 * np.pi)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, mu=1.0)
         rho = SpectralField.from_physical(g, -0.5 + np.zeros(g.shape))
-        st = State("rho_u", rho, SpectralField.zeros(g, 1))
         with pytest.raises(VacuumError):
-            rhs(st, p)
+            rhs_conservative(rho, SpectralField.zeros(g, 1), p)
 
     def test_2d_rhs_runs_and_conserves(self):
-        st, p = _smooth_state("rho_u", n=64, amp=1e-3, dim=2)
-        dr, du = rhs(st, p)
-        cell = st.grid.cell_volume()
+        rho, u, p = _smooth_fields(n=64, amp=1e-3, dim=2)
+        dr, du = rhs_conservative(rho, u, p)
+        cell = rho.grid.cell_volume()
         assert abs(np.sum(dr.to_physical()) * cell) < 1e-12
-        rv = st.scalar.to_physical()[0]
-        uv = st.u.to_physical()
+        rv = rho.to_physical()[0]
+        uv = u.to_physical()
         dmom = rv * du.to_physical() + uv * dr.to_physical()[0]
         for i in range(2):
             assert abs(np.sum(dmom[i]) * cell) < 1e-8
 
 
 class TestScaling:
-    @pytest.mark.parametrize("representation", ["sigma_u", "rho_u"])
-    def test_equivariance(self, representation):
-        st, p = _smooth_state(representation, amp=0.05)
+    def test_equivariance(self):
+        st, p = _smooth_state(amp=0.05)
         assert scaling_check(st, p, 2.0) < 1e-10
 
     def test_deliberate_violation_detected(self):
         # dropping the velocity prefactor scale^{alpha-1} breaks equivariance:
         # recompute the residual by hand with the wrong prefactor
-        st, p = _smooth_state("rho_u", amp=0.05)
+        st, p = _smooth_state(amp=0.05)
         a, lam_s = p.alpha, 2.0
         g2 = Grid(st.grid.dim, st.grid.n, st.grid.L / lam_s)
         scaled_params = ModelParams(
@@ -341,20 +337,19 @@ class TestScaling:
             mu=p.mu,
         )
         bad_state = State(
-            "rho_u",
-            SpectralField(g2, st.scalar.coef.copy()),
+            SpectralField(g2, st.scalar.coef * lam_s ** (a - 1.0)),
             SpectralField(g2, st.u.coef.copy()),  # missing scale^{alpha-1}
         )
         ds_s, du_s = rhs(bad_state, scaled_params)
         ds, du = rhs(st, p)
-        ref_s = SpectralField(g2, ds.coef * lam_s**a)
+        ref_s = SpectralField(g2, ds.coef * lam_s ** (2.0 * a - 1.0))
         ref_u = SpectralField(g2, du.coef * lam_s ** (2.0 * a - 1.0))
         num = np.sqrt((ds_s - ref_s).l2() ** 2 + (du_s - ref_u).l2() ** 2)
         den = np.sqrt(ref_s.l2() ** 2 + ref_u.l2() ** 2)
         assert num / den > 0.1
 
     def test_scale_validation(self):
-        st, p = _smooth_state("rho_u", amp=0.05)
+        st, p = _smooth_state(amp=0.05)
         with pytest.raises(ParameterError):
             scaling_check(st, p, 3.0)
         with pytest.raises(ParameterError):

@@ -59,7 +59,7 @@ def random_state(dim: int, n: int, seed: int, amp: float = 0.1) -> State:
     rng = np.random.default_rng(seed)
     sig = SpectralField.from_physical(grid, amp * rng.standard_normal(grid.shape))
     u = SpectralField.from_physical(grid, amp * rng.standard_normal((dim,) + grid.shape))
-    return State("sigma_u", sig, u)
+    return State(sig, u)
 
 
 def rel_err(a: SpectralField, b: SpectralField) -> float:
@@ -85,18 +85,6 @@ def test_step_output_is_conjugate_symmetric(dim, n):
     out = step(st, p, 1e-2)
     assert_real_field(out.scalar)
     assert_real_field(out.u)
-
-
-@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
-def test_rho_u_state_steps_and_converts_back(dim, n):
-    st = random_state(dim, n, seed=7, amp=0.05)
-    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
-    out_s = step(st, p, 1e-2)
-    out_r = step(st.to_representation("rho_u", p), p, 1e-2)
-    assert out_r.representation == "rho_u"
-    back = out_r.to_representation("sigma_u", p)
-    assert (back.scalar - out_s.scalar).l2() < 1e-12
-    assert (back.u - out_s.u).l2() < 1e-12
 
 
 def test_plan_is_shared_and_read_only():

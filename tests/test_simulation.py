@@ -5,9 +5,8 @@ import pytest
 
 from euleralign.besov import NormSpec
 from euleralign.grid import Grid, SpectralField
-from euleralign.linear import LinearEnergyParams
 from euleralign.lp import LPDecomp
-from euleralign.model import ModelParams, State, VacuumError, conserved_quantities
+from euleralign.model import ModelParams, State, VacuumError
 from euleralign.operators import ParameterError, heat_semigroup
 from euleralign.simulation import (
     DecaySpec,
@@ -37,8 +36,11 @@ class TestSimConfig:
             SimConfig(amplitude=0.0)
         with pytest.raises(ParameterError):
             SimConfig(ic="bogus")
-        with pytest.raises(ParameterError):
-            SimConfig(representation="bogus")
+        for value in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="t_end"):
+                SimConfig(t_end=value)
+            with pytest.raises(ParameterError, match="amplitude"):
+                SimConfig(amplitude=value)
         with pytest.raises(ParameterError):
             SimConfig(alpha=2.5).model_params()
 
@@ -67,7 +69,6 @@ class TestInitialState:
         b = initial_state(c)
         assert np.array_equal(a.scalar.coef, b.scalar.coef)
         assert np.array_equal(a.u.coef, b.u.coef)
-        assert a.representation == "sigma_u"
         assert np.max(np.abs(a.scalar.to_physical())) <= c.amplitude * (1 + 1e-12)
 
     def test_gaussian_velocity_mean_free(self):
@@ -91,7 +92,7 @@ class TestStep:
     def test_equilibrium_fixed_point(self):
         g = Grid(1, 64, 2 * np.pi)
         p = self._params()
-        st = State("sigma_u", SpectralField.zeros(g), SpectralField.zeros(g, 1))
+        st = State(SpectralField.zeros(g), SpectralField.zeros(g, 1))
         out = step(st, p, 0.1)
         assert out.scalar.l2() == 0.0 and out.u.l2() == 0.0
         assert out.t == pytest.approx(0.1)
@@ -143,21 +144,9 @@ class TestStep:
         sig = SpectralField.from_physical(
             g, np.log(1e-7) * np.ones(g.shape)
         )
-        st = State("sigma_u", sig, SpectralField.zeros(g, 1))
+        st = State(sig, SpectralField.zeros(g, 1))
         with pytest.raises(VacuumError):
             step(st, p, 0.01)
-
-    def test_rho_u_round_trip_representation(self):
-        c = SimConfig(n=64, ic="single_mode", amplitude=0.01)
-        st = initial_state(c)
-        p = self._params()
-        st_r = st.to_representation("rho_u", p)
-        out_s = step(st, p, 0.01)
-        out_r = step(st_r, p, 0.01)
-        assert out_r.representation == "rho_u"
-        back = out_r.to_representation("sigma_u", p)
-        assert (back.scalar - out_s.scalar).l2() < 1e-12
-        assert (back.u - out_s.u).l2() < 1e-12
 
     def test_bad_dt(self):
         c = SimConfig(n=64)
@@ -172,7 +161,6 @@ class TestLinearExactFlow:
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=1.0)
         uv = 0.3 + 0.1 * np.sin(g.axis_points())
         st = State(
-            "sigma_u",
             SpectralField.from_physical(g, 0.01 * np.cos(g.axis_points())),
             SpectralField.from_physical(g, uv),
         )
@@ -186,7 +174,6 @@ class TestLinearExactFlow:
         # divergence-free field (stream-function curl)
         uv = np.stack([np.sin(xs[1]), np.sin(xs[0])])
         st = State(
-            "sigma_u",
             SpectralField.zeros(g),
             SpectralField.from_physical(g, uv),
         )
@@ -235,7 +222,8 @@ class TestRun:
         trace, states = run(c, store_states=True)
         assert states
         assert states[-1].t == pytest.approx(0.25)
-        assert states[-1].representation == c.representation
+        # the stored state is the recorded one
+        assert states[-1].scalar.mean_free().l2() == trace.column("l2_sigma")[-1]
 
     def test_custom_norm_column(self):
         spec = NormSpec.homogeneous(0.5, 1)
@@ -334,7 +322,7 @@ class TestZNorms:
         x = g.axis_points()
         sig = SpectralField.from_physical(g, 0.1 * np.cos(4 * x))
         u = SpectralField.from_physical(g, 0.1 * np.sin(32 * x))
-        return State("sigma_u", sig, u)
+        return State(sig, u)
 
     def test_zero_at_t0_for_positive_weight(self):
         st = self._state()
@@ -343,7 +331,7 @@ class TestZNorms:
 
     def test_equilibrium_gives_zero(self):
         g = Grid(1, 64, 2 * np.pi)
-        st = State("sigma_u", SpectralField.zeros(g), SpectralField.zeros(g, 1))
+        st = State(SpectralField.zeros(g), SpectralField.zeros(g, 1))
         zl, zh = z_norms(st, 3.0, 0.5, 0.25, 1.5, j0=4)
         assert zl == 0.0 and zh == 0.0
 
@@ -371,7 +359,6 @@ class TestZNorms:
         prev = None
         for t in (0.1, 0.5, 1.0, 2.0):
             stt = State(
-                "sigma_u",
                 heat_semigroup(st.scalar, 1.5, 1.0, t),
                 heat_semigroup(st.u, 1.5, 1.0, t),
             )
@@ -379,12 +366,6 @@ class TestZNorms:
             if prev is not None:
                 assert zl <= prev[0] + 1e-14 and zh <= prev[1] + 1e-14
             prev = (zl, zh)
-
-    def test_requires_sigma_u(self):
-        g = Grid(1, 64, 2 * np.pi)
-        st = State("rho_u", SpectralField.zeros(g), SpectralField.zeros(g, 1))
-        with pytest.raises(ParameterError):
-            z_norms(st, 1.0, 0.0, 0.25, 1.5, j0=4)
 
 
 class TestDecayFit:
