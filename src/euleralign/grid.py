@@ -74,11 +74,15 @@ class Grid:
 
     def physical(self, coef: np.ndarray) -> np.ndarray:
         """Grid samples of half-spectrum coefficients; leading axes are batched."""
-        return np.fft.irfftn(coef, s=self.shape, axes=tuple(range(-self.dim, 0)), norm="forward")
+        if self.dim == 1:  # the bits of irfftn/rfftn, without their n-d wrapper
+            return np.fft.irfft(coef, n=self.n, norm="forward")
+        return np.fft.irfftn(coef, s=self.shape, axes=(-2, -1), norm="forward")
 
     def spectral(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched."""
-        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)), norm="forward")
+        if self.dim == 1:
+            return np.fft.rfft(values, norm="forward")
+        return np.fft.rfftn(values, axes=(-2, -1), norm="forward")
 
     @functools.lru_cache(maxsize=32)
     def wavenumbers(self):

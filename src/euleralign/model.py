@@ -219,7 +219,6 @@ def alignment_direct(
     if refine < 1 or (refine & (refine - 1)) != 0:
         raise ParameterError(f"refine must be a power of two, got {refine}")
 
-    x = grid.axis_points()
     rv = rho.to_physical()[0]
 
     # the coarse Nyquist mode is an ordinary mode of the fine grids: halved,
@@ -231,9 +230,9 @@ def alignment_direct(
         fine = Grid(1, m, grid.L)
         rf = np.fft.irfft(r_coef, n=m, norm="forward")
         uf = np.fft.irfft(u_coef, n=m, norm="forward")
-        y = fine.axis_points()
-        z = x[:, None] - y[None, :]
-        kern = _periodized_kernel(z, alpha, grid.L)
+        # K(x_i - y_j) depends on (i*factor - j) mod m only: m kernel values
+        kern = _periodized_kernel(fine.axis_points(), alpha, grid.L)
+        kern = kern[(np.arange(grid.n)[:, None] * factor - np.arange(m)) % m]
         ux = uf[:: factor]
         du = ux[:, None] - uf[None, :]
         return np.einsum("ij,ij,j->i", kern, du, rf) * fine.dx
@@ -278,28 +277,38 @@ class SpectralPlan:
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
         with g = h(sigma) = rho - 1.  The nonlinear terms cost four batched
         transforms: (sigma, u, grad sigma, grad u) to the grid, h(sigma) back,
-        (g, Lambda^alpha g) to the grid, and the three products back.
+        (g, Lambda^alpha g) to the grid, and the three products back.  Each
+        batch is filled in place; the returned arrays own their memory.
         """
-        p, dim, mask = self.params, self.grid.dim, self.mask
-        sig, u = sig * mask, u * mask
-        grad_sig = self.ixi * sig
-        dsig = -p.lam * np.sum(self.ixi * u, axis=0, keepdims=True)
-        du = -p.lam * grad_sig
+        p, dim, mask, ixi = self.params, self.grid.dim, self.mask, self.ixi
+        coef = np.empty((1 + 2 * dim + dim * dim,) + mask.shape, dtype=complex)
+        np.multiply(sig, mask, out=coef[:1])
+        np.multiply(u, mask, out=coef[1 : 1 + dim])
+        np.multiply(ixi, coef[:1], out=coef[1 + dim : 1 + 2 * dim])
+        grad_u = coef[1 + 2 * dim :].reshape((dim,) + u.shape)  # [a, i] = d_a u_i
+        np.multiply(ixi[:, np.newaxis], coef[1 : 1 + dim], out=grad_u)
+        dsig = -p.lam * coef[1 + 2 * dim :: dim + 1].sum(axis=0, keepdims=True)  # div u
+        du = -p.lam * coef[1 + dim : 1 + 2 * dim]
         if linear_only:
             return dsig, du
-        grad_u = (self.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
-        phys = self.grid.physical(np.concatenate([sig, u, grad_sig, grad_u]))
+        phys = self.grid.physical(coef)
+        del coef, grad_u  # the batch is not needed past its transform
         sv, uv = phys[0], phys[1 : 1 + dim]
         gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
-        div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
-        g_hat = self.grid.spectral(h_of_sigma(sv, p)) * mask
-        gv, lam_g = self.grid.physical(np.stack([g_hat, self.lam_alpha * g_hat]))
-        n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
-        n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
-        prods = self.grid.spectral(np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
-        dsig = dsig + prods[:1]
-        du = du + prods[1 : 1 + dim] - p.mu * self.lam_alpha * prods[1 + dim :]
-        return dsig * mask, du * mask
+        div_u = sum(gu[i, i] for i in range(dim))
+        pair = np.empty((2,) + mask.shape, dtype=complex)  # (g, Lambda^alpha g)
+        np.multiply(self.grid.spectral(h_of_sigma(sv, p)), mask, out=pair[0])
+        np.multiply(self.lam_alpha, pair[0], out=pair[1])
+        gv, lam_g = self.grid.physical(pair)
+        prods = np.empty((1 + 2 * dim,) + sv.shape)
+        np.subtract(-(uv * gs).sum(axis=0), (p.gamma - 1.0) * sv * div_u, out=prods[0])
+        np.add(-(uv[:, np.newaxis] * gu).sum(axis=0), p.mu * uv * lam_g, out=prods[1 : 1 + dim])
+        np.multiply(gv, uv, out=prods[1 + dim :])
+        prods = self.grid.spectral(prods)
+        dsig += prods[:1]
+        du += prods[1 : 1 + dim]
+        du -= p.mu * self.lam_alpha * prods[1 + dim :]
+        return np.multiply(dsig, mask, out=dsig), np.multiply(du, mask, out=du)
 
 
 @functools.lru_cache(maxsize=8)
@@ -370,7 +379,7 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     plan = plan_for(state.grid, params)
     u = state.u.coef
     dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
-    du = du - params.mu * plan.lam_alpha * (u * plan.mask)
+    du -= params.mu * plan.lam_alpha * (u * plan.mask)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
 
 

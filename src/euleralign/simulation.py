@@ -189,7 +189,8 @@ def step(
     """One integrating-factor RK4 step.
 
     The four stages run on the coefficient arrays through
-    ``plan_for(grid, params)`` (four FFTs each, one more for the vacuum guard).
+    ``plan_for(grid, params)`` (four FFTs each, one more for the vacuum guard);
+    the RK4 sums accumulate in place, in the formula's operation order.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -203,9 +204,17 @@ def step(
     k2s, k2u = tend(s0 + 0.5 * dt * k1s, (u0 + 0.5 * dt * k1u) * e_half, linear_only)
     k3s, k3u = tend(s0 + 0.5 * dt * k2s, u0 * e_half + 0.5 * dt * k2u, linear_only)
     k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u, linear_only)
-    s_new = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
-    s_new, u_new = s_new * plan.mask, u_new * plan.mask
+    s_new, u_new = k1s, k1u
+    for term in (2.0 * k2s, 2.0 * k3s, k4s):
+        s_new += term
+    k2u += k3u
+    u_new *= e_full
+    u_new += 2.0 * e_half * k2u
+    u_new += k4u
+    for acc, start in ((s_new, s0), (u_new, u0 * e_full)):
+        acc *= dt / 6.0
+        acc += start
+        acc *= plan.mask
 
     mn = float(np.min(rho_from_sigma(grid.physical(s_new[0]), params)))
     # written so that a NaN (blown-up state) also trips the guard

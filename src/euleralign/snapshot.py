@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from .grid import Grid, SpectralField
-from .model import ModelParams, State, sigma_from_rho
+from .model import ModelParams, State, VacuumError, sigma_from_rho
 
 __all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
 
@@ -80,7 +80,7 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 
 def read_snapshot(path: str):
-    """Read a snapshot; returns (state, params).  A rho file becomes a sigma state."""
+    """Read a snapshot as (state, params); a rho file, with rho > 0, becomes a sigma state."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -101,7 +101,10 @@ def read_snapshot(path: str):
     u = body[count:].reshape((dim,) + grid.shape)
     params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)
     if code == _RHO:
-        scalar = sigma_from_rho(scalar, params)
+        try:
+            scalar = sigma_from_rho(scalar, params)
+        except VacuumError as exc:  # bad input data, not a run that reached vacuum
+            raise SnapshotError(f"{path}: rho must be > 0, min rho = {exc.min_rho:.6e}") from None
     state = State(
         SpectralField.from_physical(grid, scalar),
         SpectralField.from_physical(grid, u),

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ class TestSnapshot:
             snap, out = str(tmp_path / f"{name}.snap"), str(tmp_path / f"{name}.csv")
             assert main(["analyze", snap, "--output", out]) == 0
         assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
+
+    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.snap"
+        self._legacy_rho_file(path)
+        data = bytearray(path.read_bytes())
+        data[_HEADER.size + 8 * 3 : _HEADER.size + 8 * 4] = struct.pack("<d", -1.0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="rho must be > 0"):
+            read_snapshot(str(path))
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_scalar_code(self, tmp_path):
         self._legacy_rho_file(tmp_path / "bad.snap", code=2)

@@ -61,6 +61,20 @@ class TestGrid:
         assert np.array_equal(g.nyquist_mask(), k == 8)
 
 
+    @pytest.mark.parametrize("batch", [(), (1,), (4,)])
+    def test_1d_transform_pair_matches_the_nd_transforms(self, batch):
+        # on a 1D grid the pair calls rfft/irfft; the bits are those of rfftn/irfftn
+        g = Grid(1, 64, 2.0 * np.pi)
+        values = np.random.default_rng(3).standard_normal(batch + g.shape)
+        coef = g.spectral(values)
+        assert coef.shape == batch + g.spectral_shape
+        assert np.array_equal(coef, np.fft.rfftn(values, axes=(-1,), norm="forward"))
+        back = g.physical(coef)
+        assert np.array_equal(back, np.fft.irfftn(coef, s=g.shape, axes=(-1,), norm="forward"))
+        np.testing.assert_allclose(back, values, rtol=0, atol=1e-14 * np.max(np.abs(values)))
+        np.testing.assert_allclose(g.spectral(back), coef, rtol=0, atol=1e-15)
+
+
 class TestSpectralField:
     def test_physical_round_trip(self):
         g = Grid(1, 64, 2.0 * np.pi)

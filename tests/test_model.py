@@ -212,6 +212,27 @@ class TestAlignmentDirect:
         out = alignment_direct(rho, u, 1.5, refine=2).to_physical()[0]
         np.testing.assert_allclose(out, expect, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize(
+        "alpha, expect",
+        [
+            (1.2, [-0.30853390011113363, -0.07026033753821045, -0.16189419004575617,
+                   0.5297396585214542]),
+            (1.5, [-0.3897647713124367, -0.0171574286871732, -0.1927048811047689,
+                   0.5828425061624004]),
+            (1.8, [-0.4925572202417131, 0.04821880850012604, -0.2287780903104656,
+                   0.6482181545923031]),
+        ],
+    )
+    def test_circulant_kernel_matches_the_full_quadrature(self, alpha, expect):
+        # values of the quadrature that evaluated the kernel at all n*m point
+        # pairs; evaluating it once per offset moves them by rounding only
+        g = Grid(1, 64, 2 * np.pi)
+        x = g.axis_points()
+        rho = dealias(SpectralField.from_physical(g, 1.0 + 0.2 * np.cos(x)))
+        u = dealias(SpectralField.from_physical(g, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x)))
+        out = alignment_direct(rho, u, alpha, refine=4).to_physical()[0]
+        np.testing.assert_allclose(out[::16], expect, rtol=1e-9, atol=0)
+
     def test_guards(self):
         g = Grid(1, 1024, 2 * np.pi)
         f = SpectralField.zeros(g)

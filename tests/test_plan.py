@@ -6,11 +6,14 @@ import pytest
 from euleralign.grid import Grid, SpectralField
 from euleralign.lp import LPDecomp
 from euleralign.model import (
+    VACUUM_THRESHOLD,
     ModelParams,
     State,
+    VacuumError,
     alignment_commutator,
     h_of_sigma,
     plan_for,
+    rho_from_sigma,
     rhs,
 )
 from euleralign.operators import (
@@ -52,6 +55,61 @@ def reference_rhs(state: State, params: ModelParams, linear_only: bool):
         h = SpectralField.from_physical(grid, h_of_sigma(sig.to_physical()[0], params))
         du = du - params.mu * alignment_commutator(u, dealias(h), params.alpha)
     return dealias(dsig), dealias(du)
+
+
+def _irfftn(grid: Grid, coef):
+    return np.fft.irfftn(coef, s=grid.shape, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def _rfftn(grid: Grid, values):
+    return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def reference_tendency(plan, sig, u, linear_only):
+    """The tendency kernel with out-of-place temporaries and n-d transforms."""
+    p, dim, mask, grid = plan.params, plan.grid.dim, plan.mask, plan.grid
+    sig, u = sig * mask, u * mask
+    grad_sig = plan.ixi * sig
+    dsig = -p.lam * np.sum(plan.ixi * u, axis=0, keepdims=True)
+    du = -p.lam * grad_sig
+    if linear_only:
+        return dsig, du
+    grad_u = (plan.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
+    phys = _irfftn(grid, np.concatenate([sig, u, grad_sig, grad_u]))
+    sv, uv = phys[0], phys[1 : 1 + dim]
+    gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
+    div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
+    g_hat = _rfftn(grid, h_of_sigma(sv, p)) * mask
+    gv, lam_g = _irfftn(grid, np.stack([g_hat, plan.lam_alpha * g_hat]))
+    n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
+    n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
+    prods = _rfftn(grid, np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
+    dsig = dsig + prods[:1]
+    du = du + prods[1 : 1 + dim] - p.mu * plan.lam_alpha * prods[1 + dim :]
+    return dsig * mask, du * mask
+
+
+def reference_step(state: State, params: ModelParams, dt: float, linear_only: bool) -> State:
+    """The IF-RK4 step with out-of-place stage sums, on ``reference_tendency``."""
+    grid = state.grid
+    plan = plan_for(grid, params)
+    e_half, e_full = plan.semigroup(dt)
+
+    def tend(s, u):
+        return reference_tendency(plan, s, u, linear_only)
+
+    s0, u0 = state.scalar.coef, state.u.coef
+    k1s, k1u = tend(s0, u0)
+    k2s, k2u = tend(s0 + 0.5 * dt * k1s, (u0 + 0.5 * dt * k1u) * e_half)
+    k3s, k3u = tend(s0 + 0.5 * dt * k2s, u0 * e_half + 0.5 * dt * k2u)
+    k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u)
+    s_new = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
+    s_new, u_new = s_new * plan.mask, u_new * plan.mask
+    mn = float(np.min(rho_from_sigma(_irfftn(grid, s_new[0]), params)))
+    if not (mn >= VACUUM_THRESHOLD):
+        raise VacuumError(mn)
+    return State(SpectralField(grid, s_new), SpectralField(grid, u_new), state.t + dt)
 
 
 def random_state(dim: int, n: int, seed: int, amp: float = 0.1) -> State:
@@ -120,3 +178,47 @@ def test_cached_block_weights_match_block_multipliers(dim, n):
         for j in lp.j_range
     ]
     np.testing.assert_allclose(lp.block_norms(st.u), direct, rtol=1e-13, atol=0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # stricter than np.array_equal: the sign of a zero counts too
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 32)])
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_kernel_is_bit_identical_to_the_reference(dim, n, gamma, linear_only):
+    st = ref = random_state(dim, n, seed=21)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
+    plan = plan_for(st.grid, p)
+    got = plan.tendency(st.scalar.coef, st.u.coef, linear_only)
+    want = reference_tendency(plan, st.scalar.coef, st.u.coef, linear_only)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    for _ in range(20):
+        st = step(st, p, 1e-3, linear_only)
+        ref = reference_step(ref, p, 1e-3, linear_only)
+    assert _same_bits(st.scalar.coef, ref.scalar.coef) and _same_bits(st.u.coef, ref.u.coef)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_results_own_their_memory(dim, n):
+    # step accumulates into the stage tendencies in place, so they must not
+    # alias one another, the inputs, the plan or a transform batch
+    a, b = random_state(dim, n, seed=31), random_state(dim, n, seed=32)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    plan = plan_for(a.grid, p)
+    shared = [plan.ixi, plan.lam_alpha, plan.mask, *plan.semigroup(1e-3)]
+    inputs = [a.scalar.coef, a.u.coef, b.scalar.coef, b.u.coef]
+    first = rhs(a, p)
+    kept = [f.coef.copy() for f in first]
+    outs = [f.coef for f in first + rhs(b, p)]
+    assert all(np.array_equal(f.coef, k) for f, k in zip(first, kept))
+    for linear_only in (False, True):
+        for arr in plan.tendency(a.scalar.coef, a.u.coef, linear_only):
+            assert arr.base is None  # not a view of a batch that it would keep alive
+            outs.append(arr)
+    for i, arr in enumerate(outs):
+        for other in outs[i + 1 :] + shared + inputs:
+            assert not np.shares_memory(arr, other)
+    assert not any(arr.flags.writeable for arr in shared)
