@@ -7,6 +7,11 @@ axis holds k = 0..n/2, so its Nyquist mode is +n/2.  The coefficients left
 out are coef(-k) = conj(coef(k)); Plancherel therefore counts each stored
 coefficient twice, except on the last-axis columns k = 0 and n/2, which hold
 their own conjugates.  Physical wavenumbers are xi = 2*pi*k/L.
+
+``Grid.physical``/``Grid.spectral`` are the general transform pair.  In 2D
+``spectral`` runs ``rfftn``'s two 1D passes itself, the second in place, and
+``physical`` is ``irfftn``; coefficients that the 2/3 rule has masked have
+the faster inverse ``model.SpectralPlan.band_physical``.
 """
 
 from __future__ import annotations
@@ -73,16 +78,26 @@ class Grid:
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
     def physical(self, coef: np.ndarray) -> np.ndarray:
-        """Grid samples of half-spectrum coefficients; leading axes are batched."""
-        if self.dim == 1:  # the bits of irfftn/rfftn, without their n-d wrapper
+        """Grid samples of half-spectrum coefficients; leading axes are batched.
+
+        The general inverse, for any coefficients: ``irfft`` in 1D, ``irfftn``
+        in 2D.  ``SpectralPlan.band_physical`` is the faster inverse of
+        coefficients that the 2/3 rule has masked.
+        """
+        if self.dim == 1:  # the bits of irfftn, without its n-d wrapper
             return np.fft.irfft(coef, n=self.n, norm="forward")
         return np.fft.irfftn(coef, s=self.shape, axes=(-2, -1), norm="forward")
 
     def spectral(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of real grid samples; leading axes are batched."""
-        if self.dim == 1:
-            return np.fft.rfft(values, norm="forward")
-        return np.fft.rfftn(values, axes=(-2, -1), norm="forward")
+        """Half-spectrum coefficients of real grid samples; leading axes are batched.
+
+        ``rfftn``'s two 1D passes in its order, so its bits: ``rfft`` along the
+        last axis, then in 2D ``fft`` along the leading axis, in place.
+        """
+        coef = np.fft.rfft(values, norm="forward")
+        if self.dim == 2:
+            np.fft.fft(coef, axis=-2, norm="forward", out=coef)
+        return coef
 
     @functools.lru_cache(maxsize=32)
     def wavenumbers(self):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -88,6 +88,9 @@ class ModelParams:
     gamma: float
     dim: int = 1
     mu: Optional[float] = None
+    # the acoustic speed sqrt(kappa * gamma), derived once; it takes no part
+    # in equality or hashing, so plan_for's cache keys stay the parameters
+    lam: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
@@ -102,11 +105,7 @@ class ModelParams:
             )
         if self.mu <= 0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
-
-    @property
-    def lam(self) -> float:
-        """Acoustic speed sqrt(kappa * gamma)."""
-        return float(np.sqrt(self.kappa * self.gamma))
+        object.__setattr__(self, "lam", float(np.sqrt(self.kappa * self.gamma)))
 
 
 # -- state conversions ------------------------------------------------------
@@ -248,12 +247,14 @@ def alignment_direct(
 
 
 class SpectralPlan:
-    """Multipliers and the sigma-u tendency of one (grid, params).
+    """Multipliers, the masked inverse transform and the sigma-u tendency of
+    one (grid, params).
 
     Arrays are the grid's cached read-only half-spectrum symbols: ``ixi``
     (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean zeroed)
-    and ``mask`` (2/3 rule); the tendency moves between them and grid values
-    with the grid's ``physical``/``spectral`` real FFTs.  Use ``plan_for``.
+    and ``mask`` (2/3 rule).  The tendency moves its batches to the grid with
+    ``band_physical`` and back with the grid's ``spectral``; in 2D each
+    batch is two NumPy calls, one 1D pass per axis.  Use ``plan_for``.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -269,6 +270,22 @@ class SpectralPlan:
         e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
         return e_half, read_only(e_half * e_half)
 
+    def band_physical(self, coef: np.ndarray, scratch: bool = False) -> np.ndarray:
+        """``grid.physical`` of coefficients that ``mask`` has zeroed, bit for bit.
+
+        In 2D the leading-axis ``ifft`` runs only over the last-axis columns
+        k <= n/3 that the 2/3 rule keeps; ``irfft`` zero-pads the others.
+        With ``scratch`` that pass overwrites the kept columns of ``coef``,
+        which must then be the caller's own batch.  On a 1D grid this is
+        ``grid.physical``.
+        """
+        grid = self.grid
+        if grid.dim == 1:
+            return grid.physical(coef)
+        kept = coef[..., : grid.n // 3 + 1]
+        kept = np.fft.ifft(kept, axis=-2, norm="forward", out=kept if scratch else None)
+        return np.fft.irfft(kept, n=grid.n, axis=-1, norm="forward")
+
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
         stiff -mu Lambda^alpha u term.
@@ -278,7 +295,8 @@ class SpectralPlan:
         with g = h(sigma) = rho - 1.  The nonlinear terms cost four batched
         transforms: (sigma, u, grad sigma, grad u) to the grid, h(sigma) back,
         (g, Lambda^alpha g) to the grid, and the three products back.  Each
-        batch is filled in place; the returned arrays own their memory.
+        batch is filled in place, and the inverse transforms overwrite it; the
+        returned arrays own their memory.
         """
         p, dim, mask, ixi = self.params, self.grid.dim, self.mask, self.ixi
         coef = np.empty((1 + 2 * dim + dim * dim,) + mask.shape, dtype=complex)
@@ -291,7 +309,7 @@ class SpectralPlan:
         du = -p.lam * coef[1 + dim : 1 + 2 * dim]
         if linear_only:
             return dsig, du
-        phys = self.grid.physical(coef)
+        phys = self.band_physical(coef, scratch=True)
         del coef, grad_u  # the batch is not needed past its transform
         sv, uv = phys[0], phys[1 : 1 + dim]
         gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
@@ -299,7 +317,7 @@ class SpectralPlan:
         pair = np.empty((2,) + mask.shape, dtype=complex)  # (g, Lambda^alpha g)
         np.multiply(self.grid.spectral(h_of_sigma(sv, p)), mask, out=pair[0])
         np.multiply(self.lam_alpha, pair[0], out=pair[1])
-        gv, lam_g = self.grid.physical(pair)
+        gv, lam_g = self.band_physical(pair, scratch=True)
         prods = np.empty((1 + 2 * dim,) + sv.shape)
         np.subtract(-(uv * gs).sum(axis=0), (p.gamma - 1.0) * sv * div_u, out=prods[0])
         np.add(-(uv[:, np.newaxis] * gu).sum(axis=0), p.mu * uv * lam_g, out=prods[1 : 1 + dim])
@@ -373,8 +391,8 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     """Time derivative of the state: the spectral fields (d sigma/dt, du/dt).
 
     It goes through ``plan_for(grid, params).tendency``, the kernel the
-    stepper uses: four real FFTs (none with ``linear_only``), plus the stiff
-    term -mu Lambda^alpha u.
+    stepper uses: four transform batches (none with ``linear_only``), plus the
+    stiff term -mu Lambda^alpha u.
     """
     plan = plan_for(state.grid, params)
     u = state.u.coef

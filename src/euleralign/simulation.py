@@ -6,7 +6,10 @@ everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
 transformed.  The stages run on the fields' half-spectrum coefficients
 through the grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares:
-4 real FFTs per right-hand side, 17 per step with the vacuum guard.
+4 transform batches per right-hand side, 17 per step with the vacuum guard.
+A batch is one NumPy FFT call in 1D and two in 2D, one 1D pass per axis; the
+inverse batches are masked, so their leading-axis pass runs only over the
+columns that the 2/3 rule keeps.
 """
 
 from __future__ import annotations
@@ -189,8 +192,9 @@ def step(
     """One integrating-factor RK4 step.
 
     The four stages run on the coefficient arrays through
-    ``plan_for(grid, params)`` (four FFTs each, one more for the vacuum guard);
-    the RK4 sums accumulate in place, in the formula's operation order.
+    ``plan_for(grid, params)`` (four transform batches each, one more for the
+    vacuum guard); the RK4 sums accumulate in place, in the formula's
+    operation order.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -216,7 +220,7 @@ def step(
         acc += start
         acc *= plan.mask
 
-    mn = float(np.min(rho_from_sigma(grid.physical(s_new[0]), params)))
+    mn = float(np.min(rho_from_sigma(plan.band_physical(s_new[0]), params)))
     # written so that a NaN (blown-up state) also trips the guard
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
@@ -296,7 +300,8 @@ def run(config: SimConfig, store_states: bool = False):
     ``store_states`` is set (including the final state of a completed run).
     A run that stops early keeps the records so far and sets ``trace.status``:
     "vacuum" when the density guard trips, "cfl" after three consecutive
-    records whose dt exceeds ``cfl_limit``.
+    records whose dt exceeds ``cfl_limit``, or at once when the final record's
+    dt exceeds it.
     """
     grid = config.grid()
     params = config.model_params()
@@ -368,7 +373,8 @@ def run(config: SimConfig, store_states: bool = False):
                         f"CFL violation at t={t:.4g}: dt={dt:.3e} > {limit:.3e}",
                         RuntimeWarning,
                     )
-                    if cfl_strikes >= 3:
+                    # a strike at the last record has no later record to clear it
+                    if cfl_strikes >= 3 or istep == nsteps:
                         trace.status = "cfl"
                         break
                 else:

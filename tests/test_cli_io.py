@@ -406,6 +406,28 @@ preset = single_mode
         # header, the t=0 row and the three strike records
         assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.2, 0.4, 0.6])
 
+    def test_cfl_strike_at_the_last_record_exits_4(self, tmp_path, capsys):
+        # one step of dt = t_end = 0.1 against a limit of about 0.078: the
+        # only strike is the final record, and it must not end "ok"
+        cfg = _write_config(
+            tmp_path,
+            """
+[grid]
+n = 32
+
+[time]
+t_end = 0.1
+dt = 1e9
+""",
+        )
+        out = str(tmp_path / "trace.csv")
+        with pytest.warns(RuntimeWarning, match="CFL violation"):
+            assert main(["run", "--config", cfg, "--output", out]) == 4
+        assert "cfl abort" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.1])
+
     def test_linear_row_values(self, tmp_path):
         out = str(tmp_path / "lin.csv")
         rc = main(

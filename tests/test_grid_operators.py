@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from euleralign.grid import Grid, GridError, SpectralField
+from euleralign.model import ModelParams, State, plan_for
 from euleralign.operators import (
     ParameterError,
     dealias,
@@ -18,6 +19,7 @@ from euleralign.operators import (
     physical_product,
     spectral_derivative,
 )
+from euleralign.simulation import step
 
 
 def assert_real_field(f: SpectralField, rtol: float = 1e-14):
@@ -73,6 +75,45 @@ class TestGrid:
         assert np.array_equal(back, np.fft.irfftn(coef, s=g.shape, axes=(-1,), norm="forward"))
         np.testing.assert_allclose(back, values, rtol=0, atol=1e-14 * np.max(np.abs(values)))
         np.testing.assert_allclose(g.spectral(back), coef, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (5,)])
+    def test_2d_forward_transform_is_rfftn(self, batch):
+        # rfft along the last axis, then fft along the first in place: the
+        # bits of rfftn, which runs the same passes into a fresh array
+        g = Grid(2, 32, 2.0 * np.pi)
+        values = np.random.default_rng(4).standard_normal(batch + g.shape)
+        coef = g.spectral(values)
+        assert coef.shape == batch + g.spectral_shape
+        assert coef.tobytes() == np.fft.rfftn(values, axes=(-2, -1), norm="forward").tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 8), (2, 16), (2, 32), (2, 64)])
+    def test_band_limited_inverse_is_irfftn(self, dim, n):
+        # the 2D leading-axis pass runs over the n//3 + 1 kept columns only;
+        # n = 8 and 16 keep 3 and 6, so the edge column k = n//3 is exercised.
+        # The masked coefficients carry zeros of both signs, as in the tendency.
+        g = Grid(dim, n, 2.0 * np.pi)
+        plan = plan_for(g, ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=dim))
+        values = np.random.default_rng(n).standard_normal((5,) + g.shape)
+        coef = g.spectral(values) * plan.mask
+        want = np.fft.irfftn(coef, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward")
+        kept = coef.copy()
+        assert plan.band_physical(coef).tobytes() == want.tobytes()
+        assert coef.tobytes() == kept.tobytes()  # without scratch, coef is only read
+        assert plan.band_physical(kept, scratch=True).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32)])
+    def test_in_place_transforms_leave_the_state_untouched(self, dim, n):
+        # the tendency's inverse transforms overwrite its own batches; the
+        # writable state coefficients that fill them must keep their bits
+        g = Grid(dim, n, 2.0 * np.pi)
+        p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+        rng = np.random.default_rng(8)
+        sig = g.spectral(0.1 * rng.standard_normal((1,) + g.shape))
+        u = g.spectral(0.1 * rng.standard_normal((dim,) + g.shape))
+        before = sig.tobytes(), u.tobytes()
+        plan_for(g, p).tendency(sig, u)
+        step(State(SpectralField(g, sig), SpectralField(g, u)), p, 1e-3)
+        assert (sig.tobytes(), u.tobytes()) == before
 
 
 class TestSpectralField:

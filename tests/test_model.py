@@ -57,6 +57,18 @@ class TestConstantsAndParams:
     def test_lam(self):
         p = ModelParams(alpha=1.5, kappa=2.0, gamma=1.4, mu=1.0)
         assert p.lam == pytest.approx(np.sqrt(2.8))
+        assert p.lam == float(np.sqrt(p.kappa * p.gamma))  # the same bits
+
+    def test_lam_is_derived_not_a_parameter(self):
+        # lam is set once in __post_init__ but takes no part in the key of
+        # plan_for's cache: equality, hash and repr see the parameters only
+        p = ModelParams(alpha=1.5, kappa=2.0, gamma=1.4, mu=1.0)
+        q = ModelParams(1.5, 2.0, 1.4, 1, 1.0)
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash((1.5, 2.0, 1.4, 1, 1.0))
+        assert "lam" not in repr(p)
+        with pytest.raises(TypeError):
+            ModelParams(alpha=1.5, kappa=2.0, gamma=1.4, lam=3.0)
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

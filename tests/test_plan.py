@@ -185,7 +185,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 32)])
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 32), (2, 64)])
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
 @pytest.mark.parametrize("linear_only", [False, True])
 def test_kernel_is_bit_identical_to_the_reference(dim, n, gamma, linear_only):

@@ -5,6 +5,7 @@ same examples, so the suite stays reproducible.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -65,3 +66,31 @@ def test_alignment_commutator_cancels_in_momentum(fields):
     axes = tuple(range(1, rho.grid.dim + 1))
     momentum = np.sum(rho.to_physical()[0] * force, axis=axes) * rho.grid.cell_volume()
     assert np.max(np.abs(momentum)) <= 1e-12
+
+
+@st.composite
+def real_fields(draw):
+    """(grid, samples): a random real field on a 1D or 2D grid of random length.
+    The samples are rounded to 1e-6, so no square underflows."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([8, 16, 64] if dim == 1 else [8, 16]))
+    grid = Grid(dim, n, draw(st.floats(0.1, 100.0)))
+    element = st.floats(-1, 1).map(lambda v: round(v, 6))
+    return grid, draw(hnp.arrays(np.float64, grid.shape, elements=element))
+
+
+@properties
+@given(real_fields())
+def test_plancherel_with_half_spectrum_weights(fields):
+    grid, values = fields
+    direct = float(np.sum(values**2) * grid.cell_volume())
+    spectral = SpectralField.from_physical(grid, values).l2() ** 2
+    assert spectral == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+@properties
+@given(real_fields())
+def test_transform_round_trip(fields):
+    grid, values = fields
+    back = grid.physical(grid.spectral(values))
+    np.testing.assert_allclose(back, values, rtol=0, atol=1e-14)

@@ -250,6 +250,16 @@ class TestRun:
         assert trace.t.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert [st.t for st in states] == trace.t.tolist()
 
+    def test_cfl_strike_at_the_final_record_ends_cfl(self):
+        # strikes at t = 1 and 2 only: too few for three in a row, but the
+        # second is the final record, and the run must not end "ok" past it
+        c = SimConfig(n=64, t_end=2.0, dt=1.0, cadence=1, ic="single_mode", amplitude=1e-3)
+        with pytest.warns(RuntimeWarning, match="CFL violation"):
+            trace, states = run(c, store_states=True)
+        assert trace.status == "cfl"
+        assert trace.t.tolist() == [0.0, 1.0, 2.0]
+        assert [st.t for st in states] == trace.t.tolist()
+
     def test_user_dt_above_the_cap_does_not_strike(self, recwarn):
         # the dx/2 cap bounds only the default dt, not the strike check
         c = SimConfig(n=64, t_end=0.5, dt=0.05, cfl=1e9, cadence=1, ic="single_mode")
