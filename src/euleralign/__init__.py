@@ -30,7 +30,6 @@ from .model import (
     VacuumError,
     alignment_commutator,
     alignment_direct,
-    conserved_quantities,
     frac_laplacian_constant,
     h_of_sigma,
     rho_from_sigma,

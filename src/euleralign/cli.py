@@ -80,6 +80,11 @@ def _cmd_run(args) -> int:
     _write_csv(args.output, trace.columns, trace.rows)
     if store and states:
         write_snapshot(config.snapshot_path, states[-1], params)
+    if config.decay_column not in trace.columns:
+        raise ConfigError(
+            f"decay.column: {config.decay_column!r} is not a trace column "
+            f"(columns: {', '.join(trace.columns)})"
+        )
     if config.decay_window is not None:
         try:
             exponent, r2 = decay_fit(
@@ -147,7 +152,7 @@ def _cmd_linear(args) -> int:
 
 def _cmd_heat_decay(args) -> int:
     grid = Grid(args.dim, args.n, args.L)
-    spec = DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)
+    DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)  # validates s0, s1
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(
         grid, args.alpha, args.mu, args.profile, times, s0=args.s0, s1=args.s1,

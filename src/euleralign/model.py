@@ -158,9 +158,6 @@ class State:
     def grid(self) -> Grid:
         return self.scalar.grid
 
-    def min_rho(self, params: ModelParams) -> float:
-        return float(np.min(rho_from_sigma(self.scalar.to_physical()[0], params)))
-
 
 # -- alignment force --------------------------------------------------------
 
@@ -399,17 +396,6 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
     du -= params.mu * plan.lam_alpha * (u * plan.mask)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
-
-
-def conserved_quantities(state: State, params: ModelParams):
-    """(mass, momentum vector) = (int rho, int rho u)."""
-    grid = state.grid
-    rv = rho_from_sigma(state.scalar.to_physical()[0], params)
-    uv = state.u.to_physical()
-    cell = grid.cell_volume()
-    mass = float(np.sum(rv) * cell)
-    mom = np.array([float(np.sum(rv * uv[i]) * cell) for i in range(grid.dim)])
-    return mass, mom
 
 
 # -- scaling equivariance check --------------------------------------------

@@ -170,8 +170,8 @@ def dealias(f: SpectralField) -> SpectralField:
     return _apply_scalar_multiplier(f, f.grid.dealias_mask())
 
 
-def physical_product(f: SpectralField, g: SpectralField, dealiased: bool = True) -> SpectralField:
-    """Pointwise product computed pseudospectrally, optionally dealiased."""
+def physical_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Pointwise product computed pseudospectrally, dealiased."""
     if f.grid != g.grid:
         raise GridError("fields live on different grids")
     if f.is_scalar:
@@ -181,4 +181,4 @@ def physical_product(f: SpectralField, g: SpectralField, dealiased: bool = True)
     else:
         raise GridError("one factor must be scalar")
     out = SpectralField.from_physical(f.grid, vals)
-    return dealias(out) if dealiased else out
+    return dealias(out)

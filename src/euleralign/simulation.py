@@ -29,7 +29,6 @@ from .model import (
     State,
     VACUUM_THRESHOLD,
     VacuumError,
-    conserved_quantities,
     plan_for,
     rho_from_sigma,
 )
@@ -78,7 +77,6 @@ class SimConfig:
     ic_mode: int = 1
     cadence: Optional[int] = None
     norms: list = field(default_factory=list)  # (name, 'sigma'|'u', NormSpec)
-    decay: Optional["DecaySpec"] = None
     decay_window: Optional[tuple] = None
     decay_column: str = "l2_sigma"
     decay_kind: str = "power"
@@ -97,6 +95,10 @@ class SimConfig:
             raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
             raise ParameterError(f"unknown ic preset {self.ic!r}")
+        if self.decay_window is not None and not 0 <= self.decay_window[0] < self.decay_window[1]:
+            raise ParameterError(f"decay window needs 0 <= t_a < t_b, got {self.decay_window}")
+        if self.decay_kind not in ("power", "exp"):
+            raise ParameterError(f"decay kind must be power or exp, got {self.decay_kind!r}")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
@@ -111,7 +113,8 @@ class SimConfig:
 class DecaySpec:
     """Decay-law target (s0, s1) and its rate ``exponent`` = (s0+s1)/alpha.
 
-    The fitted log-log slope of the decaying norm tends to -``exponent``.
+    It checks the ``--s0``/``--s1`` of ``heat-decay``; the fitted log-log
+    slope of the decaying norm tends to -``exponent``.
     """
 
     s0: float
@@ -282,10 +285,12 @@ def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
     js = np.array(lp.j_range)
     sig_mf, u_mf = st.scalar.mean_free(), st.u.mean_free()
     bn_sig, bn_u = lp.block_norms(sig_mf), lp.block_norms(u_mf)
-    mass, mom = conserved_quantities(st, params)
-    row = {"t": st.t, "min_rho": st.min_rho(params), "mass": mass}
+    rho = rho_from_sigma(st.scalar.to_physical()[0], params)
+    uv = st.u.to_physical()
+    cell = st.grid.cell_volume()
+    row = {"t": st.t, "min_rho": float(np.min(rho)), "mass": float(np.sum(rho) * cell)}
     for i in range(st.grid.dim):
-        row[f"mom_{i + 1}"] = mom[i]
+        row[f"mom_{i + 1}"] = float(np.sum(rho * uv[i]) * cell)
     row["l2_sigma"] = sig_mf.l2()
     row["l2_u"] = u_mf.l2()
     for name, target, spec in norm_list:
@@ -399,7 +404,6 @@ def fractional_heat_trace(
     s0: float = 0.25,
     s1: float = 0.0,
     width: float = 1.0,
-    r: float = np.inf,
 ) -> NormTrace:
     """Norm history of e^{-mu t Lambda^alpha} u0 for a synthetic profile.
 
@@ -407,9 +411,9 @@ def fractional_heat_trace(
     near 0); profile 'power': spectral envelope |xi|^{s0 - N/2} with a smooth
     high-frequency cutoff.  Columns: t, l2, b_s1 (homogeneous s1-norm).
 
-    The b_s1 column defaults to the sup over dyadic blocks (r = inf): the
-    block sum (r = 1) converges slowly in the box size at low frequencies,
-    while the sup is insensitive to the infrared cutoff.
+    The b_s1 column is the sup over dyadic blocks (r = inf): the block sum
+    (r = 1) converges slowly in the box size at low frequencies, while the
+    sup is insensitive to the infrared cutoff.
     """
     if profile == "gaussian":
         u0 = SpectralField.from_physical(grid, _gaussian(grid, width))
@@ -423,7 +427,7 @@ def fractional_heat_trace(
 
     lp = LPDecomp.for_grid(grid)
     js = np.array(lp.j_range)
-    spec = NormSpec.homogeneous(s1, r)
+    spec = NormSpec.homogeneous(s1, np.inf)
     trace = NormTrace()
     for t in np.asarray(times, dtype=float):
         ut = heat_semigroup(u0, alpha, mu, t)

@@ -1,16 +1,20 @@
 """Configuration parsing, binary snapshots, CSV output, and the CLI."""
 
 import csv
+import dataclasses
 import io
+import pathlib
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from euleralign.cli import main
-from euleralign.config import ConfigError, parse_config
+from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
 from euleralign.model import ModelParams, State, sigma_from_rho
+from euleralign.simulation import SimConfig
 from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
 
 
@@ -35,6 +39,8 @@ class TestParseConfig:
     def test_empty_uses_defaults(self):
         c = parse_config("")
         assert c.n == 256 and c.L == pytest.approx(2 * np.pi)
+        # every default lives in SimConfig; the parser adds none of its own
+        assert c == SimConfig()
 
     def test_case_preserved_for_L(self):
         c = parse_config("[grid]\nL = 12.5\n")
@@ -68,8 +74,6 @@ snapshot = out.snap
 norms = extra sigma homogeneous 0.5 1; hi u high 1.0 4 inf
 
 [decay]
-s0 = 0.4
-s1 = -0.35
 t_a = 1.0
 t_b = 2.0
 kind = power
@@ -81,7 +85,6 @@ kind = power
         name, target, spec = c.norms[1]
         assert name == "hi" and target == "u"
         assert spec.kind == "high" and spec.j0 == 4 and spec.r == np.inf
-        assert c.decay.exponent == pytest.approx((0.4 - 0.35) / 1.8)
         assert c.decay_window == (1.0, 2.0)
 
     def test_invalid_alpha_rejected_at_parse(self):
@@ -110,13 +113,11 @@ kind = power
 
     def test_decay_validation(self):
         with pytest.raises(ConfigError, match="decay"):
-            parse_config("[decay]\ns0 = 0.25\ns1 = 0.0\nt_a = 5.0\n")
+            parse_config("[decay]\nt_a = 5.0\n")
         with pytest.raises(ConfigError, match="decay"):
-            parse_config("[decay]\ns0 = 0.25\ns1 = 0.0\nt_a = 5.0\nt_b = 1.0\n")
-        with pytest.raises(ConfigError, match="decay"):
-            parse_config("[decay]\ns0 = 9.0\ns1 = 0.0\n")
+            parse_config("[decay]\nt_a = 5.0\nt_b = 1.0\n")
         with pytest.raises(ConfigError, match="kind"):
-            parse_config("[decay]\ns0 = 0.25\ns1 = 0.0\nkind = linear\n")
+            parse_config("[decay]\nkind = linear\n")
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -125,6 +126,20 @@ kind = power
     def test_bad_grid_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[grid]\nn = 24\n")
+
+    def test_key_table_names_simconfig_fields(self):
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        for section, keys in _KEYS.items():
+            for key, (name, _) in keys.items():
+                assert name in fields, f"{section}.{key} -> {name}"
+
+    def test_readme_sample_config_parses(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("## Configuration format", 1)[1]
+        block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        c = parse_config(block)
+        assert c.decay_window is not None and c.snapshot_path == "final.snap"
 
 
 class TestSnapshot:
@@ -500,8 +515,6 @@ preset = single_mode
 amplitude = 0.001
 
 [decay]
-s0 = 0.25
-s1 = 0.0
 t_a = 0.5
 t_b = 3.0
 kind = exp
@@ -510,3 +523,23 @@ column = l2_u
         )
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 0
         assert "decay fit" in capsys.readouterr().out
+
+    def test_removed_decay_target_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "[grid]\nn = 32\n\n[decay]\ns0 = 0.25\n")
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key decay.s0" in err and "Traceback" not in err
+
+    def test_unknown_decay_column_exits_2_after_the_trace(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            "[grid]\nn = 32\n\n[time]\nt_end = 0.5\n\n"
+            "[decay]\nt_a = 0.1\nt_b = 0.5\ncolumn = l2_sgima\n",
+        )
+        out = tmp_path / "t.csv"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "decay.column" in err and "l2_sgima" in err and "Traceback" not in err
+        with open(out, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert "l2_sigma" in header and all(col in err for col in header)

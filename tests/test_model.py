@@ -10,7 +10,6 @@ from euleralign.model import (
     VacuumError,
     alignment_commutator,
     alignment_direct,
-    conserved_quantities,
     frac_laplacian_constant,
     h_of_sigma,
     rho_from_sigma,
@@ -19,7 +18,9 @@ from euleralign.model import (
     scaling_check,
     sigma_from_rho,
 )
+from euleralign.lp import LPDecomp
 from euleralign.operators import ParameterError, dealias, fractional_laplacian
+from euleralign.simulation import diagnostics_row
 
 
 class TestConstantsAndParams:
@@ -126,7 +127,8 @@ class TestConversions:
         sig = SpectralField.from_physical(g, sigma_from_rho(rho, p))
         st = State(sig, SpectralField.from_physical(g, 0.1 * np.sin(g.axis_points())))
         assert np.max(np.abs(rho_from_sigma(st.scalar.to_physical()[0], p) - rho)) < 1e-14
-        assert st.min_rho(p) == pytest.approx(0.8, rel=1e-14)
+        row, _, _ = diagnostics_row(st, p, LPDecomp.for_grid(g), [])
+        assert row["min_rho"] == pytest.approx(0.8, rel=1e-14)
 
     def test_state_validation(self):
         g = Grid(2, 16, 1.0)
@@ -317,12 +319,13 @@ class TestRHS:
     def test_conserved_quantities(self):
         rho, u, p = _smooth_fields()
         st, _ = _smooth_state()
-        mass, mom = conserved_quantities(st, p)
+        # the trace row's mass and momentum columns are int rho and int rho u
+        row, _, _ = diagnostics_row(st, p, LPDecomp.for_grid(st.grid), [])
         rv = rho.to_physical()[0]
         uv = u.to_physical()[0]
         cell = st.grid.cell_volume()
-        assert mass == pytest.approx(np.sum(rv) * cell, rel=1e-14)
-        assert mom[0] == pytest.approx(np.sum(rv * uv) * cell, rel=1e-12, abs=1e-15)
+        assert row["mass"] == pytest.approx(np.sum(rv) * cell, rel=1e-14)
+        assert row["mom_1"] == pytest.approx(np.sum(rv * uv) * cell, rel=1e-12, abs=1e-15)
 
     def test_linear_only_drops_nonlinear_terms(self):
         st, p = _smooth_state(amp=1e-7)

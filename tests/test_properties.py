@@ -4,6 +4,9 @@ Hypothesis draws the fields; ``derandomize=True`` makes every run draw the
 same examples, so the suite stays reproducible.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from euleralign.grid import Grid, SpectralField
-from euleralign.model import ModelParams, alignment_commutator, rhs_conservative
-from euleralign.operators import dealias
+from euleralign.model import ModelParams, State, alignment_commutator, rhs_conservative
+from euleralign.operators import dealias, leray_project
+from euleralign.snapshot import read_snapshot, write_snapshot
 
 K = 3  # the highest mode on each axis, well inside the 2/3 rule at n = 32
 N = 32
@@ -69,14 +73,16 @@ def test_alignment_commutator_cancels_in_momentum(fields):
 
 
 @st.composite
-def real_fields(draw):
-    """(grid, samples): a random real field on a 1D or 2D grid of random length.
-    The samples are rounded to 1e-6, so no square underflows."""
-    dim = draw(st.sampled_from([1, 2]))
+def real_fields(draw, dims=(1, 2), vector=False):
+    """(grid, samples): a random real field on a 1D or 2D grid of random length,
+    with one component, or dim of them if ``vector``.  The samples are rounded
+    to 1e-6, so no square underflows."""
+    dim = draw(st.sampled_from(dims))
     n = draw(st.sampled_from([8, 16, 64] if dim == 1 else [8, 16]))
     grid = Grid(dim, n, draw(st.floats(0.1, 100.0)))
     element = st.floats(-1, 1).map(lambda v: round(v, 6))
-    return grid, draw(hnp.arrays(np.float64, grid.shape, elements=element))
+    shape = ((dim,) if vector else ()) + grid.shape
+    return grid, draw(hnp.arrays(np.float64, shape, elements=element))
 
 
 @properties
@@ -94,3 +100,41 @@ def test_transform_round_trip(fields):
     grid, values = fields
     back = grid.physical(grid.spectral(values))
     np.testing.assert_allclose(back, values, rtol=0, atol=1e-14)
+
+
+@properties
+@given(real_fields(dims=(2,), vector=True))
+def test_leray_projection_is_idempotent(fields):
+    grid, values = fields
+    u = SpectralField.from_physical(grid, values)
+    pu = leray_project(u)
+    scale = max(float(np.max(np.abs(u.coef))), 1e-300)
+    np.testing.assert_allclose(leray_project(pu).coef, pu.coef, rtol=0, atol=1e-14 * scale)
+
+
+@properties
+@given(real_fields(dims=(2,), vector=True))
+def test_leray_projection_is_orthogonal(fields):
+    # (Pu | u - Pu) = 0: P is an orthogonal projector in L2
+    grid, values = fields
+    u = SpectralField.from_physical(grid, values)
+    pu = leray_project(u)
+    assert abs(pu.inner(u - pu)) <= 1e-13 * max(u.l2() ** 2, 1e-300)
+
+
+@properties
+@given(real_fields(), st.data())
+def test_snapshot_rewrite_is_byte_identical(fields, data):
+    grid, sig = fields
+    uv = data.draw(hnp.arrays(np.float64, (grid.dim,) + grid.shape, elements=st.floats(-1, 1)))
+    t = data.draw(st.floats(0.0, 1e3))
+    state = State(
+        SpectralField.from_physical(grid, sig), SpectralField.from_physical(grid, uv), t
+    )
+    params = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=grid.dim, mu=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.snap"), os.path.join(tmp, "b.snap")
+        write_snapshot(first, state, params)
+        write_snapshot(second, *read_snapshot(first))
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
