@@ -49,6 +49,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("homogeneous", "hybrid", "low", "high"):
             raise ValueError(f"unknown norm kind {self.kind!r}")
+        if not (np.isfinite(self.s) and np.isfinite(self.s2)):
+            raise ValueError(f"norm exponents must be finite, got {self.s}, {self.s2}")
         if self.kind != "hybrid" and self.r not in (1, np.inf):
             raise ValueError(f"r must be 1 or inf, got {self.r}")
         if self.kind in ("hybrid", "low", "high") and self.j0 is None:

@@ -75,10 +75,9 @@ def _cmd_run(args) -> int:
         f"gamma={_fmt(params.gamma)} mu={_fmt(params.mu)} lambda={_fmt(params.lam)} "
         f"ic={config.ic} amplitude={_fmt(config.amplitude)} seed={config.seed}"
     )
-    store = config.snapshot_path is not None
-    trace, states = run(config, store_states=store)
+    trace, states = run(config)
     _write_csv(args.output, trace.columns, trace.rows)
-    if store and states:
+    if config.snapshot_path is not None:
         write_snapshot(config.snapshot_path, states[-1], params)
     if config.decay_column not in trace.columns:
         raise ConfigError(

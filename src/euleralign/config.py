@@ -11,7 +11,8 @@ Sections and keys:
 
 ``_KEYS`` maps each key to its ``SimConfig`` field; a key that is absent
 takes that field's default, and ``SimConfig`` checks the values.  Every
-number must be finite; ``inf`` is accepted only in a norm entry.
+number must be finite; ``inf`` is accepted only as a norm entry's ``r``.
+Values are read verbatim (no ``%`` interpolation).
 
 The [output] ``norms`` value is a semicolon-separated list of custom norm
 columns, each "name target kind args..." with target in {sigma, u} and kind
@@ -65,6 +66,12 @@ def _parse_norms(raw: str):
     return out
 
 
+def _path(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty path")
+    return raw
+
+
 # section -> key -> (SimConfig field, parser); t_a and t_b form decay_window
 _KEYS = {
     "grid": {"dim": ("dim", int), "n": ("n", int), "L": ("L", float)},
@@ -74,7 +81,7 @@ _KEYS = {
              "cadence": ("cadence", int)},
     "ic": {"preset": ("ic", str), "amplitude": ("amplitude", float), "seed": ("seed", int),
            "mode": ("ic_mode", int)},
-    "output": {"snapshot": ("snapshot_path", str), "norms": ("norms", _parse_norms)},
+    "output": {"snapshot": ("snapshot_path", _path), "norms": ("norms", _parse_norms)},
     "decay": {"t_a": ("decay_window", float), "t_b": ("decay_window", float),
               "column": ("decay_column", str), "kind": ("decay_kind", str)},
 }
@@ -94,7 +101,8 @@ def _value(cp, section, key, cast):
 
 def parse_config(text: str) -> SimConfig:
     """Parse and validate an INI configuration into a SimConfig."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are taken verbatim: a '%' in a path is no interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keep key case ('L' vs 'l')
     try:
         cp.read_file(io.StringIO(text))

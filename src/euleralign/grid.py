@@ -88,13 +88,14 @@ class Grid:
             return np.fft.irfft(coef, n=self.n, norm="forward")
         return np.fft.irfftn(coef, s=self.shape, axes=(-2, -1), norm="forward")
 
-    def spectral(self, values: np.ndarray) -> np.ndarray:
+    def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched.
 
         ``rfftn``'s two 1D passes in its order, so its bits: ``rfft`` along the
-        last axis, then in 2D ``fft`` along the leading axis, in place.
+        last axis, then in 2D ``fft`` along the leading axis, in place.  The
+        coefficients go to ``out`` if given.
         """
-        coef = np.fft.rfft(values, norm="forward")
+        coef = np.fft.rfft(values, norm="forward", out=out)
         if self.dim == 2:
             np.fft.fft(coef, axis=-2, norm="forward", out=coef)
         return coef

@@ -123,21 +123,34 @@ def sigma_from_rho(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     return params.lam / gm1 * np.expm1(gm1 * np.log(rho))
 
 
-def h_of_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
-    """h(sigma) = rho - 1, evaluated in numerically stable form."""
+def h_of_sigma(
+    sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """h(sigma) = rho - 1, evaluated in numerically stable form.
+
+    Every operation writes into ``out`` when it is given (it may be ``sigma``
+    itself), and otherwise into one new array.
+    """
     sigma = np.asarray(sigma, dtype=np.float64)
     if params.gamma == 1.0:
-        return np.expm1(sigma / np.sqrt(params.kappa))
+        arg = np.divide(sigma, np.sqrt(params.kappa), out=out)
+        return np.expm1(arg, out=arg)
     gm1 = params.gamma - 1.0
-    arg = gm1 * sigma / params.lam
+    arg = np.multiply(gm1, sigma, out=out)
+    np.divide(arg, params.lam, out=arg)
     mn = float(np.min(arg))
     if mn <= -1.0:
         raise VacuumError(mn + 1.0)
-    return np.expm1(np.log1p(arg) / gm1)
+    np.log1p(arg, out=arg)
+    np.divide(arg, gm1, out=arg)
+    return np.expm1(arg, out=arg)
 
 
-def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
-    return 1.0 + h_of_sigma(sigma, params)
+def rho_from_sigma(
+    sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    h = h_of_sigma(sigma, params, out=out)
+    return np.add(1.0, h, out=h)
 
 
 @dataclass
@@ -243,22 +256,68 @@ def alignment_direct(
 # -- right-hand sides -------------------------------------------------------
 
 
+class Workspace:
+    """The buffers of one plan's ``tendency`` and ``step``, allocated once.
+
+    With N = grid.dim, a "field" is one component's half spectrum (complex)
+    or grid samples (real):
+
+    ``batch``    complex, 1 + 2N + N^2 fields: the (sigma, u, grad sigma,
+                 grad u) coefficients.  Once they are transformed, the first
+                 two slots hold the (g, Lambda^alpha g) pair; once that is
+                 transformed, ``scratch`` (the same memory as real samples)
+                 holds the products' temporaries, and then the first 1 + 2N
+                 slots hold the products' spectra.  ``step`` forms its stage
+                 inputs in the (sigma, u) slots, and its vacuum guard in slot 0.
+    ``samples``  real, max(1 + 2N + N^2, 3 + 3N) fields: the batch's samples.
+                 ``products`` are the 1 + 2N slots from 2 + N on; in 2D these
+                 are d_2 sigma and grad u, dead once the products' terms are
+                 formed.  The guard's samples go to slot 0.
+    ``pair``     real, 2 fields: h(sigma), then the samples of (g, Lambda^alpha g).
+    ``k``        complex, 3 x (1 + N) fields: the RK4 sum and two stage tendencies.
+    ``factor``   real, one half spectrum: dt e^{-mu (dt/2) Lambda^alpha},
+                 then twice that semigroup.
+    """
+
+    def __init__(self, grid: Grid):
+        dim, spectral, shape = grid.dim, grid.spectral_shape, grid.shape
+        n_batch, n_scratch = 1 + 2 * dim + dim * dim, 2 + dim + dim * dim
+        self.batch = np.empty((n_batch,) + spectral, dtype=complex)
+        self.samples = np.empty((max(n_batch, 3 + 3 * dim),) + shape)
+        self.pair = np.empty((2,) + shape)
+        self.k = np.empty((3, 1 + dim) + spectral, dtype=complex)
+        self.factor = np.empty(spectral)
+        flat = self.batch.reshape(-1).view(np.float64)
+        self.scratch = flat[: n_scratch * grid.n**dim].reshape((n_scratch,) + shape)
+        self.products = self.samples[2 + dim : 3 + 3 * dim]
+
+
 class SpectralPlan:
-    """Multipliers, the masked inverse transform and the sigma-u tendency of
-    one (grid, params).
+    """Multipliers, the masked inverse transform, the sigma-u tendency and
+    the reusable buffers of one (grid, params).
 
     Arrays are the grid's cached read-only half-spectrum symbols: ``ixi``
     (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean zeroed)
-    and ``mask`` (2/3 rule).  The tendency moves its batches to the grid with
-    ``band_physical`` and back with the grid's ``spectral``; in 2D each
-    batch is two NumPy calls, one 1D pass per axis.  Use ``plan_for``.
+    and ``mask`` (2/3 rule), and ``mu_lam_alpha`` = mu * ``lam_alpha``.  The
+    tendency moves its batches to the grid with ``band_physical`` and back
+    with the grid's ``spectral``; in 2D each batch is two NumPy calls, one 1D
+    pass per axis.  Its batches and temporaries live in ``workspace``,
+    allocated on first use and reused by every later ``tendency`` and
+    ``simulation.step``, so the hot path allocates nothing but the results.
+    A plan is therefore not re-entrant: two threads must not run its
+    ``tendency`` or a ``step`` on it at once.  Use ``plan_for``.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
         self.grid, self.params = grid, params
         self.ixi = read_only(np.stack([1j * xt for xt in _xi_tilde(grid)]))
         self.lam_alpha = _lambda_symbol(grid, params.alpha)
+        self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
         self.mask = grid.dealias_mask()
+
+    @functools.cached_property
+    def workspace(self) -> Workspace:
+        return Workspace(self.grid)
 
     @functools.lru_cache(maxsize=4)
     def semigroup(self, dt: float):
@@ -267,23 +326,26 @@ class SpectralPlan:
         e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
         return e_half, read_only(e_half * e_half)
 
-    def band_physical(self, coef: np.ndarray, scratch: bool = False) -> np.ndarray:
+    def band_physical(
+        self, coef: np.ndarray, scratch: bool = False, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """``grid.physical`` of coefficients that ``mask`` has zeroed, bit for bit.
 
         In 2D the leading-axis ``ifft`` runs only over the last-axis columns
         k <= n/3 that the 2/3 rule keeps; ``irfft`` zero-pads the others.
         With ``scratch`` that pass overwrites the kept columns of ``coef``,
         which must then be the caller's own batch.  On a 1D grid this is
-        ``grid.physical``.
+        ``grid.physical``'s ``irfft``.  The samples go to ``out`` if given.
         """
         grid = self.grid
-        if grid.dim == 1:
-            return grid.physical(coef)
-        kept = coef[..., : grid.n // 3 + 1]
-        kept = np.fft.ifft(kept, axis=-2, norm="forward", out=kept if scratch else None)
-        return np.fft.irfft(kept, n=grid.n, axis=-1, norm="forward")
+        if grid.dim == 2:
+            kept = coef[..., : grid.n // 3 + 1]
+            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept if scratch else None)
+        return np.fft.irfft(coef, n=grid.n, axis=-1, norm="forward", out=out)
 
-    def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
+    def tendency(
+        self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False, out=None
+    ):
         """Dealiased tendencies of the coefficients (sigma, u), without the
         stiff -mu Lambda^alpha u term.
 
@@ -291,38 +353,60 @@ class SpectralPlan:
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
         with g = h(sigma) = rho - 1.  The nonlinear terms cost four batched
         transforms: (sigma, u, grad sigma, grad u) to the grid, h(sigma) back,
-        (g, Lambda^alpha g) to the grid, and the three products back.  Each
-        batch is filled in place, and the inverse transforms overwrite it; the
-        returned arrays own their memory.
+        (g, Lambda^alpha g) to the grid, and the three products back.  All of
+        them run in ``workspace`` (see ``Workspace`` for its layout), with the
+        operations and operation order of the out-of-place formula, so the
+        bits are the same.  ``sig`` and ``u`` are read only before anything
+        is written, so they may be the batch's own (sigma, u) slots.
+
+        The tendencies go to ``out`` = (d sigma, d u) if given (``step``
+        passes its slots); otherwise they are new arrays that own their memory.
         """
         p, dim, mask, ixi = self.params, self.grid.dim, self.mask, self.ixi
-        coef = np.empty((1 + 2 * dim + dim * dim,) + mask.shape, dtype=complex)
+        ws = self.workspace
+        coef = ws.batch
         np.multiply(sig, mask, out=coef[:1])
         np.multiply(u, mask, out=coef[1 : 1 + dim])
         np.multiply(ixi, coef[:1], out=coef[1 + dim : 1 + 2 * dim])
         grad_u = coef[1 + 2 * dim :].reshape((dim,) + u.shape)  # [a, i] = d_a u_i
         np.multiply(ixi[:, np.newaxis], coef[1 : 1 + dim], out=grad_u)
-        dsig = -p.lam * coef[1 + 2 * dim :: dim + 1].sum(axis=0, keepdims=True)  # div u
-        du = -p.lam * coef[1 + dim : 1 + 2 * dim]
+        if out is None:
+            out = np.empty((1,) + mask.shape, dtype=complex), np.empty_like(coef[1 : 1 + dim])
+        dsig, du = out
+        coef[1 + 2 * dim :: dim + 1].sum(axis=0, keepdims=True, out=dsig)  # div u
+        np.multiply(-p.lam, dsig, out=dsig)
+        np.multiply(-p.lam, coef[1 + dim : 1 + 2 * dim], out=du)
         if linear_only:
             return dsig, du
-        phys = self.band_physical(coef, scratch=True)
-        del coef, grad_u  # the batch is not needed past its transform
+        phys = self.band_physical(coef, scratch=True, out=ws.samples[: len(coef)])
         sv, uv = phys[0], phys[1 : 1 + dim]
         gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
-        div_u = sum(gu[i, i] for i in range(dim))
-        pair = np.empty((2,) + mask.shape, dtype=complex)  # (g, Lambda^alpha g)
-        np.multiply(self.grid.spectral(h_of_sigma(sv, p)), mask, out=pair[0])
+        pair = coef[:2]  # (g, Lambda^alpha g)
+        self.grid.spectral(h_of_sigma(sv, p, out=ws.pair[0]), out=pair[0])
+        np.multiply(pair[0], mask, out=pair[0])
         np.multiply(self.lam_alpha, pair[0], out=pair[1])
-        gv, lam_g = self.band_physical(pair, scratch=True)
-        prods = np.empty((1 + 2 * dim,) + sv.shape)
-        np.subtract(-(uv * gs).sum(axis=0), (p.gamma - 1.0) * sv * div_u, out=prods[0])
-        np.add(-(uv[:, np.newaxis] * gu).sum(axis=0), p.mu * uv * lam_g, out=prods[1 : 1 + dim])
+        gv, lam_g = self.band_physical(pair, scratch=True, out=ws.pair)
+        tmp = ws.scratch  # the batch's memory: its contents are dead from here
+        div_u = tmp[0]
+        np.add(0, gu[0, 0], out=div_u)  # 0 + d_1 u_1 + d_2 u_2, as sum() adds
+        for i in range(1, dim):
+            np.add(div_u, gu[i, i], out=div_u)
+        adv_sig, adv_u = tmp[1 + dim], tmp[1 : 1 + dim]  # adv_u takes uv * gs's slots
+        np.multiply(uv, gs, out=tmp[1 : 1 + dim]).sum(axis=0, out=adv_sig)
+        uv_gu = tmp[2 + dim : 2 + dim + dim * dim].reshape(gu.shape)
+        np.multiply(uv[:, np.newaxis], gu, out=uv_gu).sum(axis=0, out=adv_u)
+        prods = ws.products  # over slots of phys that are dead from here
+        compress = np.multiply(p.gamma - 1.0, sv, out=tmp[2 + dim])
+        np.multiply(compress, div_u, out=compress)
+        np.subtract(np.negative(adv_sig, out=adv_sig), compress, out=prods[0])
+        align = np.multiply(p.mu, uv, out=tmp[2 + dim : 2 + 2 * dim])
+        np.multiply(align, lam_g, out=align)
+        np.add(np.negative(adv_u, out=adv_u), align, out=prods[1 : 1 + dim])
         np.multiply(gv, uv, out=prods[1 + dim :])
-        prods = self.grid.spectral(prods)
+        prods = self.grid.spectral(prods, out=coef[: len(prods)])
         dsig += prods[:1]
         du += prods[1 : 1 + dim]
-        du -= p.mu * self.lam_alpha * prods[1 + dim :]
+        du -= np.multiply(self.mu_lam_alpha, prods[1 + dim :], out=prods[1 + dim :])
         return np.multiply(dsig, mask, out=dsig), np.multiply(du, mask, out=du)
 
 
@@ -394,7 +478,7 @@ def rhs(state: State, params: ModelParams, linear_only: bool = False):
     plan = plan_for(state.grid, params)
     u = state.u.coef
     dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
-    du -= params.mu * plan.lam_alpha * (u * plan.mask)
+    du -= plan.mu_lam_alpha * (u * plan.mask)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
 
 

@@ -9,7 +9,11 @@ through the grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares:
 4 transform batches per right-hand side, 17 per step with the vacuum guard.
 A batch is one NumPy FFT call in 1D and two in 2D, one 1D pass per axis; the
 inverse batches are masked, so their leading-axis pass runs only over the
-columns that the 2/3 rule keeps.
+columns that the 2/3 rule keeps.  The batches, the stage inputs and
+tendencies and the guard's samples live in the plan's ``workspace``, allocated
+on the first step and reused by every later one, so a step allocates only the
+state it returns.  A plan, and so ``step``, is not re-entrant: two threads
+must not step states of one (grid, params) at once.
 """
 
 from __future__ import annotations
@@ -196,34 +200,61 @@ def step(
 
     The four stages run on the coefficient arrays through
     ``plan_for(grid, params)`` (four transform batches each, one more for the
-    vacuum guard); the RK4 sums accumulate in place, in the formula's
-    operation order.
+    vacuum guard).  The stage inputs, the stage tendencies and the guard's
+    samples use the plan's ``workspace``, so the returned state is the only
+    new memory; like the plan, a step is not re-entrant across threads.  The
+    RK4 sums accumulate in place as the stages finish, in the formula's
+    operation order, so the bits are those of the out-of-place expression.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     grid = state.grid
     plan = plan_for(grid, params)
     e_half, e_full = plan.semigroup(dt)
-
-    tend = plan.tendency  # everything but the stiff term, dealiased
+    ws = plan.workspace
+    acc, ka, kb = ws.k  # the RK4 sum, from k1 on, and two stage tendencies
+    xs, xu = ws.batch[:1], ws.batch[1 : 1 + grid.dim]  # stage input, in place
+    half = 0.5 * dt
     s0, u0 = state.scalar.coef, state.u.coef
-    k1s, k1u = tend(s0, u0, linear_only)
-    k2s, k2u = tend(s0 + 0.5 * dt * k1s, (u0 + 0.5 * dt * k1u) * e_half, linear_only)
-    k3s, k3u = tend(s0 + 0.5 * dt * k2s, u0 * e_half + 0.5 * dt * k2u, linear_only)
-    k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u, linear_only)
-    s_new, u_new = k1s, k1u
-    for term in (2.0 * k2s, 2.0 * k3s, k4s):
-        s_new += term
-    k2u += k3u
-    u_new *= e_full
-    u_new += 2.0 * e_half * k2u
-    u_new += k4u
-    for acc, start in ((s_new, s0), (u_new, u0 * e_full)):
-        acc *= dt / 6.0
-        acc += start
-        acc *= plan.mask
 
-    mn = float(np.min(rho_from_sigma(plan.band_physical(s_new[0]), params)))
+    def tend(s, u, k):  # everything but the stiff term, dealiased, into k
+        plan.tendency(s, u, linear_only, out=(k[:1], k[1:]))
+
+    tend(s0, u0, acc)  # k1
+    # s0 + dt/2 k1s, (u0 + dt/2 k1u) e_half
+    np.add(s0, np.multiply(half, acc[:1], out=xs), out=xs)
+    np.add(u0, np.multiply(half, acc[1:], out=xu), out=xu)
+    np.multiply(xu, e_half, out=xu)
+    tend(xs, xu, ka)  # k2
+    # s0 + dt/2 k2s, u0 e_half + dt/2 k2u
+    np.add(s0, np.multiply(half, ka[:1], out=xs), out=xs)
+    np.multiply(u0, e_half, out=xu)
+    np.add(xu, np.multiply(half, ka[1:], out=kb[1:]), out=xu)
+    ka[:1] *= 2.0
+    acc[:1] += ka[:1]  # k1s + 2 k2s
+    acc[1:] *= e_full  # e_full k1u
+    tend(xs, xu, kb)  # k3
+    # s0 + dt k3s, u0 e_full + dt e_half k3u
+    np.add(s0, np.multiply(dt, kb[:1], out=xs), out=xs)
+    ka[1:] += kb[1:]  # k2u + k3u
+    np.multiply(np.multiply(dt, e_half, out=ws.factor), kb[1:], out=kb[1:])
+    np.add(np.multiply(u0, e_full, out=xu), kb[1:], out=xu)
+    kb[:1] *= 2.0
+    acc[:1] += kb[:1]  # + 2 k3s
+    acc[1:] += np.multiply(np.multiply(2.0, e_half, out=ws.factor), ka[1:], out=ka[1:])
+    tend(xs, xu, ka)  # k4
+    acc += ka
+    s_new = np.multiply(acc[:1], dt / 6.0)
+    s_new += s0
+    s_new *= plan.mask
+    u_new = np.multiply(acc[1:], dt / 6.0)
+    u_new += np.multiply(u0, e_full, out=kb[1:])
+    u_new *= plan.mask
+
+    guard = ws.batch[0]
+    np.copyto(guard, s_new[0])
+    samples = plan.band_physical(guard, scratch=True, out=ws.samples[0])
+    mn = float(np.min(rho_from_sigma(samples, params, out=samples)))
     # written so that a NaN (blown-up state) also trips the guard
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
@@ -301,9 +332,10 @@ def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
 def run(config: SimConfig, store_states: bool = False):
     """Advance the system to t_end, recording the norm trace.
 
-    Returns (trace, states) where ``states`` holds the sampled states when
-    ``store_states`` is set (including the final state of a completed run).
-    A run that stops early keeps the records so far and sets ``trace.status``:
+    Returns (trace, states) where ``states`` holds every recorded state when
+    ``store_states`` is set, and otherwise only the last recorded one; the
+    final state of a completed run is always recorded.  A run that stops
+    early keeps the records so far and sets ``trace.status``:
     "vacuum" when the density guard trips, "cfl" after three consecutive
     records whose dt exceeds ``cfl_limit``, or at once when the final record's
     dt exceeds it.
@@ -360,8 +392,9 @@ def run(config: SimConfig, store_states: bool = False):
         row["X3_sigma_int"] = int_sig
         row["X4_u_int"] = int_u
         trace.append(t, row)
-        if store_states:
-            states.append(st)
+        if not store_states:
+            states.clear()
+        states.append(st)
 
     record(state, 0.0)
     try:
@@ -386,9 +419,6 @@ def run(config: SimConfig, store_states: bool = False):
                     cfl_strikes = 0
     except VacuumError:
         trace.status = "vacuum"
-    if store_states and (trace.status == "ok"):
-        if not states or states[-1].t != state.t:
-            states.append(state)
     return trace, states
 
 

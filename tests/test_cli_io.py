@@ -14,7 +14,7 @@ from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
 from euleralign.model import ModelParams, State, sigma_from_rho
-from euleralign.simulation import SimConfig
+from euleralign.simulation import SimConfig, run
 from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
 
 
@@ -370,6 +370,56 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("norms", "x sigma homogeneous inf 1"),
+            ("norms", "x u hybrid 0.5 nan 2"),
+            ("norms", "x sigma low -inf 2 1"),
+            ("snapshot", ""),
+        ],
+    )
+    def test_bad_output_value_exits_2_before_the_run(self, tmp_path, capsys, key, value):
+        text = f"[grid]\nn = 32\n\n[time]\nt_end = 0.1\n\n[output]\n{key} = {value}\n"
+        cfg = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"output.{key}" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_snapshot_path_with_percent_is_written(self, tmp_path):
+        # a '%' is part of the path, not configparser interpolation
+        snap = tmp_path / "run%1.snap"
+        cfg = _write_config(tmp_path, RUN_INI.format(snap=snap))
+        assert parse_config(RUN_INI.format(snap=snap)).snapshot_path == str(snap)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 0
+        assert snap.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "time, amplitude, code",
+        [
+            ("t_end = 0.25\ndt = 0.015625", 0.01, 0),
+            ("t_end = 10.0\ndt = 0.2\ncadence = 1", 0.01, 4),  # CFL abort
+            ("t_end = 5.0\ndt = 0.05\ncfl = 1e9", 30.0, 3),  # vacuum abort
+        ],
+    )
+    def test_snapshot_is_the_last_recorded_state(self, tmp_path, time, amplitude, code):
+        # run keeps only its last record; the snapshot must have the bytes of
+        # the last of all the records that store_states keeps
+        snap = tmp_path / "final.snap"
+        text = (
+            f"[grid]\nn = 64\n\n[time]\n{time}\n\n"
+            f"[ic]\npreset = single_mode\namplitude = {amplitude}\n\n"
+            f"[output]\nsnapshot = {snap}\n"
+        )
+        cfg = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == code
+        config = parse_config(text)
+        _, states = run(config, store_states=True)
+        write_snapshot(str(tmp_path / "all.snap"), states[-1], config.model_params())
+        assert snap.read_bytes() == (tmp_path / "all.snap").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_vacuum_exits_3_with_partial_trace(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """The spectral plan and the fused real-FFT sigma-u right-hand side."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,34 @@ def test_results_own_their_memory(dim, n):
         for other in outs[i + 1 :] + shared + inputs:
             assert not np.shares_memory(arr, other)
     assert not any(arr.flags.writeable for arr in shared)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+def test_step_allocates_only_its_result(dim, n, gamma):
+    # after a warm-up step has built the workspace and the semigroup, the
+    # batches, stages and guard reuse it: the peak is about the new state
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
+    st = step(random_state(dim, n, seed=41), p, 1e-3)
+    tracemalloc.start()
+    try:
+        st = step(st, p, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (st.scalar.coef.nbytes + st.u.coef.nbytes)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_step_results_share_no_memory(dim, n):
+    a = random_state(dim, n, seed=43)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    b = step(a, p, 1e-3)
+    c = step(b, p, 1e-3)
+    work = list(vars(plan_for(a.grid, p).workspace).values())
+    outs = [b.scalar.coef, b.u.coef, c.scalar.coef, c.u.coef]
+    for i, arr in enumerate(outs):
+        for other in outs[i + 1 :] + [a.scalar.coef, a.u.coef, *work]:
+            assert not np.shares_memory(arr, other)
+    finer = plan_for(Grid(dim, 2 * n, 2 * np.pi), p)
+    assert not any(np.shares_memory(x, y) for x in work for y in vars(finer.workspace).values())

@@ -217,6 +217,12 @@ class TestRun:
         for col in t1.columns:
             assert np.array_equal(t1.column(col), t2.column(col))
 
+    def test_run_keeps_only_the_last_state(self):
+        c = SimConfig(n=64, t_end=0.25, dt=1.0 / 64.0, ic="single_mode")
+        trace, states = run(c)
+        assert len(states) == 1
+        assert states[0].t == c.t_end == trace.t[-1]
+
     def test_store_states_includes_final(self):
         c = SimConfig(n=64, t_end=0.25, dt=1.0 / 64.0, ic="single_mode")
         trace, states = run(c, store_states=True)
