@@ -108,7 +108,7 @@ def _cmd_analyze(args) -> int:
         st, params = read_snapshot(path)
         ep = LinearEnergyParams.from_model(params)
         norms = default_norm_columns(params, st.grid.dim, ep.j0)
-        row, _, _ = diagnostics_row(st, params, LPDecomp.for_grid(st.grid), norms)
+        row, *_ = diagnostics_row(st, params, LPDecomp.for_grid(st.grid), norms)
         if header is None:
             header = list(row.keys())
         rows.append([row[c] for c in header])
@@ -120,18 +120,18 @@ def _cmd_linear(args) -> int:
     ep = LinearEnergyParams(alpha=args.alpha, lam=args.lam, mu=args.mu)
     if not (1.0 < ep.alpha < 2.0):
         raise ParameterError(f"alpha must lie in (1, 2), got {ep.alpha}")
-    if ep.lam <= 0 or ep.mu <= 0:
-        raise ParameterError("lambda and mu must be > 0")
-    if args.xi:
-        xis = [float(x) for x in args.xi]
-    else:
+    xis = [float(x) for x in args.xi or ()]
+    flags = [("--lambda", ep.lam), ("--mu", ep.mu), ("--xi-min", args.xi_min),
+             ("--xi-max", args.xi_max)] + [("--xi", xi) for xi in xis]
+    for flag, value in flags:
+        if not 0 < value < np.inf:
+            raise ParameterError(f"{flag} must be finite and > 0, got {value}")
+    if not xis:
         xis = list(
             np.logspace(np.log10(args.xi_min), np.log10(args.xi_max), args.xi_count)
         )
     rows = []
     for xi in xis:
-        if xi <= 0:
-            raise ParameterError(f"|xi| must be > 0, got {xi}")
         fast, slow = mode_eigenvalues(xi, ep)
         rows.append(
             [

@@ -1,9 +1,11 @@
-"""The Euler-alignment model: parameters, state, and right-hand sides.
+"""The Euler-alignment model: parameters, state, right-hand sides and the step.
 
 A state holds the acoustic variable sigma (a monotone function of the
 density rho that vanishes at the equilibrium rho = 1) and the velocity u;
-``sigma_from_rho`` and ``rho_from_sigma`` convert samples.  ``rhs`` is the
-sigma-u right-hand side that the stepper shares.  ``rhs_conservative`` takes
+``sigma_from_rho`` and ``rho_from_sigma`` convert samples.  A
+``SpectralPlan`` per (grid, params) holds the sigma-u tendency and the
+integrating-factor RK4 ``step`` on coefficient arrays, with the buffers they
+share; ``rhs`` goes through the same tendency.  ``rhs_conservative`` takes
 (rho, u) through the conservative form; like the quadrature
 ``alignment_direct``, it is an oracle for tests, not a second solver path.
 
@@ -293,19 +295,20 @@ class Workspace:
 
 
 class SpectralPlan:
-    """Multipliers, the masked inverse transform, the sigma-u tendency and
-    the reusable buffers of one (grid, params).
+    """Multipliers, the masked inverse transform, the sigma-u tendency, the
+    integrating-factor RK4 step and the reusable buffers of one (grid, params).
 
     Arrays are the grid's cached read-only half-spectrum symbols: ``ixi``
     (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean zeroed)
     and ``mask`` (2/3 rule), and ``mu_lam_alpha`` = mu * ``lam_alpha``.  The
     tendency moves its batches to the grid with ``band_physical`` and back
-    with the grid's ``spectral``; in 2D each batch is two NumPy calls, one 1D
-    pass per axis.  Its batches and temporaries live in ``workspace``,
-    allocated on first use and reused by every later ``tendency`` and
-    ``simulation.step``, so the hot path allocates nothing but the results.
-    A plan is therefore not re-entrant: two threads must not run its
-    ``tendency`` or a ``step`` on it at once.  Use ``plan_for``.
+    with the grid's ``spectral``: 4 transform batches, and 17 per ``step``
+    with the vacuum guard.  In 2D each batch is two NumPy calls, one 1D pass
+    per axis.  The batches, temporaries, stage inputs and tendencies live in
+    ``workspace``, allocated on first use and reused by every later
+    ``tendency`` and ``step``, so a step allocates only the arrays it
+    returns.  A plan is therefore not re-entrant: two threads must not run
+    its ``tendency`` or ``step`` at once.  Use ``plan_for``.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -314,33 +317,33 @@ class SpectralPlan:
         self.lam_alpha = _lambda_symbol(grid, params.alpha)
         self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
         self.mask = grid.dealias_mask()
+        self._semigroup = None  # (dt, its pair): a run steps with one dt
 
     @functools.cached_property
     def workspace(self) -> Workspace:
         return Workspace(self.grid)
 
-    @functools.lru_cache(maxsize=4)
     def semigroup(self, dt: float):
-        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised per dt."""
-        p = self.params
-        e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
-        return e_half, read_only(e_half * e_half)
+        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt."""
+        if self._semigroup is None or self._semigroup[0] != dt:
+            p = self.params
+            e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
+            self._semigroup = dt, (e_half, read_only(e_half * e_half))
+        return self._semigroup[1]
 
-    def band_physical(
-        self, coef: np.ndarray, scratch: bool = False, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def band_physical(self, coef: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``grid.physical`` of coefficients that ``mask`` has zeroed, bit for bit.
 
         In 2D the leading-axis ``ifft`` runs only over the last-axis columns
-        k <= n/3 that the 2/3 rule keeps; ``irfft`` zero-pads the others.
-        With ``scratch`` that pass overwrites the kept columns of ``coef``,
-        which must then be the caller's own batch.  On a 1D grid this is
+        k <= n/3 that the 2/3 rule keeps, in place: it overwrites them in
+        ``coef``, which is always one of the workspace's batches.  ``irfft``
+        zero-pads the other columns.  On a 1D grid this is
         ``grid.physical``'s ``irfft``.  The samples go to ``out`` if given.
         """
         grid = self.grid
         if grid.dim == 2:
             kept = coef[..., : grid.n // 3 + 1]
-            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept if scratch else None)
+            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
         return np.fft.irfft(coef, n=grid.n, axis=-1, norm="forward", out=out)
 
     def tendency(
@@ -378,14 +381,14 @@ class SpectralPlan:
         np.multiply(-p.lam, coef[1 + dim : 1 + 2 * dim], out=du)
         if linear_only:
             return dsig, du
-        phys = self.band_physical(coef, scratch=True, out=ws.samples[: len(coef)])
+        phys = self.band_physical(coef, out=ws.samples[: len(coef)])
         sv, uv = phys[0], phys[1 : 1 + dim]
         gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
         pair = coef[:2]  # (g, Lambda^alpha g)
         self.grid.spectral(h_of_sigma(sv, p, out=ws.pair[0]), out=pair[0])
         np.multiply(pair[0], mask, out=pair[0])
         np.multiply(self.lam_alpha, pair[0], out=pair[1])
-        gv, lam_g = self.band_physical(pair, scratch=True, out=ws.pair)
+        gv, lam_g = self.band_physical(pair, out=ws.pair)
         tmp = ws.scratch  # the batch's memory: its contents are dead from here
         div_u = tmp[0]
         np.add(0, gu[0, 0], out=div_u)  # 0 + d_1 u_1 + d_2 u_2, as sum() adds
@@ -408,6 +411,62 @@ class SpectralPlan:
         du += prods[1 : 1 + dim]
         du -= np.multiply(self.mu_lam_alpha, prods[1 + dim :], out=prods[1 + dim :])
         return np.multiply(dsig, mask, out=dsig), np.multiply(du, mask, out=du)
+
+    def step(self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False):
+        """One integrating-factor RK4 step of the coefficients (sigma, u).
+
+        The stiff -mu Lambda^alpha u term is integrated exactly through
+        ``semigroup(dt)``, the rest through four ``tendency`` stages.  They run
+        in ``workspace``, and the RK4 sums accumulate in place as the stages
+        finish, in the formula's operation order, so the bits are those of the
+        out-of-place expression.  Returns the new (sigma, u), the only new
+        memory, once the vacuum guard has passed the new sigma's density; a
+        NaN trips the guard too.
+        """
+        e_half, e_full = self.semigroup(dt)
+        ws = self.workspace
+        acc, ka, kb = ws.k  # the RK4 sum, from k1 on, and two stage tendencies
+        xs, xu = ws.batch[:1], ws.batch[1 : 1 + self.grid.dim]  # stage input, in place
+        half = 0.5 * dt
+
+        self.tendency(sig, u, linear_only, out=(acc[:1], acc[1:]))  # k1
+        # sig + dt/2 k1s, (u + dt/2 k1u) e_half
+        np.add(sig, np.multiply(half, acc[:1], out=xs), out=xs)
+        np.add(u, np.multiply(half, acc[1:], out=xu), out=xu)
+        np.multiply(xu, e_half, out=xu)
+        self.tendency(xs, xu, linear_only, out=(ka[:1], ka[1:]))  # k2
+        # sig + dt/2 k2s, u e_half + dt/2 k2u
+        np.add(sig, np.multiply(half, ka[:1], out=xs), out=xs)
+        np.multiply(u, e_half, out=xu)
+        np.add(xu, np.multiply(half, ka[1:], out=kb[1:]), out=xu)
+        ka[:1] *= 2.0
+        acc[:1] += ka[:1]  # k1s + 2 k2s
+        acc[1:] *= e_full  # e_full k1u
+        self.tendency(xs, xu, linear_only, out=(kb[:1], kb[1:]))  # k3
+        # sig + dt k3s, u e_full + dt e_half k3u
+        np.add(sig, np.multiply(dt, kb[:1], out=xs), out=xs)
+        ka[1:] += kb[1:]  # k2u + k3u
+        np.multiply(np.multiply(dt, e_half, out=ws.factor), kb[1:], out=kb[1:])
+        np.add(np.multiply(u, e_full, out=xu), kb[1:], out=xu)
+        kb[:1] *= 2.0
+        acc[:1] += kb[:1]  # + 2 k3s
+        acc[1:] += np.multiply(np.multiply(2.0, e_half, out=ws.factor), ka[1:], out=ka[1:])
+        self.tendency(xs, xu, linear_only, out=(ka[:1], ka[1:]))  # k4
+        acc += ka
+        s_new = np.multiply(acc[:1], dt / 6.0)
+        s_new += sig
+        s_new *= self.mask
+        u_new = np.multiply(acc[1:], dt / 6.0)
+        u_new += np.multiply(u, e_full, out=kb[1:])
+        u_new *= self.mask
+
+        guard = ws.batch[0]
+        np.copyto(guard, s_new[0])
+        samples = self.band_physical(guard, out=ws.samples[0])
+        mn = float(np.min(rho_from_sigma(samples, self.params, out=samples)))
+        if not (mn >= VACUUM_THRESHOLD):
+            raise VacuumError(mn)
+        return s_new, u_new
 
 
 @functools.lru_cache(maxsize=8)

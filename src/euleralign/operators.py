@@ -156,9 +156,9 @@ def grad_lambda_inv(d: SpectralField) -> SpectralField:
 
 def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> SpectralField:
     """Fractional heat semigroup e^{-mu t Lambda^alpha} f."""
-    if t < 0:
+    if not t >= 0:
         raise ParameterError(f"t must be >= 0, got {t}")
-    if mu <= 0:
+    if not mu > 0:
         raise ParameterError(f"mu must be > 0, got {mu}")
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")

@@ -4,16 +4,9 @@ The stepper is an integrating-factor RK4: the stiff dissipation mu*Lambda^alpha
 acting on u is integrated exactly through the fractional heat semigroup, and
 everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
-transformed.  The stages run on the fields' half-spectrum coefficients
-through the grid's cached ``model.SpectralPlan``, which ``model.rhs`` shares:
-4 transform batches per right-hand side, 17 per step with the vacuum guard.
-A batch is one NumPy FFT call in 1D and two in 2D, one 1D pass per axis; the
-inverse batches are masked, so their leading-axis pass runs only over the
-columns that the 2/3 rule keeps.  The batches, the stage inputs and
-tendencies and the guard's samples live in the plan's ``workspace``, allocated
-on the first step and reused by every later one, so a step allocates only the
-state it returns.  A plan, and so ``step``, is not re-entrant: two threads
-must not step states of one (grid, params) at once.
+transformed.  ``step`` runs ``model.SpectralPlan.step`` of the state's
+(grid, params) on its half-spectrum coefficients; like the plan, it is not
+re-entrant: two threads must not step states of one (grid, params) at once.
 """
 
 from __future__ import annotations
@@ -28,14 +21,7 @@ from .besov import NormSpec, NormTrace, besov_norm_from_blocks
 from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
-from .model import (
-    ModelParams,
-    State,
-    VACUUM_THRESHOLD,
-    VacuumError,
-    plan_for,
-    rho_from_sigma,
-)
+from .model import ModelParams, State, VacuumError, plan_for, rho_from_sigma
 from .operators import (
     ParameterError,
     _lambda_symbol,
@@ -99,6 +85,11 @@ class SimConfig:
             raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
             raise ParameterError(f"unknown ic preset {self.ic!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        # the 2/3 rule keeps |k| <= n/3: a higher mode aliases or is zeroed
+        if not 1 <= self.ic_mode <= self.n // 3:
+            raise ParameterError(f"ic_mode must lie in [1, {self.n // 3}], got {self.ic_mode}")
         if self.decay_window is not None and not 0 <= self.decay_window[0] < self.decay_window[1]:
             raise ParameterError(f"decay window needs 0 <= t_a < t_b, got {self.decay_window}")
         if self.decay_kind not in ("power", "exp"):
@@ -196,69 +187,16 @@ def step(
     dt: float,
     linear_only: bool = False,
 ) -> State:
-    """One integrating-factor RK4 step.
+    """One integrating-factor RK4 step: ``SpectralPlan.step`` of
+    ``plan_for(grid, params)`` on the state's coefficients.
 
-    The four stages run on the coefficient arrays through
-    ``plan_for(grid, params)`` (four transform batches each, one more for the
-    vacuum guard).  The stage inputs, the stage tendencies and the guard's
-    samples use the plan's ``workspace``, so the returned state is the only
-    new memory; like the plan, a step is not re-entrant across threads.  The
-    RK4 sums accumulate in place as the stages finish, in the formula's
-    operation order, so the bits are those of the out-of-place expression.
+    Raises ``VacuumError`` when the new density nears vacuum.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     grid = state.grid
-    plan = plan_for(grid, params)
-    e_half, e_full = plan.semigroup(dt)
-    ws = plan.workspace
-    acc, ka, kb = ws.k  # the RK4 sum, from k1 on, and two stage tendencies
-    xs, xu = ws.batch[:1], ws.batch[1 : 1 + grid.dim]  # stage input, in place
-    half = 0.5 * dt
-    s0, u0 = state.scalar.coef, state.u.coef
-
-    def tend(s, u, k):  # everything but the stiff term, dealiased, into k
-        plan.tendency(s, u, linear_only, out=(k[:1], k[1:]))
-
-    tend(s0, u0, acc)  # k1
-    # s0 + dt/2 k1s, (u0 + dt/2 k1u) e_half
-    np.add(s0, np.multiply(half, acc[:1], out=xs), out=xs)
-    np.add(u0, np.multiply(half, acc[1:], out=xu), out=xu)
-    np.multiply(xu, e_half, out=xu)
-    tend(xs, xu, ka)  # k2
-    # s0 + dt/2 k2s, u0 e_half + dt/2 k2u
-    np.add(s0, np.multiply(half, ka[:1], out=xs), out=xs)
-    np.multiply(u0, e_half, out=xu)
-    np.add(xu, np.multiply(half, ka[1:], out=kb[1:]), out=xu)
-    ka[:1] *= 2.0
-    acc[:1] += ka[:1]  # k1s + 2 k2s
-    acc[1:] *= e_full  # e_full k1u
-    tend(xs, xu, kb)  # k3
-    # s0 + dt k3s, u0 e_full + dt e_half k3u
-    np.add(s0, np.multiply(dt, kb[:1], out=xs), out=xs)
-    ka[1:] += kb[1:]  # k2u + k3u
-    np.multiply(np.multiply(dt, e_half, out=ws.factor), kb[1:], out=kb[1:])
-    np.add(np.multiply(u0, e_full, out=xu), kb[1:], out=xu)
-    kb[:1] *= 2.0
-    acc[:1] += kb[:1]  # + 2 k3s
-    acc[1:] += np.multiply(np.multiply(2.0, e_half, out=ws.factor), ka[1:], out=ka[1:])
-    tend(xs, xu, ka)  # k4
-    acc += ka
-    s_new = np.multiply(acc[:1], dt / 6.0)
-    s_new += s0
-    s_new *= plan.mask
-    u_new = np.multiply(acc[1:], dt / 6.0)
-    u_new += np.multiply(u0, e_full, out=kb[1:])
-    u_new *= plan.mask
-
-    guard = ws.batch[0]
-    np.copyto(guard, s_new[0])
-    samples = plan.band_physical(guard, scratch=True, out=ws.samples[0])
-    mn = float(np.min(rho_from_sigma(samples, params, out=samples)))
-    # written so that a NaN (blown-up state) also trips the guard
-    if not (mn >= VACUUM_THRESHOLD):
-        raise VacuumError(mn)
-    return State(SpectralField(grid, s_new), SpectralField(grid, u_new), state.t + dt)
+    sig, u = plan_for(grid, params).step(state.scalar.coef, state.u.coef, dt, linear_only)
+    return State(SpectralField(grid, sig), SpectralField(grid, u), state.t + dt)
 
 
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
@@ -287,15 +225,15 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
 # -- run orchestration ------------------------------------------------------
 
 
-def cfl_limit(config: SimConfig, state: State, params: ModelParams) -> float:
-    """Acoustic CFL limit cfl * dx / (max|u| + lam) of a state."""
-    umax = float(np.max(np.abs(state.u.to_physical())))
+def cfl_limit(config: SimConfig, uv: np.ndarray, params: ModelParams) -> float:
+    """Acoustic CFL limit cfl * dx / (max|u| + lam) of the velocity samples uv."""
+    umax = float(np.max(np.abs(uv)))
     return config.cfl * config.grid().dx / (umax + params.lam)
 
 
 def default_dt(config: SimConfig, state: State, params: ModelParams) -> float:
     """The CFL limit of the initial state, capped at dx/2."""
-    return min(cfl_limit(config, state, params), 0.5 * config.grid().dx)
+    return min(cfl_limit(config, state.u.to_physical(), params), 0.5 * config.grid().dx)
 
 
 def default_norm_columns(params: ModelParams, dim: int, j0: int):
@@ -312,7 +250,8 @@ def default_norm_columns(params: ModelParams, dim: int, j0: int):
 
 def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
     """Trace columns of a state (t, min rho, mass, momentum, L2 norms,
-    one Besov-type norm per ``norm_list`` entry), and its sigma and u block norms."""
+    one Besov-type norm per ``norm_list`` entry), its sigma and u block norms,
+    and its velocity samples."""
     js = np.array(lp.j_range)
     sig_mf, u_mf = st.scalar.mean_free(), st.u.mean_free()
     bn_sig, bn_u = lp.block_norms(sig_mf), lp.block_norms(u_mf)
@@ -326,7 +265,7 @@ def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
     row["l2_u"] = u_mf.l2()
     for name, target, spec in norm_list:
         row[name] = besov_norm_from_blocks(js, bn_u if target == "u" else bn_sig, spec)
-    return row, bn_sig, bn_u
+    return row, bn_sig, bn_u, uv
 
 
 def run(config: SimConfig, store_states: bool = False):
@@ -375,10 +314,10 @@ def run(config: SimConfig, store_states: bool = False):
     states = []
     cfl_strikes = 0
 
-    def record(st: State, t: float):
+    def record(st: State, t: float):  # returns the velocity samples, for the CFL check
         nonlocal int_sig, int_u, prev_sig_inst, prev_u_inst, prev_t
         nonlocal sup_sig_blocks, sup_u_blocks
-        row, bn_sig, bn_u = diagnostics_row(st, params, lp, norm_list)
+        row, bn_sig, bn_u, uv = diagnostics_row(st, params, lp, norm_list)
         sup_sig_blocks = np.maximum(sup_sig_blocks, bn_sig)
         sup_u_blocks = np.maximum(sup_u_blocks, bn_u)
         x3_inst = besov_norm_from_blocks(js, bn_sig, spec_x3)
@@ -395,6 +334,7 @@ def run(config: SimConfig, store_states: bool = False):
         if not store_states:
             states.clear()
         states.append(st)
+        return uv
 
     record(state, 0.0)
     try:
@@ -403,8 +343,7 @@ def run(config: SimConfig, store_states: bool = False):
             if istep % cadence == 0:
                 t = istep * dt
                 state.t = t
-                record(state, t)
-                limit = cfl_limit(config, state, params)
+                limit = cfl_limit(config, record(state, t), params)
                 if dt > limit:
                     cfl_strikes += 1
                     warnings.warn(

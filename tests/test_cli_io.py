@@ -328,9 +328,23 @@ class TestCLI:
         assert main(["run", "--config", str(tmp_path / "nope.ini"), "--output", "-"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, "[model]\nalpha = 2.5\n")
-        assert main(["run", "--config", cfg, "--output", "-"]) == 2
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "alpha", "2.5"),
+            ("ic", "seed", "-1"),
+            ("ic", "mode", "0"),
+            ("ic", "mode", "12"),  # above n/3 = 10: dealiased to a zero field
+            ("ic", "mode", "100"),  # aliased onto mode 4
+        ],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, section, key, value):
+        # rejected at parse time: no banner, no trace
+        cfg = _write_config(tmp_path, f"[grid]\nn = 32\n\n[{section}]\n{key} = {value}\n")
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert key in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
         "line", ["dt = -0.01", "dt = 0", "cfl = -0.4", "cfl = 0", "cadence = -1", "cadence = 0"]
@@ -528,6 +542,28 @@ dt = 1e9
             == 2
         )
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda", "nan"),
+            ("--lambda", "0"),
+            ("--mu", "inf"),
+            ("--mu", "-1"),
+            ("--xi", "nan"),
+            ("--xi-min", "-1"),
+            ("--xi-max", "inf"),
+        ],
+    )
+    def test_linear_rejects_a_non_finite_or_non_positive_flag(self, capsys, flag, value):
+        argv = ["linear", "--alpha", "1.5", "--lambda", "1", "--mu", "1", flag, value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert f"{flag} must be finite and > 0" in err and out == ""
+
+    def test_heat_decay_rejects_a_nan_mu(self, capsys):
+        assert main(["heat-decay", "--n", "64", "--mu", "nan", "--output", "-"]) == 2
+        assert "mu must be > 0" in capsys.readouterr().err
 
     def test_heat_decay_small(self, tmp_path, capsys):
         out = str(tmp_path / "hd.csv")

@@ -96,10 +96,7 @@ class TestGrid:
         values = np.random.default_rng(n).standard_normal((5,) + g.shape)
         coef = g.spectral(values) * plan.mask
         want = np.fft.irfftn(coef, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward")
-        kept = coef.copy()
         assert plan.band_physical(coef).tobytes() == want.tobytes()
-        assert coef.tobytes() == kept.tobytes()  # without scratch, coef is only read
-        assert plan.band_physical(kept, scratch=True).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32)])
     def test_in_place_transforms_leave_the_state_untouched(self, dim, n):

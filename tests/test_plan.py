@@ -1,6 +1,8 @@
 """The spectral plan and the fused real-FFT sigma-u right-hand side."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +161,18 @@ def test_plan_is_shared_and_read_only():
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
     assert plan.semigroup(0.1) is plan.semigroup(0.1)
+
+
+def test_a_dropped_plan_is_collected():
+    # the semigroup memo lives on the plan, so no shared cache keeps a plan,
+    # and its workspace, alive once plan_for has dropped it
+    st = random_state(2, 16, seed=7)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2)
+    step(st, p, 1e-3)
+    plan = weakref.ref(plan_for(st.grid, p))
+    plan_for.cache_clear()
+    gc.collect()
+    assert plan() is None
 
 
 def test_plan_rejects_a_dimension_mismatch():

@@ -244,6 +244,21 @@ class TestRun:
         assert "extra" in trace.columns
         assert np.all(trace.column("extra") >= 0)
 
+    def test_a_record_inverts_u_once(self, monkeypatch):
+        # the CFL check reads max|u| from the samples the record made: one
+        # sigma and one u inverse transform per record, none in the steps
+        shapes = []
+        physical = Grid.physical
+
+        def counting(grid, coef):
+            shapes.append(coef.shape)
+            return physical(grid, coef)
+
+        monkeypatch.setattr(Grid, "physical", counting)
+        trace, _ = run(SimConfig(dim=2, n=32, t_end=0.05, dt=0.01, cadence=1))
+        assert len(trace.t) == 6
+        assert shapes == [(1, 32, 17), (2, 32, 17)] * 6
+
     def test_cfl_violation_escalates(self):
         # huge dt against the acoustic speed: three warned strikes, then a
         # "cfl" stop that keeps the t=0 record and the three strike records
