@@ -41,10 +41,8 @@ from .model import (
 from .linear import (
     DELTA,
     LinearEnergyParams,
-    ModeState,
     energy_Yj,
     kernel_bound_check,
-    linear_propagate,
     mode_eigenvalues,
     mode_matrix,
     propagate_pair_field,

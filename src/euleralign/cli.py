@@ -122,7 +122,8 @@ def _cmd_linear(args) -> int:
         raise ParameterError(f"alpha must lie in (1, 2), got {ep.alpha}")
     xis = [float(x) for x in args.xi or ()]
     flags = [("--lambda", ep.lam), ("--mu", ep.mu), ("--xi-min", args.xi_min),
-             ("--xi-max", args.xi_max)] + [("--xi", xi) for xi in xis]
+             ("--xi-max", args.xi_max), ("--xi-count", args.xi_count)]
+    flags += [("--xi", xi) for xi in xis]
     for flag, value in flags:
         if not 0 < value < np.inf:
             raise ParameterError(f"{flag} must be finite and > 0, got {value}")

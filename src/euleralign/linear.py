@@ -6,6 +6,9 @@ Per frequency, the compressible pair (sigma_hat, d_hat) obeys
          [d_hat    ] = [ lam*|xi| -mu*|xi|^a ] [d_hat    ]
 
 while each incompressible component decays at the pure rate -mu*|xi|^alpha.
+``propagate_pair_field`` is the one exact flow of the pair: it applies the
+closed-form exponential e^{Mt} = c0 I + c1 M to every frequency of a field
+at once (``simulation.linear_exact_flow`` adds the incompressible part).
 The regime threshold |xi|^{alpha-1} = 4*lam/mu separates the damped-wave
 (low) and damped/parabolic (high) behavior; the block energies Y_j carry the
 corresponding decay rates.
@@ -23,12 +26,10 @@ from .operators import ParameterError, _lambda_symbol, lambda_power
 
 __all__ = [
     "LinearEnergyParams",
-    "ModeState",
     "mode_matrix",
     "mode_eigenvalues",
     "regime_classify",
     "energy_Yj",
-    "linear_propagate",
     "propagate_pair_field",
     "rate_floor",
     "kernel_bound_check",
@@ -86,20 +87,6 @@ class LinearEnergyParams:
     def xi_threshold(self) -> float:
         """|xi| at the regime boundary."""
         return (4.0 * self.lam / self.mu) ** (1.0 / (self.alpha - 1.0))
-
-
-@dataclass
-class ModeState:
-    """Single-frequency compressible pair, plus optional incompressible scalars."""
-
-    xi: float
-    sigma: complex
-    d: complex
-    pu: np.ndarray | None = None
-
-    def norm(self) -> float:
-        extra = 0.0 if self.pu is None else float(np.sum(np.abs(self.pu) ** 2))
-        return float(np.sqrt(abs(self.sigma) ** 2 + abs(self.d) ** 2 + extra))
 
 
 def mode_matrix(xi: float, ep: LinearEnergyParams):
@@ -198,27 +185,6 @@ def _expm_2x2_coeffs(a: np.ndarray, b: np.ndarray, t: float):
     return c0, c1
 
 
-def linear_propagate(mode: ModeState, t: float, ep: LinearEnergyParams) -> ModeState:
-    """Exact flow of the mode over time t (closed-form 2x2 exponential)."""
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
-    a = np.array(ep.lam * mode.xi)
-    b = np.array(ep.mu * mode.xi**ep.alpha)
-    sig, d = _apply_pair_flow(mode.sigma, mode.d, a, b, t, frozen=False)
-    pu = None if mode.pu is None else np.asarray(mode.pu) * np.exp(-b * t)
-    return ModeState(mode.xi, complex(sig), complex(d), pu)
-
-
-def _apply_pair_flow(s0, d0, a, b, t, frozen):
-    """Vectorized 2x2 flow on coefficient arrays; ``frozen`` modes invariant."""
-    c0, c1 = _expm_2x2_coeffs(a, b, t)
-    s1 = c0 * s0 - c1 * a * d0
-    d1 = c1 * a * s0 + (c0 - c1 * b) * d0
-    s1 = np.where(frozen, s0, s1)
-    d1 = np.where(frozen, d0, d1)
-    return s1, d1
-
-
 def propagate_pair_field(
     sigma: SpectralField,
     d: SpectralField,
@@ -231,13 +197,16 @@ def propagate_pair_field(
     ``coupling`` overrides the wave-coupling magnitude per mode (default
     |xi|); the damping always uses mu |xi|^alpha.  The mean mode is invariant.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"t must be finite and >= 0, got {t}")
     grid = sigma.grid
     xi = grid.xi_norm()
     a = ep.lam * (xi if coupling is None else coupling)
     b = ep.mu * _lambda_symbol(grid, ep.alpha)
-    s1, d1 = _apply_pair_flow(sigma.coef[0], d.coef[0], a, b, t, frozen=(xi == 0))
+    s0, d0 = sigma.coef[0], d.coef[0]
+    c0, c1 = _expm_2x2_coeffs(a, b, t)
+    s1 = np.where(xi == 0, s0, c0 * s0 - c1 * a * d0)
+    d1 = np.where(xi == 0, d0, c1 * a * s0 + (c0 - c1 * b) * d0)
     return SpectralField(grid, s1[np.newaxis]), SpectralField(grid, d1[np.newaxis])
 
 

@@ -156,8 +156,8 @@ def grad_lambda_inv(d: SpectralField) -> SpectralField:
 
 def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> SpectralField:
     """Fractional heat semigroup e^{-mu t Lambda^alpha} f."""
-    if not t >= 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"t must be finite and >= 0, got {t}")
     if not mu > 0:
         raise ParameterError(f"mu must be > 0, got {mu}")
     if not (0.0 < alpha < 2.0):

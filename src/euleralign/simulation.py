@@ -77,8 +77,8 @@ class SimConfig:
             raise ParameterError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 0 < self.amplitude < np.inf:
             raise ParameterError(f"amplitude must be finite and > 0, got {self.amplitude}")
-        if self.dt is not None and not self.dt > 0:
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
         if not self.cfl > 0:
             raise ParameterError(f"cfl must be > 0, got {self.cfl}")
         if self.cadence is not None and self.cadence < 1:
@@ -192,8 +192,8 @@ def step(
 
     Raises ``VacuumError`` when the new density nears vacuum.
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be finite and > 0, got {dt}")
     grid = state.grid
     sig, u = plan_for(grid, params).step(state.scalar.coef, state.u.coef, dt, linear_only)
     return State(SpectralField(grid, sig), SpectralField(grid, u), state.t + dt)
@@ -202,9 +202,9 @@ def step(
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     """Exact solution of the linearized (constant-coefficient) system.
 
-    The compressible pair (sigma, d) is propagated per frequency by the
-    closed-form mode exponential; the incompressible part decays under the
-    fractional heat semigroup.
+    The compressible pair (sigma, d) is propagated by ``propagate_pair_field``,
+    which rejects a negative or non-finite t; the incompressible part decays
+    under the fractional heat semigroup.
     """
     ep = LinearEnergyParams.from_model(params)
     d = lambda_inv_div(state.u)

@@ -553,6 +553,8 @@ dt = 1e9
             ("--xi", "nan"),
             ("--xi-min", "-1"),
             ("--xi-max", "inf"),
+            ("--xi-count", "0"),
+            ("--xi-count", "-3"),
         ],
     )
     def test_linear_rejects_a_non_finite_or_non_positive_flag(self, capsys, flag, value):

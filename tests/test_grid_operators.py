@@ -338,6 +338,12 @@ class TestHeatSemigroup:
         with pytest.raises(ParameterError):
             heat_semigroup(f, 2.5, 1.0, 0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        f = SpectralField.from_physical(Grid(1, 16, 1.0), np.ones(16))
+        with pytest.raises(ParameterError, match="t must be finite"):
+            heat_semigroup(f, 1.5, 1.0, t)
+
 
 class TestDealiasAndProducts:
     def test_dealias_idempotent(self):

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from euleralign.grid import Grid, SpectralField
 from euleralign.linear import (
     LinearEnergyParams,
-    ModeState,
+    _expm_2x2_coeffs,
     energy_Yj,
     kernel_bound_check,
-    linear_propagate,
     mode_eigenvalues,
     mode_matrix,
     propagate_pair_field,
@@ -19,7 +21,7 @@ from euleralign.linear import (
 )
 from euleralign.lp import LPDecomp
 from euleralign.model import ModelParams
-from euleralign.operators import ParameterError, lambda_power
+from euleralign.operators import ParameterError, heat_semigroup, lambda_power
 
 EP = LinearEnergyParams(alpha=1.5, lam=1.0, mu=1.0)
 
@@ -134,69 +136,114 @@ class TestBlockEnergy:
         assert energy_Yj(z, z, 2, EP) == 0.0
 
 
-class TestPropagator:
-    def test_identity_at_t0(self):
-        m = ModeState(xi=3.0, sigma=1.0 + 2.0j, d=-0.5j, pu=np.array([0.7]))
-        out = linear_propagate(m, 0.0, EP)
-        assert out.sigma == pytest.approx(m.sigma)
-        assert out.d == pytest.approx(m.d)
-        assert np.allclose(out.pu, m.pu)
+def _mode_field(g, values):
+    """A scalar field that is zero but for the given {index: coefficient} modes."""
+    coef = np.zeros(g.spectral_shape, dtype=np.complex128)
+    for idx, value in values.items():
+        coef[idx] = value
+    return SpectralField(g, coef[np.newaxis])
 
-    def test_group_law(self):
-        m = ModeState(xi=2.5, sigma=0.3 - 0.1j, d=1.0 + 0.2j)
-        a = linear_propagate(linear_propagate(m, 0.7, EP), 0.5, EP)
-        b = linear_propagate(m, 1.2, EP)
-        assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
-        assert a.d == pytest.approx(b.d, rel=1e-12)
+
+class TestPropagator:
+    # the exact flow of the (sigma, d) pair is propagate_pair_field; L = 4 pi
+    # puts |xi| = k/2 on the lattice, so each tested |xi| is a grid mode
+    G = Grid(1, 256, 4.0 * np.pi)
+
+    def test_identity_at_t0(self):
+        rng = np.random.default_rng(3)
+        s = SpectralField.from_physical(self.G, rng.standard_normal(self.G.shape))
+        d = SpectralField.from_physical(self.G, rng.standard_normal(self.G.shape))
+        s1, d1 = propagate_pair_field(s, d, 0.0, EP)
+        np.testing.assert_allclose(s1.coef, s.coef, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(d1.coef, d.coef, rtol=1e-12, atol=1e-15)
+        # the incompressible part: the heat semigroup at t = 0
+        pu = SpectralField.from_physical(self.G, rng.standard_normal(self.G.shape))
+        np.testing.assert_allclose(heat_semigroup(pu, EP.alpha, EP.mu, 0.0).coef, pu.coef)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        hnp.arrays(np.float64, (2, 32), elements=st.floats(-1, 1)),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 2.0),
+    )
+    def test_group_law(self, values, t1, t2):
+        g = Grid(1, 32, 4.0 * np.pi)
+        s = SpectralField.from_physical(g, values[0])
+        d = SpectralField.from_physical(g, values[1])
+        s1, d1 = propagate_pair_field(*propagate_pair_field(s, d, t1, EP), t2, EP)
+        s2, d2 = propagate_pair_field(s, d, t1 + t2, EP)
+        scale = max(float(np.max(np.abs(s.coef))), float(np.max(np.abs(d.coef))), 1e-300)
+        np.testing.assert_allclose(s1.coef, s2.coef, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(d1.coef, d2.coef, rtol=0, atol=1e-12 * scale)
 
     def test_matches_scipy_expm(self):
-        for xi in (0.5, 1.0, 15.0, 16.0, 40.0):
+        t = 0.05
+        ks = {xi: int(2 * xi) for xi in (0.5, 1.0, 15.0, 16.0, 40.0)}
+        ones = _mode_field(self.G, {k: 1.0 for k in ks.values()})
+        zero = SpectralField.zeros(self.G)
+        from_s = propagate_pair_field(ones, zero, t, EP)
+        from_d = propagate_pair_field(zero, ones, t, EP)
+        for xi, k in ks.items():
             m, _ = mode_matrix(xi, EP)
-            t = 0.05
             em = expm(m * t)
-            st = linear_propagate(ModeState(xi, 1.0, 0.0), t, EP)
-            assert st.sigma == pytest.approx(em[0, 0], rel=1e-10, abs=1e-12)
-            assert st.d == pytest.approx(em[1, 0], rel=1e-10, abs=1e-12)
-            st = linear_propagate(ModeState(xi, 0.0, 1.0), t, EP)
-            assert st.sigma == pytest.approx(em[0, 1], rel=1e-10, abs=1e-12)
-            assert st.d == pytest.approx(em[1, 1], rel=1e-10, abs=1e-12)
+            for col, (sig, d) in enumerate((from_s, from_d)):
+                assert sig.coef[0, k] == pytest.approx(em[0, col], rel=1e-10, abs=1e-12)
+                assert d.coef[0, k] == pytest.approx(em[1, col], rel=1e-10, abs=1e-12)
 
     def test_near_double_root_continuity(self):
         # eigenvalues collide when b = 2a, i.e. mu xi^a = 2 lam xi
         ep = LinearEnergyParams(alpha=1.5, lam=1.0, mu=2.0)  # collision at xi = 1
         t = 0.3
-        vals = []
-        for eps in (1e-6, 1e-9, 0.0, -1e-9, -1e-6):
-            xi = 1.0 + eps
-            st = linear_propagate(ModeState(xi, 1.0, 1.0), t, ep)
-            vals.append((st.sigma, st.d))
+        xi = 1.0 + np.array([1e-6, 1e-9, 0.0, -1e-9, -1e-6])
+        c0, c1 = _expm_2x2_coeffs(ep.lam * xi, ep.mu * xi**ep.alpha, t)
+        # e^{Mt} (1, 1) = c0 (1, 1) + c1 M (1, 1) per mode
+        vals = [
+            (c0[i] * np.eye(2) + c1[i] * mode_matrix(x, ep)[0]) @ [1.0, 1.0]
+            for i, x in enumerate(xi)
+        ]
         s_ref, d_ref = vals[2]
         for s, d in vals:
             assert abs(s - s_ref) < 1e-5 and abs(d - d_ref) < 1e-5
-        # and the exactly-degenerate point agrees with a dense matrix exponential
+        # the exactly-degenerate point agrees with a dense matrix exponential,
+        # and so does the field flow, whose mode k = 2 is |xi| = 1
         m, _ = mode_matrix(1.0, ep)
         em = expm(m * t)
         assert s_ref == pytest.approx(em[0, 0] + em[0, 1], rel=1e-9)
         assert d_ref == pytest.approx(em[1, 0] + em[1, 1], rel=1e-9)
+        ones = _mode_field(self.G, {2: 1.0})
+        s1, d1 = propagate_pair_field(ones, ones, t, ep)
+        assert s1.coef[0, 2] == pytest.approx(s_ref, rel=1e-12)
+        assert d1.coef[0, 2] == pytest.approx(d_ref, rel=1e-12)
 
     def test_oscillatory_return_with_uniform_decay(self):
         # at xi = 1 (lam = mu = 1) the mode rotates with period T = 4 pi / sqrt 3
         # while decaying uniformly: e^{MT} = e^{-T/2} I
         T = 4.0 * np.pi / np.sqrt(3.0)
+        decay = np.exp(-T / 2.0)
         for s0, d0 in ((1.0, 0.0), (0.0, 1.0), (0.3 - 1.0j, 0.7j)):
-            st = linear_propagate(ModeState(1.0, s0, d0), T, EP)
-            decay = np.exp(-T / 2.0)
-            assert st.sigma == pytest.approx(s0 * decay, rel=1e-10, abs=1e-12)
-            assert st.d == pytest.approx(d0 * decay, rel=1e-10, abs=1e-12)
+            s1, d1 = propagate_pair_field(
+                _mode_field(self.G, {2: s0}), _mode_field(self.G, {2: d0}), T, EP
+            )
+            assert s1.coef[0, 2] == pytest.approx(s0 * decay, rel=1e-10, abs=1e-12)
+            assert d1.coef[0, 2] == pytest.approx(d0 * decay, rel=1e-10, abs=1e-12)
 
     def test_incompressible_part_pure_decay(self):
-        m = ModeState(xi=2.0, sigma=0.0, d=0.0, pu=np.array([1.0, -2.0]))
-        out = linear_propagate(m, 0.5, EP)
-        assert np.allclose(out.pu, m.pu * np.exp(-(2.0**1.5) * 0.5), rtol=1e-13)
+        g = Grid(1, 64, 2.0 * np.pi)
+        pu = np.zeros((2,) + g.spectral_shape, dtype=np.complex128)
+        pu[:, 2] = [1.0, -2.0]  # |xi| = 2
+        out = heat_semigroup(SpectralField(g, pu), EP.alpha, EP.mu, 0.5)
+        assert np.allclose(out.coef[:, 2], pu[:, 2] * np.exp(-(2.0**1.5) * 0.5), rtol=1e-13)
 
     def test_negative_time_rejected(self):
+        s = _mode_field(self.G, {2: 1.0})
         with pytest.raises(ParameterError):
-            linear_propagate(ModeState(1.0, 1.0, 0.0), -1.0, EP)
+            propagate_pair_field(s, SpectralField.zeros(self.G), -1.0, EP)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        s = _mode_field(self.G, {2: 1.0})
+        with pytest.raises(ParameterError, match="t must be finite"):
+            propagate_pair_field(s, SpectralField.zeros(self.G), t, EP)
 
 
 class TestPairField:
@@ -208,15 +255,17 @@ class TestPairField:
         return g, s, d
 
     def test_matches_per_mode_propagator(self):
+        # each mode of the field flow is e^{Mt} of that mode's matrix
         g, s, d = self._pair()
         t = 0.2
         s1, d1 = propagate_pair_field(s, d, t, EP)
         ks = g.wavenumbers()[0]
         for idx in (1, 5, 40, 64):  # 64 = n/2, the Nyquist mode
             xi = abs(2.0 * np.pi / g.L * ks[idx])
-            m = linear_propagate(ModeState(xi, s.coef[0, idx], d.coef[0, idx]), t, EP)
-            assert s1.coef[0, idx] == pytest.approx(m.sigma, rel=1e-12, abs=1e-15)
-            assert d1.coef[0, idx] == pytest.approx(m.d, rel=1e-12, abs=1e-15)
+            m, _ = mode_matrix(xi, EP)
+            want = expm(m * t) @ [s.coef[0, idx], d.coef[0, idx]]
+            assert s1.coef[0, idx] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert d1.coef[0, idx] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
     def test_mean_mode_invariant(self):
         g, s, d = self._pair()

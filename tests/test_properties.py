@@ -14,8 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from euleralign.grid import Grid, SpectralField
-from euleralign.model import ModelParams, State, alignment_commutator, rhs_conservative
+from euleralign.lp import LPDecomp
+from euleralign.model import (
+    ModelParams,
+    State,
+    alignment_commutator,
+    rhs,
+    rhs_conservative,
+    sigma_from_rho,
+)
 from euleralign.operators import dealias, leray_project
+from euleralign.simulation import step
 from euleralign.snapshot import read_snapshot, write_snapshot
 
 K = 3  # the highest mode on each axis, well inside the 2/3 rule at n = 32
@@ -70,6 +79,31 @@ def test_alignment_commutator_cancels_in_momentum(fields):
     axes = tuple(range(1, rho.grid.dim + 1))
     momentum = np.sum(rho.to_physical()[0] * force, axis=axes) * rho.grid.cell_volume()
     assert np.max(np.abs(momentum)) <= 1e-12
+
+
+@properties
+@given(low_mode_fields())
+def test_dyadic_blocks_telescope_to_the_mean_free_field(fields):
+    rho, u, _ = fields
+    lp = LPDecomp.for_grid(rho.grid)
+    for f in (rho, u):
+        total = sum(lp.dyadic_block(f, j).coef for j in lp.j_range)
+        mean_free = f.mean_free().coef
+        assert np.max(np.abs(total - mean_free)) <= 1e-10 * np.max(np.abs(mean_free))
+
+
+@properties
+@given(low_mode_fields())
+def test_rhs_and_step_output_are_real_fields(fields):
+    # a real field's half spectrum survives the round trip through its samples
+    rho, u, p = fields
+    grid = rho.grid
+    sigma = SpectralField.from_physical(grid, sigma_from_rho(rho.to_physical()[0], p))
+    state = State(dealias(sigma), u)
+    out = step(state, p, 1e-2)
+    for f in (*rhs(state, p), out.scalar, out.u):
+        back = grid.spectral(grid.physical(f.coef))
+        np.testing.assert_allclose(back, f.coef, rtol=0, atol=1e-14 * np.max(np.abs(f.coef)))
 
 
 @st.composite

@@ -44,6 +44,11 @@ class TestSimConfig:
         with pytest.raises(ParameterError):
             SimConfig(alpha=2.5).model_params()
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ParameterError, match="dt must be finite and > 0"):
+            SimConfig(dt=dt)
+
 
 class TestDecaySpec:
     def test_exponent(self):
@@ -148,11 +153,12 @@ class TestStep:
         with pytest.raises(VacuumError):
             step(st, p, 0.01)
 
-    def test_bad_dt(self):
-        c = SimConfig(n=64)
-        st = initial_state(c)
-        with pytest.raises(ParameterError):
-            step(st, self._params(), 0.0)
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_dt(self, dt):
+        # a NaN dt once ran four stages and was reported as a vacuum
+        st = initial_state(SimConfig(n=64))
+        with pytest.raises(ParameterError, match="dt must be finite and > 0"):
+            step(st, self._params(), dt)
 
 
 class TestLinearExactFlow:
@@ -182,6 +188,12 @@ class TestLinearExactFlow:
         expect = heat_semigroup(st.u, p.alpha, p.mu, t)
         assert (out.u - expect).l2() < 1e-13
         assert out.scalar.l2() < 1e-13
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        c = SimConfig(n=32)
+        with pytest.raises(ParameterError, match="t must be finite"):
+            linear_exact_flow(initial_state(c), c.model_params(), t)
 
 
 class TestRun:
