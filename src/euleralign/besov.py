@@ -51,8 +51,8 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if not (np.isfinite(self.s) and np.isfinite(self.s2)):
             raise ValueError(f"norm exponents must be finite, got {self.s}, {self.s2}")
-        if self.kind != "hybrid" and self.r not in (1, np.inf):
-            raise ValueError(f"r must be 1 or inf, got {self.r}")
+        if self.r not in ((1,) if self.kind == "hybrid" else (1, np.inf)):
+            raise ValueError(f"r must be 1 (or inf unless hybrid), got {self.r}")
         if self.kind in ("hybrid", "low", "high") and self.j0 is None:
             raise ValueError(f"{self.kind} norm requires a split index j0")
 

@@ -8,6 +8,12 @@ out are coef(-k) = conj(coef(k)); Plancherel therefore counts each stored
 coefficient twice, except on the last-axis columns k = 0 and n/2, which hold
 their own conjugates.  Physical wavenumbers are xi = 2*pi*k/L.
 
+A ``Grid`` builds each Fourier symbol of its lattice once, read-only:
+``wavenumbers``, ``xi_norm``, the Nyquist-zeroed ``xi_tilde`` with its
+``xi_tilde_norm`` and derivative symbol ``ixi``, the powers ``lambda_symbol``,
+the 2/3 rule's ``dealias_mask`` and ``dealias_cutoff``, and the
+``plancherel_weights``.  Only the dyadic multipliers live in ``lp.LPDecomp``.
+
 ``Grid.physical``/``Grid.spectral`` are the general transform pair.  In 2D
 ``spectral`` runs ``rfftn``'s two 1D passes itself, the second in place, and
 ``physical`` is ``irfftn``; coefficients that the 2/3 rule has masked have
@@ -51,8 +57,8 @@ class Grid:
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise GridError(f"n must be a power of two >= 8, got {self.n}")
-        if not (self.L > 0):
-            raise GridError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise GridError(f"L must be finite and > 0, got {self.L}")
 
     @property
     def dx(self) -> float:
@@ -66,6 +72,11 @@ class Grid:
     def spectral_shape(self) -> tuple:
         """Shape of the half spectrum: the last axis keeps k = 0..n/2."""
         return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
+    def dealias_cutoff(self) -> int:
+        """Largest |k| per axis that the 2/3 rule keeps: n // 3."""
+        return self.n // 3
 
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
@@ -119,15 +130,37 @@ class Grid:
         return read_only(np.sqrt(sum(c**2 for c in self.xi())))
 
     @functools.lru_cache(maxsize=32)
-    def nyquist_mask(self) -> np.ndarray:
-        """True at indices where any axis sits on the unpaired Nyquist mode."""
-        on_nyquist = [np.abs(k) == self.n // 2 for k in self.wavenumbers()]
-        return read_only(np.logical_or.reduce(on_nyquist))
+    def xi_tilde(self):
+        """Per-axis xi with the unpaired Nyquist mode |k| = n/2 zeroed:
+        i*xi_tilde is the odd multiplier, so projections commute with derivatives."""
+        return tuple(
+            read_only(np.where(np.abs(k) == self.n // 2, 0.0, xi))
+            for k, xi in zip(self.wavenumbers(), self.xi())
+        )
+
+    @functools.lru_cache(maxsize=32)
+    def xi_tilde_norm(self) -> np.ndarray:
+        """|xi_tilde|, the wavenumber magnitude the odd multipliers see."""
+        return read_only(np.sqrt(sum(c**2 for c in self.xi_tilde())))
+
+    @functools.lru_cache(maxsize=32)
+    def ixi(self) -> np.ndarray:
+        """The derivative symbols i*xi_tilde, stacked over the axes."""
+        return read_only(np.stack([1j * xt for xt in self.xi_tilde()]))
+
+    @functools.lru_cache(maxsize=32)
+    def lambda_symbol(self, power: float) -> np.ndarray:
+        """|xi|^power with the mean mode zeroed."""
+        xi = self.xi_norm()
+        mult = np.zeros_like(xi)
+        nz = xi > 0
+        mult[nz] = xi[nz] ** power
+        return read_only(mult)
 
     @functools.lru_cache(maxsize=32)
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where a coefficient is kept."""
-        keep = [np.abs(k) <= self.n / 3.0 for k in self.wavenumbers()]
+        """2/3-rule mask: True where every |k_i| <= ``dealias_cutoff``."""
+        keep = [np.abs(k) <= self.dealias_cutoff for k in self.wavenumbers()]
         return read_only(np.logical_and.reduce(keep))
 
     @functools.lru_cache(maxsize=32)

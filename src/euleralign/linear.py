@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import SpectralField
 from .model import ModelParams
-from .operators import ParameterError, _lambda_symbol, lambda_power
+from .operators import ParameterError, lambda_power
 
 __all__ = [
     "LinearEnergyParams",
@@ -202,7 +202,7 @@ def propagate_pair_field(
     grid = sigma.grid
     xi = grid.xi_norm()
     a = ep.lam * (xi if coupling is None else coupling)
-    b = ep.mu * _lambda_symbol(grid, ep.alpha)
+    b = ep.mu * grid.lambda_symbol(ep.alpha)
     s0, d0 = sigma.coef[0], d.coef[0]
     c0, c1 = _expm_2x2_coeffs(a, b, t)
     s1 = np.where(xi == 0, s0, c0 * s0 - c1 * a * d0)

@@ -27,13 +27,11 @@ import numpy as np
 from .grid import Grid, GridError, SpectralField, read_only
 from .operators import (
     ParameterError,
-    _heat_multiplier,
-    _lambda_symbol,
-    _xi_tilde,
     dealias,
     divergence,
     fractional_laplacian,
     gradient,
+    heat_multiplier,
     physical_product,
     spectral_derivative,
 )
@@ -97,16 +95,16 @@ class ModelParams:
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if self.kappa <= 0:
-            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
-        if self.gamma < 1:
-            raise ParameterError(f"gamma must be >= 1, got {self.gamma}")
+        if not 0 < self.kappa < np.inf:
+            raise ParameterError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 1 <= self.gamma < np.inf:
+            raise ParameterError(f"gamma must be finite and >= 1, got {self.gamma}")
         if self.mu is None:
             object.__setattr__(
                 self, "mu", 1.0 / frac_laplacian_constant(self.alpha, self.dim)
             )
-        if self.mu <= 0:
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
+        if not 0 < self.mu < np.inf:
+            raise ParameterError(f"mu must be finite and > 0, got {self.mu}")
         object.__setattr__(self, "lam", float(np.sqrt(self.kappa * self.gamma)))
 
 
@@ -298,12 +296,11 @@ class SpectralPlan:
     """Multipliers, the masked inverse transform, the sigma-u tendency, the
     integrating-factor RK4 step and the reusable buffers of one (grid, params).
 
-    Arrays are the grid's cached read-only half-spectrum symbols: ``ixi``
-    (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean zeroed)
-    and ``mask`` (2/3 rule), and ``mu_lam_alpha`` = mu * ``lam_alpha``.  The
-    tendency moves its batches to the grid with ``band_physical`` and back
-    with the grid's ``spectral``: 4 transform batches, and 17 per ``step``
-    with the vacuum guard.  In 2D each batch is two NumPy calls, one 1D pass
+    ``ixi`` (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean
+    zeroed) and ``mask`` (2/3 rule) are the grid's own read-only symbols;
+    ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency moves its batches to
+    the grid with ``band_physical`` and back with the grid's ``spectral``: 4
+    transform batches, and 17 per ``step`` with the vacuum guard.  In 2D each batch is two NumPy calls, one 1D pass
     per axis.  The batches, temporaries, stage inputs and tendencies live in
     ``workspace``, allocated on first use and reused by every later
     ``tendency`` and ``step``, so a step allocates only the arrays it
@@ -313,8 +310,8 @@ class SpectralPlan:
 
     def __init__(self, grid: Grid, params: ModelParams):
         self.grid, self.params = grid, params
-        self.ixi = read_only(np.stack([1j * xt for xt in _xi_tilde(grid)]))
-        self.lam_alpha = _lambda_symbol(grid, params.alpha)
+        self.ixi = grid.ixi()
+        self.lam_alpha = grid.lambda_symbol(params.alpha)
         self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
         self.mask = grid.dealias_mask()
         self._semigroup = None  # (dt, its pair): a run steps with one dt
@@ -327,7 +324,7 @@ class SpectralPlan:
         """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt."""
         if self._semigroup is None or self._semigroup[0] != dt:
             p = self.params
-            e_half = read_only(_heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
+            e_half = read_only(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
             self._semigroup = dt, (e_half, read_only(e_half * e_half))
         return self._semigroup[1]
 
@@ -335,14 +332,14 @@ class SpectralPlan:
         """``grid.physical`` of coefficients that ``mask`` has zeroed, bit for bit.
 
         In 2D the leading-axis ``ifft`` runs only over the last-axis columns
-        k <= n/3 that the 2/3 rule keeps, in place: it overwrites them in
-        ``coef``, which is always one of the workspace's batches.  ``irfft``
-        zero-pads the other columns.  On a 1D grid this is
+        k <= ``grid.dealias_cutoff`` that the 2/3 rule keeps, in place: it
+        overwrites them in ``coef``, which is always one of the workspace's
+        batches.  ``irfft`` zero-pads the other columns.  On a 1D grid this is
         ``grid.physical``'s ``irfft``.  The samples go to ``out`` if given.
         """
         grid = self.grid
         if grid.dim == 2:
-            kept = coef[..., : grid.n // 3 + 1]
+            kept = coef[..., : grid.dealias_cutoff + 1]
             coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
         return np.fft.irfft(coef, n=grid.n, axis=-1, norm="forward", out=out)
 

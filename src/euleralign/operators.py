@@ -1,5 +1,8 @@
 """Fourier multiplier operators on spectral fields.
 
+Each multiplier is a symbol the field's ``Grid`` builds once: ``ixi``,
+``xi_tilde``, ``xi_tilde_norm``, ``lambda_symbol`` or ``dealias_mask``.
+
 Conventions:
   * the fractional Laplacian is the multiplier |xi|^alpha with the mean mode
     annihilated;
@@ -10,11 +13,9 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .grid import Grid, GridError, SpectralField, read_only
+from .grid import Grid, GridError, SpectralField
 
 __all__ = [
     "fractional_laplacian",
@@ -24,6 +25,7 @@ __all__ = [
     "leray_project",
     "lambda_inv_div",
     "heat_semigroup",
+    "heat_multiplier",
     "dealias",
     "ParameterError",
 ]
@@ -33,39 +35,9 @@ class ParameterError(ValueError):
     """Operator parameter outside its admissible range."""
 
 
-def _apply_scalar_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
-    return SpectralField(f.grid, f.coef * mult[np.newaxis])
-
-
-@functools.lru_cache(maxsize=32)
-def _lambda_symbol(grid: Grid, power: float) -> np.ndarray:
-    """|xi|^power with the mean mode zeroed, built once per (grid, power)."""
-    xi = grid.xi_norm()
-    mult = np.zeros_like(xi)
-    nz = xi > 0
-    mult[nz] = xi[nz] ** power
-    return read_only(mult)
-
-
-@functools.lru_cache(maxsize=32)
-def _xi_tilde(grid: Grid):
-    """Per-axis xi with the unpaired Nyquist mode zeroed, built once per grid:
-    i*xi_tilde is the odd multiplier, so projections commute with derivatives."""
-    return tuple(
-        read_only(np.where(np.abs(k) == grid.n // 2, 0.0, xi))
-        for k, xi in zip(grid.wavenumbers(), grid.xi())
-    )
-
-
-@functools.lru_cache(maxsize=32)
-def _xi_tilde_norm(grid: Grid) -> np.ndarray:
-    """|xi_tilde|, the wavenumber magnitude the odd multipliers see."""
-    return read_only(np.sqrt(sum(c**2 for c in _xi_tilde(grid))))
-
-
-def _heat_multiplier(grid: Grid, alpha: float, mu: float, t: float) -> np.ndarray:
+def heat_multiplier(grid: Grid, alpha: float, mu: float, t: float) -> np.ndarray:
     """Symbol e^{-mu t |xi|^alpha} of the fractional heat semigroup."""
-    return np.exp(-mu * t * _lambda_symbol(grid, alpha))
+    return np.exp(-mu * t * grid.lambda_symbol(alpha))
 
 
 def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
@@ -82,22 +54,21 @@ def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
 
 def lambda_power(f: SpectralField, power: float) -> SpectralField:
     """|xi|^power multiplier with the mean mode zeroed (any real power)."""
-    return _apply_scalar_multiplier(f, _lambda_symbol(f.grid, power))
+    return SpectralField(f.grid, f.coef * f.grid.lambda_symbol(power))
 
 
 def spectral_derivative(f: SpectralField, axis: int = 0) -> SpectralField:
     """Partial derivative along one axis (odd multiplier, Nyquist zeroed)."""
     if axis < 0 or axis >= f.grid.dim:
         raise GridError(f"axis {axis} out of range for dim {f.grid.dim}")
-    return _apply_scalar_multiplier(f, 1j * _xi_tilde(f.grid)[axis])
+    return SpectralField(f.grid, f.coef * f.grid.ixi()[axis])
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Gradient of a scalar field; result has dim components."""
     if not f.is_scalar:
         raise GridError("gradient expects a scalar field")
-    parts = [f.coef[0] * (1j * xt) for xt in _xi_tilde(f.grid)]
-    return SpectralField(f.grid, np.stack(parts))
+    return SpectralField(f.grid, f.coef[0] * f.grid.ixi())
 
 
 def divergence(u: SpectralField) -> SpectralField:
@@ -106,7 +77,7 @@ def divergence(u: SpectralField) -> SpectralField:
         raise GridError(
             f"divergence expects {u.grid.dim} components, got {u.components}"
         )
-    out = sum(u.coef[ax] * (1j * xt) for ax, xt in enumerate(_xi_tilde(u.grid)))
+    out = sum(u.coef * u.grid.ixi())
     return SpectralField(u.grid, out[np.newaxis])
 
 
@@ -120,14 +91,12 @@ def leray_project(u: SpectralField) -> SpectralField:
         raise GridError(
             f"leray_project expects {u.grid.dim} components, got {u.components}"
         )
-    xi = _xi_tilde(u.grid)
+    xi = u.grid.xi_tilde()
     xi2 = sum(c**2 for c in xi)
     safe = np.where(xi2 > 0, xi2, 1.0)
-    dot = sum(xi[ax] * u.coef[ax] for ax in range(u.grid.dim))
-    out = np.empty_like(u.coef)
-    for ax in range(u.grid.dim):
-        out[ax] = u.coef[ax] - np.where(xi2 > 0, xi[ax] * dot / safe, 0.0)
-    return SpectralField(u.grid, out)
+    dot = sum(x * c for x, c in zip(xi, u.coef))
+    out = [c - np.where(xi2 > 0, x * dot / safe, 0.0) for x, c in zip(xi, u.coef)]
+    return SpectralField(u.grid, np.stack(out))
 
 
 def lambda_inv_div(u: SpectralField) -> SpectralField:
@@ -136,7 +105,7 @@ def lambda_inv_div(u: SpectralField) -> SpectralField:
         raise GridError(
             f"lambda_inv_div expects {u.grid.dim} components, got {u.components}"
         )
-    xin = _xi_tilde_norm(u.grid)
+    xin = u.grid.xi_tilde_norm()
     safe = np.where(xin > 0, xin, 1.0)
     div = divergence(u).coef[0]
     d = np.where(xin > 0, div / safe, 0.0)
@@ -147,27 +116,26 @@ def grad_lambda_inv(d: SpectralField) -> SpectralField:
     """-grad Lambda^{-1} d, the compressible velocity carried by d."""
     if not d.is_scalar:
         raise GridError("grad_lambda_inv expects a scalar field")
-    xin = _xi_tilde_norm(d.grid)
+    xin = d.grid.xi_tilde_norm()
     safe = np.where(xin > 0, xin, 1.0)
     base = np.where(xin > 0, d.coef[0] / safe, 0.0)
-    parts = [-base * (1j * xt) for xt in _xi_tilde(d.grid)]
-    return SpectralField(d.grid, np.stack(parts))
+    return SpectralField(d.grid, -base * d.grid.ixi())
 
 
 def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> SpectralField:
     """Fractional heat semigroup e^{-mu t Lambda^alpha} f."""
     if not 0 <= t < np.inf:
         raise ParameterError(f"t must be finite and >= 0, got {t}")
-    if not mu > 0:
-        raise ParameterError(f"mu must be > 0, got {mu}")
+    if not 0 < mu < np.inf:
+        raise ParameterError(f"mu must be > 0 and finite, got {mu}")
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    return _apply_scalar_multiplier(f, _heat_multiplier(f.grid, alpha, mu, t))
+    return SpectralField(f.grid, f.coef * heat_multiplier(f.grid, alpha, mu, t))
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients with any |k_i| > n/3 (2/3 rule); idempotent."""
-    return _apply_scalar_multiplier(f, f.grid.dealias_mask())
+    """Zero all coefficients with any |k_i| > n // 3 (2/3 rule); idempotent."""
+    return SpectralField(f.grid, f.coef * f.grid.dealias_mask())
 
 
 def physical_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -24,8 +24,6 @@ from .lp import LPDecomp
 from .model import ModelParams, State, VacuumError, plan_for, rho_from_sigma
 from .operators import (
     ParameterError,
-    _lambda_symbol,
-    _xi_tilde_norm,
     dealias,
     grad_lambda_inv,
     heat_semigroup,
@@ -87,9 +85,10 @@ class SimConfig:
             raise ParameterError(f"unknown ic preset {self.ic!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        # the 2/3 rule keeps |k| <= n/3: a higher mode aliases or is zeroed
-        if not 1 <= self.ic_mode <= self.n // 3:
-            raise ParameterError(f"ic_mode must lie in [1, {self.n // 3}], got {self.ic_mode}")
+        # a mode above the 2/3 rule's cutoff aliases or is zeroed
+        kmax = self.grid().dealias_cutoff
+        if not 1 <= self.ic_mode <= kmax:
+            raise ParameterError(f"ic_mode must lie in [1, {kmax}], got {self.ic_mode}")
         if self.decay_window is not None and not 0 <= self.decay_window[0] < self.decay_window[1]:
             raise ParameterError(f"decay window needs 0 <= t_a < t_b, got {self.decay_window}")
         if self.decay_kind not in ("power", "exp"):
@@ -211,7 +210,7 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     pu = leray_project(state.u)
     # couple through the Nyquist-zeroed wavenumbers that the discrete
     # derivatives actually see (sigma is frozen where they vanish)
-    coupling = _xi_tilde_norm(state.grid)
+    coupling = state.grid.xi_tilde_norm()
     sig_t, d_t = propagate_pair_field(state.scalar, d, t, ep, coupling=coupling)
     u_comp = grad_lambda_inv(d_t)
     pu_t = heat_semigroup(pu, params.alpha, params.mu, t)
@@ -387,7 +386,7 @@ def fractional_heat_trace(
     if profile == "gaussian":
         u0 = SpectralField.from_physical(grid, _gaussian(grid, width))
     elif profile == "power":
-        envelope = _lambda_symbol(grid, s0 - grid.dim / 2.0)
+        envelope = grid.lambda_symbol(s0 - grid.dim / 2.0)
         coef = envelope * np.exp(-(grid.xi_norm() ** 2))
         u0 = SpectralField(grid, coef[np.newaxis])
     else:

@@ -5,6 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 
 import csv
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ snapshot = {snap}
     assert main(["run", "--config", str(cfg), "--output", out_a]) == 0
     cfg.write_text(base.format(snap=snap_b))
     assert main(["run", "--config", str(cfg), "--output", out_b]) == 0
-    csv_identical = open(out_a, "rb").read() == open(out_b, "rb").read()
+    csv_identical = Path(out_a).read_bytes() == Path(out_b).read_bytes()
     snaps_identical = filecmp.cmp(snap_a, snap_b, shallow=False)
 
     state, params = read_snapshot(snap_a)

@@ -292,7 +292,7 @@ class TestCLI:
         assert main(["run", "--config", cfg, "--output", out]) == 0
         banner = capsys.readouterr().out
         assert "lambda=1" in banner
-        raw = open(out, "rb").read()
+        raw = pathlib.Path(out).read_bytes()
         assert b"\r\n" in raw
         rows = list(csv.reader(io.StringIO(raw.decode("utf-8"))))
         assert rows[0][0] == "t"

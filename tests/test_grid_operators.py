@@ -36,7 +36,11 @@ class TestGrid:
         assert g.volume() == pytest.approx(2.0 * np.pi)
         assert g.cell_volume() == pytest.approx(g.dx)
 
-    @pytest.mark.parametrize("dim,n,L", [(3, 64, 1.0), (1, 48, 1.0), (1, 4, 1.0), (1, 64, -1.0), (1, 64, 0.0)])
+    @pytest.mark.parametrize(
+        "dim,n,L",
+        [(3, 64, 1.0), (1, 48, 1.0), (1, 4, 1.0), (1, 64, -1.0), (1, 64, 0.0),
+         (1, 8, np.inf), (2, 16, np.nan)],
+    )
     def test_invalid_construction(self, dim, n, L):
         with pytest.raises(GridError):
             Grid(dim, n, L)
@@ -58,9 +62,12 @@ class TestGrid:
         assert np.array_equal(mask, np.abs(k) <= 10)
 
     def test_nyquist_mask(self):
-        g = Grid(1, 16, 1.0)
-        (k,) = g.wavenumbers()
-        assert np.array_equal(g.nyquist_mask(), k == 8)
+        # xi_tilde is 0 exactly where |k| = n/2 (or k = 0) on its own axis
+        for dim in (1, 2):
+            g = Grid(dim, 16, 1.0)
+            for k, xi, xt in zip(g.wavenumbers(), g.xi(), g.xi_tilde()):
+                assert np.array_equal(xt == 0, (k == 0) | (np.abs(k) == 8))
+                assert np.array_equal(xt, np.where(np.abs(k) == 8, 0.0, xi))
 
 
     @pytest.mark.parametrize("batch", [(), (1,), (4,)])
@@ -335,6 +342,8 @@ class TestHeatSemigroup:
             heat_semigroup(f, 1.5, 1.0, -0.1)
         with pytest.raises(ParameterError):
             heat_semigroup(f, 1.5, -1.0, 0.1)
+        with pytest.raises(ParameterError):
+            heat_semigroup(f, 1.5, np.inf, 0.1)
         with pytest.raises(ParameterError):
             heat_semigroup(f, 2.5, 1.0, 0.1)
 

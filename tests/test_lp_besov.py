@@ -121,6 +121,8 @@ class TestNormSpec:
         with pytest.raises(ValueError):
             NormSpec.homogeneous(0.5, r=2)
         with pytest.raises(ValueError):
+            NormSpec("hybrid", s=0.0, s2=1.0, r=np.inf, j0=4)  # a block sum only
+        with pytest.raises(ValueError):
             NormSpec("low", s=1.0)  # missing j0
         with pytest.raises(ValueError):
             NormSpec.restricted(1.0, "mid", 3)

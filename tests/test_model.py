@@ -83,6 +83,13 @@ class TestConstantsAndParams:
         with pytest.raises(ParameterError):
             ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=-2.0)
 
+    @pytest.mark.parametrize("name", ["kappa", "gamma", "mu"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        kwargs = dict(alpha=1.5, kappa=1.0, gamma=1.0, mu=1.0)
+        with pytest.raises(ParameterError):
+            ModelParams(**{**kwargs, name: value})
+
 
 class TestConversions:
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])

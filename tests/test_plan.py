@@ -156,7 +156,8 @@ def test_plan_is_shared_and_read_only():
     # equal (not identical) keys find the same plan
     assert plan_for(Grid(2, 16, 2 * np.pi), ModelParams(1.5, 1.0, 1.0, dim=2)) is plan
     arrays = [plan.ixi, plan.lam_alpha, plan.mask, *plan.semigroup(0.1)]
-    arrays += [*grid.wavenumbers(), grid.xi_norm(), grid.dealias_mask(), grid.nyquist_mask()]
+    arrays += [*grid.wavenumbers(), grid.xi_norm(), grid.dealias_mask(), *grid.xi_tilde()]
+    arrays += [grid.xi_tilde_norm(), grid.ixi(), grid.lambda_symbol(0.5)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
