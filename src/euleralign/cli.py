@@ -22,7 +22,6 @@ from .linear import (
     rate_floor,
     regime_classify,
 )
-from .lp import LPDecomp
 from .model import VacuumError
 from .operators import ParameterError
 from .simulation import (
@@ -108,9 +107,13 @@ def _cmd_analyze(args) -> int:
         st, params = read_snapshot(path)
         ep = LinearEnergyParams.from_model(params)
         norms = default_norm_columns(params, st.grid.dim, ep.j0)
-        row, *_ = diagnostics_row(st, params, LPDecomp.for_grid(st.grid), norms)
+        row, *_ = diagnostics_row(st, params, norms)
         if header is None:
-            header = list(row.keys())
+            header = list(row)
+        elif list(row) != header:
+            raise SnapshotError(
+                f"{path}: its columns differ from {args.snapshots[0]}'s (another dimension)"
+            )
         rows.append([row[c] for c in header])
     _write_csv(args.output, header, rows)
     return EXIT_OK

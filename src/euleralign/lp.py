@@ -5,6 +5,11 @@ radial cutoff chi that equals 1 for |xi| <= 3/4 and 0 for |xi| >= 4/3.  The
 transition uses the classical exp(-1/x) glue, so phi is supported in the
 annulus {3/4 <= |xi| <= 8/3} and the shifted profiles telescope exactly to a
 partition of unity away from the origin.
+
+``LPDecomp`` builds each block multiplier phi_j and low-pass multiplier chi_j
+once (memoised, read-only, shared by equal decompositions).  The block-norm
+table ``block_weights`` keeps phi_j^2 * w (w: Plancherel weights) where it is
+!= 0, not where phi_j is (the square underflows), and keeps no phi_j itself.
 """
 
 from __future__ import annotations
@@ -33,34 +38,16 @@ def _glue(x: np.ndarray) -> np.ndarray:
 
 def chi_profile(r) -> np.ndarray:
     """Smooth radial cutoff: 1 for r <= 3/4, 0 for r >= 4/3."""
-    r = np.asarray(r, dtype=np.float64)
-    t = (r - _CHI_LO) / (_CHI_HI - _CHI_LO)
+    t = (np.asarray(r, dtype=np.float64) - _CHI_LO) / (_CHI_HI - _CHI_LO)
+    # one glue is > 0 at every r, so the plateaus come out as 1.0 and +0.0
     up = _glue(1.0 - t)
-    down = _glue(t)
-    denom = up + down
-    # denom > 0 strictly inside the transition band; endpoints handled exactly
-    out = np.where(r <= _CHI_LO, 1.0, np.where(r >= _CHI_HI, 0.0, 0.0))
-    band = (r > _CHI_LO) & (r < _CHI_HI)
-    out = np.where(band, up / np.where(band, denom, 1.0), out)
-    return out
+    return up / (up + _glue(t))
 
 
 def phi_profile(r) -> np.ndarray:
     """Dyadic bump phi(r) = chi(r/2) - chi(r), supported in [3/4, 8/3]."""
     r = np.asarray(r, dtype=np.float64)
     return chi_profile(r / 2.0) - chi_profile(r)
-
-
-@functools.lru_cache(maxsize=8)
-def _block_weights(lp: LPDecomp):
-    """Plancherel-weighted phi(2^{-j} xi)^2 per block, kept on its support
-    only: a tuple of (flat lattice indices, weights), one pair per j in lp.j_range."""
-    out = []
-    for j in lp.j_range:
-        w2 = (lp.block_multiplier(j) ** 2 * lp.grid.plancherel_weights()).ravel()
-        idx = np.flatnonzero(w2)
-        out.append((read_only(idx), read_only(w2[idx])))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -85,37 +72,49 @@ class LPDecomp:
     def j_range(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    def _phi(self, j: int) -> np.ndarray:
+        return phi_profile(self.grid.xi_norm() * 2.0 ** (-j))
+
+    # maxsize fits every block one decomposition uses (j_min-1 .. j_max+1)
+    @functools.lru_cache(maxsize=32)
     def block_multiplier(self, j: int) -> np.ndarray:
         """phi(2^{-j} xi) on the grid's frequency lattice."""
-        xi = self.grid.xi_norm()
-        return phi_profile(xi * 2.0 ** (-j))
+        return read_only(self._phi(j))
 
+    @functools.lru_cache(maxsize=32)
     def lowpass_multiplier(self, j: int) -> np.ndarray:
         """chi(2^{-j} xi) with the mean mode excluded (mean-free convention)."""
         xi = self.grid.xi_norm()
-        mult = chi_profile(xi * 2.0 ** (-j))
-        return np.where(xi > 0, mult, 0.0)
+        return read_only(np.where(xi > 0, chi_profile(xi * 2.0 ** (-j)), 0.0))
+
+    @functools.lru_cache(maxsize=8)
+    def block_weights(self):
+        """Per j in j_range: (flat indices where phi_j^2 * w != 0, its values there)."""
+        out = []
+        for j in self.j_range:
+            w2 = (self._phi(j) ** 2 * self.grid.plancherel_weights()).ravel()
+            idx = np.flatnonzero(w2)
+            out.append((read_only(idx), read_only(w2[idx])))
+        return tuple(out)
 
     def dyadic_block(self, f: SpectralField, j: int) -> SpectralField:
         """Delta_j f = phi(2^{-j} D) f; zero outside [j_min-1, j_max+1]."""
         if j < self.j_min - 1 or j > self.j_max + 1:
             return SpectralField.zeros(f.grid, f.components)
-        mult = self.block_multiplier(j)
-        return SpectralField(f.grid, f.coef * mult[np.newaxis])
+        return SpectralField(f.grid, f.coef * self.block_multiplier(j)[np.newaxis])
 
     def low_pass(self, f: SpectralField, j: int) -> SpectralField:
         """S_j f = sum_{k <= j-1} Delta_k f, mean mode excluded."""
         if j <= self.j_min:
             return SpectralField.zeros(f.grid, f.components)
-        mult = self.lowpass_multiplier(j)
-        return SpectralField(f.grid, f.coef * mult[np.newaxis])
+        return SpectralField(f.grid, f.coef * self.lowpass_multiplier(j)[np.newaxis])
 
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of all blocks (vector fields: joint l2 over components)."""
         energy = np.sum(np.abs(f.coef) ** 2, axis=0).ravel()
         vol = self.grid.volume()
         return np.array(
-            [np.sqrt(np.sum(w2 * energy[idx]) * vol) for idx, w2 in _block_weights(self)]
+            [np.sqrt(np.sum(w2 * energy[idx]) * vol) for idx, w2 in self.block_weights()]
         )
 
     def partition_defect(self) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import NormSpec, NormTrace, besov_norm_from_blocks
+from .besov import NormSpec, NormTrace, besov_norm, besov_norm_from_blocks
 from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
@@ -93,6 +93,11 @@ class SimConfig:
             raise ParameterError(f"decay window needs 0 <= t_a < t_b, got {self.decay_window}")
         if self.decay_kind not in ("power", "exp"):
             raise ParameterError(f"decay kind must be power or exp, got {self.decay_kind!r}")
+        names = [name for name, _, _ in self.norms]
+        builtin = {*_state_columns(self.dim), *_DEFAULT_NORMS, *_X_COLUMNS}
+        for name in names:
+            if name in builtin or names.count(name) > 1:
+                raise ParameterError(f"norm column {name!r} repeats another trace column")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
@@ -235,33 +240,43 @@ def default_dt(config: SimConfig, state: State, params: ModelParams) -> float:
     return min(cfl_limit(config, state.u.to_physical(), params), 0.5 * config.grid().dx)
 
 
+# the trace's built-in columns, which SimConfig checks the custom norm names against
+_DEFAULT_NORMS = ("sigma_hybrid", "u_crit")  # default_norm_columns
+_X_COLUMNS = ("X1_sigma_sup", "X2_u_sup", "X3_sigma_int", "X4_u_int")  # run, after the norms
+
+
+def _state_columns(dim: int) -> tuple:
+    """diagnostics_row's columns before its norm columns."""
+    return ("t", "min_rho", "mass", *(f"mom_{i + 1}" for i in range(dim)), "l2_sigma", "l2_u")
+
+
 def default_norm_columns(params: ModelParams, dim: int, j0: int):
     """Built-in diagnostic norms: hybrid sigma norm and critical u norm at j0.
 
     Entries are (column name, target field 'sigma'|'u', norm spec).
     """
     half_n = dim / 2.0
+    sig_name, u_name = _DEFAULT_NORMS
     return [
-        ("sigma_hybrid", "sigma", NormSpec.hybrid(half_n + 1.0 - params.alpha, half_n, j0)),
-        ("u_crit", "u", NormSpec.homogeneous(half_n + 1.0 - params.alpha, 1)),
+        (sig_name, "sigma", NormSpec.hybrid(half_n + 1.0 - params.alpha, half_n, j0)),
+        (u_name, "u", NormSpec.homogeneous(half_n + 1.0 - params.alpha, 1)),
     ]
 
 
-def diagnostics_row(st: State, params: ModelParams, lp: LPDecomp, norm_list):
+def diagnostics_row(st: State, params: ModelParams, norm_list):
     """Trace columns of a state (t, min rho, mass, momentum, L2 norms,
     one Besov-type norm per ``norm_list`` entry), its sigma and u block norms,
     and its velocity samples."""
+    lp = LPDecomp.for_grid(st.grid)
     js = np.array(lp.j_range)
     sig_mf, u_mf = st.scalar.mean_free(), st.u.mean_free()
     bn_sig, bn_u = lp.block_norms(sig_mf), lp.block_norms(u_mf)
     rho = rho_from_sigma(st.scalar.to_physical()[0], params)
     uv = st.u.to_physical()
     cell = st.grid.cell_volume()
-    row = {"t": st.t, "min_rho": float(np.min(rho)), "mass": float(np.sum(rho) * cell)}
-    for i in range(st.grid.dim):
-        row[f"mom_{i + 1}"] = float(np.sum(rho * uv[i]) * cell)
-    row["l2_sigma"] = sig_mf.l2()
-    row["l2_u"] = u_mf.l2()
+    moms = [float(np.sum(rho * uv[i]) * cell) for i in range(st.grid.dim)]
+    values = (st.t, float(np.min(rho)), float(np.sum(rho) * cell), *moms, sig_mf.l2(), u_mf.l2())
+    row = dict(zip(_state_columns(st.grid.dim), values))
     for name, target, spec in norm_list:
         row[name] = besov_norm_from_blocks(js, bn_u if target == "u" else bn_sig, spec)
     return row, bn_sig, bn_u, uv
@@ -281,8 +296,7 @@ def run(config: SimConfig, store_states: bool = False):
     grid = config.grid()
     params = config.model_params()
     ep = LinearEnergyParams.from_model(params)
-    lp = LPDecomp.for_grid(grid)
-    js = np.array(lp.j_range)
+    js = np.array(LPDecomp.for_grid(grid).j_range)
     j0 = ep.j0
     half_n = grid.dim / 2.0
 
@@ -316,7 +330,7 @@ def run(config: SimConfig, store_states: bool = False):
     def record(st: State, t: float):  # returns the velocity samples, for the CFL check
         nonlocal int_sig, int_u, prev_sig_inst, prev_u_inst, prev_t
         nonlocal sup_sig_blocks, sup_u_blocks
-        row, bn_sig, bn_u, uv = diagnostics_row(st, params, lp, norm_list)
+        row, bn_sig, bn_u, uv = diagnostics_row(st, params, norm_list)
         sup_sig_blocks = np.maximum(sup_sig_blocks, bn_sig)
         sup_u_blocks = np.maximum(sup_u_blocks, bn_u)
         x3_inst = besov_norm_from_blocks(js, bn_sig, spec_x3)
@@ -325,10 +339,9 @@ def run(config: SimConfig, store_states: bool = False):
             int_sig += 0.5 * (prev_sig_inst + x3_inst) * (t - prev_t)
             int_u += 0.5 * (prev_u_inst + x4_inst) * (t - prev_t)
         prev_sig_inst, prev_u_inst, prev_t = x3_inst, x4_inst, t
-        row["X1_sigma_sup"] = besov_norm_from_blocks(js, sup_sig_blocks, spec_x1)
-        row["X2_u_sup"] = besov_norm_from_blocks(js, sup_u_blocks, spec_x2)
-        row["X3_sigma_int"] = int_sig
-        row["X4_u_int"] = int_u
+        x1 = besov_norm_from_blocks(js, sup_sig_blocks, spec_x1)
+        x2 = besov_norm_from_blocks(js, sup_u_blocks, spec_x2)
+        row.update(zip(_X_COLUMNS, (x1, x2, int_sig, int_u)))
         trace.append(t, row)
         if not store_states:
             states.clear()
@@ -393,44 +406,25 @@ def fractional_heat_trace(
         raise ParameterError(f"unknown profile {profile!r}")
     u0 = u0.mean_free()
 
-    lp = LPDecomp.for_grid(grid)
-    js = np.array(lp.j_range)
     spec = NormSpec.homogeneous(s1, np.inf)
     trace = NormTrace()
     for t in np.asarray(times, dtype=float):
         ut = heat_semigroup(u0, alpha, mu, t)
-        bn = lp.block_norms(ut)
-        trace.append(
-            t,
-            {
-                "t": t,
-                "l2": ut.l2(),
-                "b_s1": besov_norm_from_blocks(js, bn, spec),
-            },
-        )
+        trace.append(t, {"t": t, "l2": ut.l2(), "b_s1": besov_norm(ut, spec)})
     return trace
 
 
 # -- decay diagnostics ------------------------------------------------------
 
 
-def z_norms(
-    state: State,
-    t: float,
-    s: float,
-    s_bar: float,
-    alpha: float,
-    j0: int,
-    lp: Optional[LPDecomp] = None,
-):
+def z_norms(state: State, t: float, s: float, s_bar: float, alpha: float, j0: int):
     """Time-weighted low/high frequency norms at time t.
 
     Low part:  t^s sum_{j <= j0} 2^{j(s_bar + s*alpha)} ||(D_j sigma, D_j u)||
     High part: t^s sum_{j > j0} [2^{jN/2} ||D_j sigma||
                                  + 2^{j(N/2+1-alpha)} ||D_j u||]
     """
-    if lp is None:
-        lp = LPDecomp.for_grid(state.grid)
+    lp = LPDecomp.for_grid(state.grid)
     js = np.array(lp.j_range)
     bn_sig = lp.block_norms(state.scalar.mean_free())
     bn_u = lp.block_norms(state.u.mean_free())

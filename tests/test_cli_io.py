@@ -14,7 +14,7 @@ from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
 from euleralign.model import ModelParams, State, sigma_from_rho
-from euleralign.simulation import SimConfig, run
+from euleralign.simulation import SimConfig, initial_state, run
 from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
 
 
@@ -110,6 +110,21 @@ kind = power
             parse_config("[output]\nnorms = x rho homogeneous 0.5\n")
         with pytest.raises(ConfigError, match="norms"):
             parse_config("[output]\nnorms = x sigma fancy 0.5\n")
+
+    @pytest.mark.parametrize(
+        "entries",
+        ["mass u homogeneous 0 1", "X1_sigma_sup sigma homogeneous 0 1",
+         "a u homogeneous 0 1; a sigma homogeneous 1 1"],
+    )
+    def test_norm_column_names_must_be_new(self, entries, tmp_path, capsys):
+        # a repeated name would overwrite that column of the trace
+        text = f"[grid]\nn = 32\n[time]\nt_end = 0.1\n[output]\nnorms = {entries}\n"
+        with pytest.raises(ConfigError, match="repeats another trace column"):
+            parse_config(text)
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", _write_config(tmp_path, text), "--output", str(out)]) == 2
+        assert "repeats another trace column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decay_validation(self):
         with pytest.raises(ConfigError, match="decay"):
@@ -323,6 +338,19 @@ class TestCLI:
             assert abs(float(final[col]) - float(ana[col])) <= 1e-12 * max(
                 abs(float(final[col])), 1.0
             )
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_analyze_rejects_mixed_dimensions(self, tmp_path, capsys, order):
+        snaps = []
+        for dim in order:
+            st = initial_state(SimConfig(dim=dim, n=16, ic="random_smooth", seed=dim))
+            snaps.append(str(tmp_path / f"{dim}d.snap"))
+            write_snapshot(snaps[-1], st, ModelParams(1.5, 1.0, 1.0, dim=dim))
+        out = tmp_path / "an.csv"
+        assert main(["analyze", *snaps, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert snaps[1] in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.ini"), "--output", "-"]) == 2

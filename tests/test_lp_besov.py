@@ -37,6 +37,27 @@ class TestProfiles:
         assert np.all(phi_profile(r_in) >= 0)
         assert phi_profile(np.array([1.4]))[0] == pytest.approx(1.0)
 
+    def test_chi_matches_the_banded_formula_bit_for_bit(self):
+        def banded(r):  # the masked form chi_profile was first written in
+            t = (r - 0.75) / (4.0 / 3.0 - 0.75)
+            up, down = glue(1.0 - t), glue(t)
+            band = (r > 0.75) & (r < 4.0 / 3.0)
+            out = np.where(r <= 0.75, 1.0, 0.0)
+            return np.where(band, up / np.where(band, up + down, 1.0), out)
+
+        def glue(x):
+            out = np.zeros_like(x)
+            out[x > 0] = np.exp(-1.0 / x[x > 0])
+            return out
+
+        edges = np.array([-2.0, 0.75, 4.0 / 3.0, 3.0])
+        r = np.concatenate([
+            np.linspace(-2.0, 3.0, 1_200_001), edges,
+            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf],
+        ])
+        assert chi_profile(r).tobytes() == banded(r).tobytes()
+
     def test_telescoping(self):
         # sum over j of phi(2^-j r) telescopes to 1 for r away from 0
         r = np.linspace(0.3, 100.0, 500)

@@ -185,16 +185,40 @@ def test_plan_rejects_a_dimension_mismatch():
             call()
 
 
-@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
-def test_cached_block_weights_match_block_multipliers(dim, n):
+def test_lp_multipliers_are_shared_and_read_only():
+    lp, twin = (LPDecomp.for_grid(Grid(2, 16, 2 * np.pi)) for _ in range(2))
+    assert twin is not lp
+    arrays = [arr for pair in lp.block_weights() for arr in pair]
+    for j in range(lp.j_min - 1, lp.j_max + 2):
+        arrays += [lp.block_multiplier(j), lp.lowpass_multiplier(j)]
+        assert twin.block_multiplier(j) is lp.block_multiplier(j)
+        assert twin.lowpass_multiplier(j) is lp.lowpass_multiplier(j)
+    assert twin.block_weights() is lp.block_weights()
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])
+def test_block_norm_table_matches_block_multipliers(dim, n):
     st = random_state(dim, n, seed=11)
     lp = LPDecomp.for_grid(st.grid)
-    energy = np.sum(np.abs(st.u.coef) ** 2, axis=0) * st.grid.plancherel_weights()
+    w = st.grid.plancherel_weights()
+    energy = np.sum(np.abs(st.u.coef) ** 2, axis=0) * w
     direct = [
         np.sqrt(np.sum(lp.block_multiplier(j) ** 2 * energy) * st.grid.volume())
         for j in lp.j_range
     ]
     np.testing.assert_allclose(lp.block_norms(st.u), direct, rtol=1e-13, atol=0)
+    # the table keeps the points where phi_j^2 * w != 0, not phi_j's support:
+    # at 2D n=256 the square underflows at some points where phi_j != 0
+    underflows = 0
+    for j, (idx, w2) in zip(lp.j_range, lp.block_weights()):
+        full = (lp.block_multiplier(j) ** 2 * w).ravel()
+        keep = np.flatnonzero(full)
+        assert _same_bits(idx, keep) and _same_bits(w2, full[keep])
+        underflows += np.count_nonzero(lp.block_multiplier(j)) - keep.size
+    assert (underflows > 0) == (n == 256 and dim == 2)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
