@@ -2,7 +2,8 @@
 
 All CSV output is RFC-4180 (CRLF line endings, '.' decimal point) with 17
 significant digits.  Exit codes: 0 success, 2 validation error, 3 vacuum
-abort, 4 CFL abort; an aborted run still writes its partial trace.
+abort, 4 CFL abort; an aborted run still writes its partial trace.  With
+``--output -`` stdout carries the CSV alone; the other lines go to stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _note(output, text: str) -> None:
+    """Print a line for the reader: on stderr when the CSV goes to stdout
+    (``output`` is '-'), so that stdout stays a pure CSV stream."""
+    print(text, file=sys.stderr if output == "-" else sys.stdout)
+
+
 def _write_csv(path, header, rows):
     """Atomic CSV write (temp file + rename); '-' writes to stdout."""
 
@@ -68,21 +75,17 @@ def _write_csv(path, header, rows):
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
     params = config.model_params()
-    print(
+    _note(
+        args.output,
         f"run: dim={config.dim} n={config.n} L={_fmt(config.L)} "
         f"alpha={_fmt(params.alpha)} kappa={_fmt(params.kappa)} "
         f"gamma={_fmt(params.gamma)} mu={_fmt(params.mu)} lambda={_fmt(params.lam)} "
-        f"ic={config.ic} amplitude={_fmt(config.amplitude)} seed={config.seed}"
+        f"ic={config.ic} amplitude={_fmt(config.amplitude)} seed={config.seed}",
     )
     trace, states = run(config)
     _write_csv(args.output, trace.columns, trace.rows)
     if config.snapshot_path is not None:
         write_snapshot(config.snapshot_path, states[-1], params)
-    if config.decay_column not in trace.columns:
-        raise ConfigError(
-            f"decay.column: {config.decay_column!r} is not a trace column "
-            f"(columns: {', '.join(trace.columns)})"
-        )
     if config.decay_window is not None:
         try:
             exponent, r2 = decay_fit(
@@ -91,7 +94,10 @@ def _cmd_run(args) -> int:
                 config.decay_window,
                 kind=config.decay_kind,
             )
-            print(f"decay fit [{config.decay_column}]: exponent={_fmt(exponent)} r2={_fmt(r2)}")
+            _note(
+                args.output,
+                f"decay fit [{config.decay_column}]: exponent={_fmt(exponent)} r2={_fmt(r2)}",
+            )
         except ValueError as exc:
             print(f"decay fit skipped: {exc}", file=sys.stderr)
     if trace.status in _ABORT_EXIT:
@@ -181,7 +187,7 @@ def _cmd_heat_decay(args) -> int:
         ["alpha", "s0", "s1", "t_a", "t_b", "norm", "exponent", "target", "r2", "note"],
         rows,
     )
-    print(f"l2 exponent={_fmt(exp_l2)}; b_s1 exponent={_fmt(exp_b)}")
+    _note(args.output, f"l2 exponent={_fmt(exp_l2)}; b_s1 exponent={_fmt(exp_b)}")
     return EXIT_OK
 
 

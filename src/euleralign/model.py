@@ -112,13 +112,13 @@ class ModelParams:
 
 
 def sigma_from_rho(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """sigma = lam/(gamma-1) (rho^{gamma-1} - 1), or sqrt(kappa) ln rho at gamma=1."""
+    """sigma = lam/(gamma-1) (rho^{gamma-1} - 1), or lam ln rho at gamma=1 (lam = sqrt(kappa))."""
     rho = np.asarray(rho, dtype=np.float64)
     mn = float(np.min(rho))
     if mn <= 0:
         raise VacuumError(mn)
     if params.gamma == 1.0:
-        return np.sqrt(params.kappa) * np.log(rho)
+        return params.lam * np.log(rho)
     gm1 = params.gamma - 1.0
     return params.lam / gm1 * np.expm1(gm1 * np.log(rho))
 
@@ -133,7 +133,7 @@ def h_of_sigma(
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if params.gamma == 1.0:
-        arg = np.divide(sigma, np.sqrt(params.kappa), out=out)
+        arg = np.divide(sigma, params.lam, out=out)
         return np.expm1(arg, out=arg)
     gm1 = params.gamma - 1.0
     arg = np.multiply(gm1, sigma, out=out)
@@ -259,37 +259,61 @@ def alignment_direct(
 class Workspace:
     """The buffers of one plan's ``tendency`` and ``step``, allocated once.
 
-    With N = grid.dim, a "field" is one component's half spectrum (complex)
-    or grid samples (real):
+    With N = grid.dim, the stacked state x = (sigma, u_1, ..., u_N) has
+    F = 1 + N fields; a "field" is one component's half spectrum (complex) or
+    grid samples (real).  Three arrays hold every buffer, and each slot is a
+    view of one of them, named here once:
 
-    ``batch``    complex, 1 + 2N + N^2 fields: the (sigma, u, grad sigma,
-                 grad u) coefficients.  Once they are transformed, the first
-                 two slots hold the (g, Lambda^alpha g) pair; once that is
-                 transformed, ``scratch`` (the same memory as real samples)
-                 holds the products' temporaries, and then the first 1 + 2N
-                 slots hold the products' spectra.  ``step`` forms its stage
-                 inputs in the (sigma, u) slots, and its vacuum guard in slot 0.
-    ``samples``  real, max(1 + 2N + N^2, 3 + 3N) fields: the batch's samples.
-                 ``products`` are the 1 + 2N slots from 2 + N on; in 2D these
-                 are d_2 sigma and grad u, dead once the products' terms are
-                 formed.  The guard's samples go to slot 0.
-    ``pair``     real, 2 fields: h(sigma), then the samples of (g, Lambda^alpha g).
-    ``k``        complex, 3 x (1 + N) fields: the RK4 sum and two stage tendencies.
-    ``factor``   real, one half spectrum: dt e^{-mu (dt/2) Lambda^alpha},
-                 then twice that semigroup.
+    ``batch``    complex, F^2 fields.  ``x`` = (``sig``, ``u``), the stage
+                 input, masked in place, then ``grad``, grad[a, c] = d_a x_c:
+                 ``grad_sig`` is grad[:, 0] and ``div_terms`` the d_a u_a.
+                 Once they are transformed, ``pair_hat`` (the first two
+                 fields) holds (g, Lambda^alpha g); once that is transformed,
+                 the real ``div_u`` and ``adv`` = (u.grad sigma, (u.grad) u)
+                 use the same memory, and then ``prods_hat``, the first
+                 1 + 2N fields, holds the products' spectra.
+    ``samples``  real, max(F^2, 2 + 3N) + 2 fields: ``phys``, the batch's
+                 samples, which are ``xv`` = (``sv``, ``uv``) and ``gv``
+                 (grad's, with ``gv_diag`` its d_a u_a).  The u_a d_a x
+                 products overwrite ``gv``, and once they are reduced, the
+                 1 + 2N ``prods`` start where ``gv`` did: ``terms``, the
+                 (sigma, u) terms without Lambda^alpha(g u), then ``gu``.  The
+                 last two fields are ``pair``: h(sigma), then the samples of
+                 (g, Lambda^alpha g).  One array, not two, keeps the heap free
+                 of a long-lived 1 MB block at 2D n=256.
+    ``k``        complex, 3 x F fields: ``acc``, the RK4 sum, and the stage
+                 tendencies ``ka`` and ``kb``, each with its (sigma, u) parts.
     """
 
     def __init__(self, grid: Grid):
         dim, spectral, shape = grid.dim, grid.spectral_shape, grid.shape
-        n_batch, n_scratch = 1 + 2 * dim + dim * dim, 2 + dim + dim * dim
-        self.batch = np.empty((n_batch,) + spectral, dtype=complex)
-        self.samples = np.empty((max(n_batch, 3 + 3 * dim),) + shape)
-        self.pair = np.empty((2,) + shape)
-        self.k = np.empty((3, 1 + dim) + spectral, dtype=complex)
-        self.factor = np.empty(spectral)
-        flat = self.batch.reshape(-1).view(np.float64)
-        self.scratch = flat[: n_scratch * grid.n**dim].reshape((n_scratch,) + shape)
-        self.products = self.samples[2 + dim : 3 + 3 * dim]
+        F = 1 + dim
+        self.batch = np.empty((F * F,) + spectral, dtype=complex)
+        n_phys = max(F * F, 2 + 3 * dim)
+        self.samples = np.empty((n_phys + 2,) + shape)
+        self.k = np.empty((3, F) + spectral, dtype=complex)
+
+        self.x, self.sig, self.u = self.batch[:F], self.batch[:1], self.batch[1:F]
+        self.grad = self.batch[F:].reshape((dim, F) + spectral)
+        self.grad_sig, self.div_terms = self.batch[F::F], self.batch[F + 1 :: F + 1]
+        self.pair_hat, self.prods_hat = self.batch[:2], self.batch[: 1 + 2 * dim]
+        real = self.batch.reshape(-1).view(np.float64)[: (1 + F) * grid.n**dim]
+        real = real.reshape((1 + F,) + shape)
+        self.div_u, self.adv = real[0], real[1:]
+
+        self.pair = self.samples[n_phys:]
+        self.phys, self.xv = self.samples[: F * F], self.samples[:F]
+        self.sv, self.uv = self.samples[0], self.samples[1:F]
+        self.uv_col = self.uv[:, np.newaxis]
+        self.gv = self.samples[F : F * F].reshape((dim, F) + shape)
+        self.gv_diag = self.samples[F + 1 : F * F : F + 1]
+        self.prods = self.samples[F : F + 1 + 2 * dim]
+        self.terms, self.gu = self.prods[:F], self.prods[F:]
+        self.terms_hat, self.gu_hat = self.prods_hat[:F], self.prods_hat[F:]
+
+        self.acc, self.ka, self.kb = self.k
+        self.acc_s, self.ka_s, self.kb_s = self.k[:, :1]
+        self.acc_u, self.ka_u, self.kb_u = self.k[:, 1:]
 
 
 class SpectralPlan:
@@ -298,9 +322,12 @@ class SpectralPlan:
 
     ``ixi`` (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean
     zeroed) and ``mask`` (2/3 rule) are the grid's own read-only symbols;
-    ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency moves its batches to
-    the grid with ``band_physical`` and back with the grid's ``spectral``: 4
-    transform batches, and 17 per ``step`` with the vacuum guard.  In 2D each batch is two NumPy calls, one 1D pass
+    ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency acts on the stacked
+    (sigma, u) array: each operation that is the same for sigma and u runs
+    once on all 1 + N fields.  It moves its batches to the grid with
+    ``band_physical`` and back with the grid's ``spectral``: 4 transform
+    batches, 16 per ``step``, whose first stage checks the input's density on
+    samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass
     per axis.  The batches, temporaries, stage inputs and tendencies live in
     ``workspace``, allocated on first use and reused by every later
     ``tendency`` and ``step``, so a step allocates only the arrays it
@@ -314,18 +341,25 @@ class SpectralPlan:
         self.lam_alpha = grid.lambda_symbol(params.alpha)
         self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
         self.mask = grid.dealias_mask()
-        self._semigroup = None  # (dt, its pair): a run steps with one dt
+        self._ixi_col = self.ixi[:, np.newaxis]
+        # the fields' factors in -(gamma-1) sigma div u and mu u Lambda^alpha g
+        source = [-(params.gamma - 1.0)] + [params.mu] * grid.dim
+        self._source_factor = read_only(np.array(source).reshape((-1,) + (1,) * grid.dim))
+        # (dt, its pair, (dt e_half, 2 e_half)): a run steps with one dt
+        self._semigroup = None
 
     @functools.cached_property
     def workspace(self) -> Workspace:
         return Workspace(self.grid)
 
     def semigroup(self, dt: float):
-        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt."""
+        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt
+        together with the step's dt e_half and 2 e_half."""
         if self._semigroup is None or self._semigroup[0] != dt:
             p = self.params
             e_half = read_only(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
-            self._semigroup = dt, (e_half, read_only(e_half * e_half))
+            scaled = read_only(dt * e_half), read_only(2.0 * e_half)
+            self._semigroup = dt, (e_half, read_only(e_half * e_half)), scaled
         return self._semigroup[1]
 
     def band_physical(self, coef: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -343,126 +377,118 @@ class SpectralPlan:
             coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
         return np.fft.irfft(coef, n=grid.n, axis=-1, norm="forward", out=out)
 
-    def tendency(
-        self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False, out=None
-    ):
+    def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
-        stiff -mu Lambda^alpha u term.
+        stiff -mu Lambda^alpha u term, as two new arrays.
 
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
-        with g = h(sigma) = rho - 1.  The nonlinear terms cost four batched
-        transforms: (sigma, u, grad sigma, grad u) to the grid, h(sigma) back,
-        (g, Lambda^alpha g) to the grid, and the three products back.  All of
-        them run in ``workspace`` (see ``Workspace`` for its layout), with the
-        operations and operation order of the out-of-place formula, so the
-        bits are the same.  ``sig`` and ``u`` are read only before anything
-        is written, so they may be the batch's own (sigma, u) slots.
-
-        The tendencies go to ``out`` = (d sigma, d u) if given (``step``
-        passes its slots); otherwise they are new arrays that own their memory.
+        with g = h(sigma) = rho - 1.  The inputs are copied into the
+        workspace's stage input, so they may be any arrays; the kernel is the
+        one ``step`` runs (see ``_tendency``).
         """
-        p, dim, mask, ixi = self.params, self.grid.dim, self.mask, self.ixi
         ws = self.workspace
-        coef = ws.batch
-        np.multiply(sig, mask, out=coef[:1])
-        np.multiply(u, mask, out=coef[1 : 1 + dim])
-        np.multiply(ixi, coef[:1], out=coef[1 + dim : 1 + 2 * dim])
-        grad_u = coef[1 + 2 * dim :].reshape((dim,) + u.shape)  # [a, i] = d_a u_i
-        np.multiply(ixi[:, np.newaxis], coef[1 : 1 + dim], out=grad_u)
-        if out is None:
-            out = np.empty((1,) + mask.shape, dtype=complex), np.empty_like(coef[1 : 1 + dim])
-        dsig, du = out
-        coef[1 + 2 * dim :: dim + 1].sum(axis=0, keepdims=True, out=dsig)  # div u
-        np.multiply(-p.lam, dsig, out=dsig)
-        np.multiply(-p.lam, coef[1 + dim : 1 + 2 * dim], out=du)
+        ws.sig[...], ws.u[...] = sig, u
+        self._tendency(ws.kb, linear_only)
+        return ws.kb_s.copy(), ws.kb_u.copy()
+
+    def _tendency(self, k: np.ndarray, linear_only: bool, guard: bool = False) -> None:
+        """The tendency of the stage input ``workspace.x`` into the stacked k.
+
+        The nonlinear terms cost four batched transforms: (sigma, u) and their
+        gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
+        and the 1 + 2N products back.  The mask, the gradients, the -lam
+        terms, the advection, the source terms and the final sums run once
+        on the stacked (sigma, u) fields, each element with the operations and
+        operation order of the out-of-place formula, so the bits are the same.
+        With ``guard`` the density min rho = 1 + min h(sigma) of the samples
+        is checked, and ``VacuumError`` raised below ``VACUUM_THRESHOLD`` or
+        at a NaN; ``linear_only`` makes no transform and so checks nothing.
+        """
+        p, ws, mask = self.params, self.workspace, self.mask
+        np.multiply(ws.x, mask, out=ws.x)
+        np.multiply(self._ixi_col, ws.x, out=ws.grad)
+        np.add.reduce(ws.div_terms, axis=0, keepdims=True, out=k[:1])
+        k[1:] = ws.grad_sig
+        np.multiply(-p.lam, k, out=k)  # -lam (div u, grad sigma)
         if linear_only:
-            return dsig, du
-        phys = self.band_physical(coef, out=ws.samples[: len(coef)])
-        sv, uv = phys[0], phys[1 : 1 + dim]
-        gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
-        pair = coef[:2]  # (g, Lambda^alpha g)
-        self.grid.spectral(h_of_sigma(sv, p, out=ws.pair[0]), out=pair[0])
-        np.multiply(pair[0], mask, out=pair[0])
-        np.multiply(self.lam_alpha, pair[0], out=pair[1])
-        gv, lam_g = self.band_physical(pair, out=ws.pair)
-        tmp = ws.scratch  # the batch's memory: its contents are dead from here
-        div_u = tmp[0]
-        np.add(0, gu[0, 0], out=div_u)  # 0 + d_1 u_1 + d_2 u_2, as sum() adds
-        for i in range(1, dim):
-            np.add(div_u, gu[i, i], out=div_u)
-        adv_sig, adv_u = tmp[1 + dim], tmp[1 : 1 + dim]  # adv_u takes uv * gs's slots
-        np.multiply(uv, gs, out=tmp[1 : 1 + dim]).sum(axis=0, out=adv_sig)
-        uv_gu = tmp[2 + dim : 2 + dim + dim * dim].reshape(gu.shape)
-        np.multiply(uv[:, np.newaxis], gu, out=uv_gu).sum(axis=0, out=adv_u)
-        prods = ws.products  # over slots of phys that are dead from here
-        compress = np.multiply(p.gamma - 1.0, sv, out=tmp[2 + dim])
-        np.multiply(compress, div_u, out=compress)
-        np.subtract(np.negative(adv_sig, out=adv_sig), compress, out=prods[0])
-        align = np.multiply(p.mu, uv, out=tmp[2 + dim : 2 + 2 * dim])
-        np.multiply(align, lam_g, out=align)
-        np.add(np.negative(adv_u, out=adv_u), align, out=prods[1 : 1 + dim])
-        np.multiply(gv, uv, out=prods[1 + dim :])
-        prods = self.grid.spectral(prods, out=coef[: len(prods)])
-        dsig += prods[:1]
-        du += prods[1 : 1 + dim]
-        du -= np.multiply(self.mu_lam_alpha, prods[1 + dim :], out=prods[1 + dim :])
-        return np.multiply(dsig, mask, out=dsig), np.multiply(du, mask, out=du)
+            return
+        self.band_physical(ws.batch, out=ws.phys)
+        g = h_of_sigma(ws.sv, p, out=ws.pair[0])
+        if guard:
+            mn = 1.0 + float(np.minimum.reduce(g, axis=None))
+            if not (mn >= VACUUM_THRESHOLD):
+                raise VacuumError(mn)
+        pair_hat = ws.pair_hat  # (g, Lambda^alpha g)
+        self.grid.spectral(g, out=pair_hat[0])
+        np.multiply(pair_hat[0], mask, out=pair_hat[0])
+        np.multiply(self.lam_alpha, pair_hat[0], out=pair_hat[1])
+        gv, lam_g = self.band_physical(pair_hat, out=ws.pair)
+        div_u, adv, terms = ws.div_u, ws.adv, ws.terms  # the batch is dead
+        np.add.reduce(ws.gv_diag, axis=0, initial=0.0, out=div_u)  # 0 + d_1 u_1 + ..., as sum() adds
+        np.add.reduce(np.multiply(ws.uv_col, ws.gv, out=ws.gv), axis=0, out=adv)
+        # -(gamma-1) sigma div u and mu u Lambda^alpha g; a - b is a + (-b)
+        np.multiply(self._source_factor, ws.xv, out=terms)
+        np.multiply(terms[0], div_u, out=terms[0])
+        np.multiply(terms[1:], lam_g, out=terms[1:])
+        np.add(np.negative(adv, out=adv), terms, out=terms)
+        np.multiply(gv, ws.uv, out=ws.gu)
+        self.grid.spectral(ws.prods, out=ws.prods_hat)
+        k += ws.terms_hat
+        k[1:] -= np.multiply(self.mu_lam_alpha, ws.gu_hat, out=ws.gu_hat)
+        np.multiply(k, mask, out=k)
 
     def step(self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False):
         """One integrating-factor RK4 step of the coefficients (sigma, u).
 
         The stiff -mu Lambda^alpha u term is integrated exactly through
-        ``semigroup(dt)``, the rest through four ``tendency`` stages.  They run
-        in ``workspace``, and the RK4 sums accumulate in place as the stages
-        finish, in the formula's operation order, so the bits are those of the
-        out-of-place expression.  Returns the new (sigma, u), the only new
-        memory, once the vacuum guard has passed the new sigma's density; a
-        NaN trips the guard too.
+        ``semigroup(dt)``, the rest through four stages of the tendency
+        kernel.  The first stage guards the input: it raises ``VacuumError``
+        when the density of the given sigma nears vacuum or is NaN (a
+        ``linear_only`` step checks nothing).  The stages run in
+        ``workspace``; stage inputs that treat sigma and u alike are formed
+        on the stacked array, and the RK4 sums accumulate in place as the
+        stages finish, in the formula's operation order, so the bits are
+        those of the out-of-place expression.  Returns the new (sigma, u),
+        the only new memory.
         """
         e_half, e_full = self.semigroup(dt)
-        ws = self.workspace
-        acc, ka, kb = ws.k  # the RK4 sum, from k1 on, and two stage tendencies
-        xs, xu = ws.batch[:1], ws.batch[1 : 1 + self.grid.dim]  # stage input, in place
-        half = 0.5 * dt
+        dt_e_half, two_e_half = self._semigroup[2]
+        ws, half = self.workspace, 0.5 * dt
+        x, xs, xu = ws.x, ws.sig, ws.u  # the stage input, in the batch
+        acc, ka, kb = ws.acc, ws.ka, ws.kb  # the RK4 sum, from k1 on, and two stages
 
-        self.tendency(sig, u, linear_only, out=(acc[:1], acc[1:]))  # k1
+        xs[...], xu[...] = sig, u
+        self._tendency(acc, linear_only, guard=True)  # k1
         # sig + dt/2 k1s, (u + dt/2 k1u) e_half
-        np.add(sig, np.multiply(half, acc[:1], out=xs), out=xs)
-        np.add(u, np.multiply(half, acc[1:], out=xu), out=xu)
-        np.multiply(xu, e_half, out=xu)
-        self.tendency(xs, xu, linear_only, out=(ka[:1], ka[1:]))  # k2
+        np.multiply(half, acc, out=x)
+        np.add(sig, xs, out=xs)
+        np.multiply(np.add(u, xu, out=xu), e_half, out=xu)
+        self._tendency(ka, linear_only)  # k2
         # sig + dt/2 k2s, u e_half + dt/2 k2u
-        np.add(sig, np.multiply(half, ka[:1], out=xs), out=xs)
-        np.multiply(u, e_half, out=xu)
-        np.add(xu, np.multiply(half, ka[1:], out=kb[1:]), out=xu)
-        ka[:1] *= 2.0
-        acc[:1] += ka[:1]  # k1s + 2 k2s
-        acc[1:] *= e_full  # e_full k1u
-        self.tendency(xs, xu, linear_only, out=(kb[:1], kb[1:]))  # k3
+        np.multiply(half, ka, out=x)
+        np.add(sig, xs, out=xs)
+        np.add(np.multiply(u, e_half, out=ws.kb_u), xu, out=xu)
+        ws.ka_s *= 2.0
+        ws.acc_s += ws.ka_s  # k1s + 2 k2s
+        ws.acc_u *= e_full  # e_full k1u
+        self._tendency(kb, linear_only)  # k3
         # sig + dt k3s, u e_full + dt e_half k3u
-        np.add(sig, np.multiply(dt, kb[:1], out=xs), out=xs)
-        ka[1:] += kb[1:]  # k2u + k3u
-        np.multiply(np.multiply(dt, e_half, out=ws.factor), kb[1:], out=kb[1:])
-        np.add(np.multiply(u, e_full, out=xu), kb[1:], out=xu)
-        kb[:1] *= 2.0
-        acc[:1] += kb[:1]  # + 2 k3s
-        acc[1:] += np.multiply(np.multiply(2.0, e_half, out=ws.factor), ka[1:], out=ka[1:])
-        self.tendency(xs, xu, linear_only, out=(ka[:1], ka[1:]))  # k4
+        np.add(sig, np.multiply(dt, ws.kb_s, out=xs), out=xs)
+        ws.ka_u += ws.kb_u  # k2u + k3u
+        np.multiply(dt_e_half, ws.kb_u, out=ws.kb_u)
+        np.add(np.multiply(u, e_full, out=xu), ws.kb_u, out=xu)
+        ws.kb_s *= 2.0
+        ws.acc_s += ws.kb_s  # + 2 k3s
+        ws.acc_u += np.multiply(two_e_half, ws.ka_u, out=ws.ka_u)
+        self._tendency(ka, linear_only)  # k4
         acc += ka
-        s_new = np.multiply(acc[:1], dt / 6.0)
+        s_new = np.multiply(ws.acc_s, dt / 6.0)
         s_new += sig
         s_new *= self.mask
-        u_new = np.multiply(acc[1:], dt / 6.0)
-        u_new += np.multiply(u, e_full, out=kb[1:])
+        u_new = np.multiply(ws.acc_u, dt / 6.0)
+        u_new += np.multiply(u, e_full, out=ws.kb_u)
         u_new *= self.mask
-
-        guard = ws.batch[0]
-        np.copyto(guard, s_new[0])
-        samples = self.band_physical(guard, out=ws.samples[0])
-        mn = float(np.min(rho_from_sigma(samples, self.params, out=samples)))
-        if not (mn >= VACUUM_THRESHOLD):
-            raise VacuumError(mn)
         return s_new, u_new
 
 

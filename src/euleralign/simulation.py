@@ -21,7 +21,7 @@ from .besov import NormSpec, NormTrace, besov_norm, besov_norm_from_blocks
 from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
-from .model import ModelParams, State, VacuumError, plan_for, rho_from_sigma
+from .model import VACUUM_THRESHOLD, ModelParams, State, VacuumError, plan_for, rho_from_sigma
 from .operators import (
     ParameterError,
     dealias,
@@ -94,10 +94,15 @@ class SimConfig:
         if self.decay_kind not in ("power", "exp"):
             raise ParameterError(f"decay kind must be power or exp, got {self.decay_kind!r}")
         names = [name for name, _, _ in self.norms]
-        builtin = {*_state_columns(self.dim), *_DEFAULT_NORMS, *_X_COLUMNS}
+        columns = (*_state_columns(self.dim), *_DEFAULT_NORMS, *names, *_X_COLUMNS)
         for name in names:
-            if name in builtin or names.count(name) > 1:
+            if columns.count(name) > 1:
                 raise ParameterError(f"norm column {name!r} repeats another trace column")
+        if self.decay_column not in columns:
+            raise ParameterError(
+                f"decay.column: {self.decay_column!r} is not a trace column "
+                f"(columns: {', '.join(columns)})"
+            )
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
@@ -194,7 +199,10 @@ def step(
     """One integrating-factor RK4 step: ``SpectralPlan.step`` of
     ``plan_for(grid, params)`` on the state's coefficients.
 
-    Raises ``VacuumError`` when the new density nears vacuum.
+    It guards its input, not its output: the first stage raises
+    ``VacuumError`` when the given state's density is below
+    ``VACUUM_THRESHOLD`` or NaN, from samples the stage makes anyway.  A
+    ``linear_only`` step makes no transform and checks nothing.
     """
     if not 0 < dt < np.inf:
         raise ParameterError(f"dt must be finite and > 0, got {dt}")
@@ -291,7 +299,10 @@ def run(config: SimConfig, store_states: bool = False):
     early keeps the records so far and sets ``trace.status``:
     "vacuum" when the density guard trips, "cfl" after three consecutive
     records whose dt exceeds ``cfl_limit``, or at once when the final record's
-    dt exceeds it.
+    dt exceeds it.  Each ``step`` guards the state it is given, and each
+    record after the first checks the ``min_rho`` of its row before keeping
+    it, so no kept state past the initial data has a density below
+    ``VACUUM_THRESHOLD`` or NaN, and the final state is checked too.
     """
     grid = config.grid()
     params = config.model_params()
@@ -327,10 +338,12 @@ def run(config: SimConfig, store_states: bool = False):
     states = []
     cfl_strikes = 0
 
-    def record(st: State, t: float):  # returns the velocity samples, for the CFL check
+    def record(st: State, t: float, guard: bool = True):  # returns the velocity samples
         nonlocal int_sig, int_u, prev_sig_inst, prev_u_inst, prev_t
         nonlocal sup_sig_blocks, sup_u_blocks
         row, bn_sig, bn_u, uv = diagnostics_row(st, params, norm_list)
+        if guard and not row["min_rho"] >= VACUUM_THRESHOLD:
+            raise VacuumError(row["min_rho"])
         sup_sig_blocks = np.maximum(sup_sig_blocks, bn_sig)
         sup_u_blocks = np.maximum(sup_u_blocks, bn_u)
         x3_inst = besov_norm_from_blocks(js, bn_sig, spec_x3)
@@ -348,7 +361,7 @@ def run(config: SimConfig, store_states: bool = False):
         states.append(st)
         return uv
 
-    record(state, 0.0)
+    record(state, 0.0, guard=False)  # the initial data as given: step 1 guards it
     try:
         for istep in range(1, nsteps + 1):
             state = step(state, params, dt)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -42,8 +42,14 @@ class SnapshotError(ValueError):
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "wb", **kwargs):
     """Open a temp file beside ``path``, renamed over it when the block exits
-    cleanly and removed when it raises."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    cleanly and removed when it raises.
+
+    The temp file is created with mode 0o666, less the umask, as a plain
+    ``open`` creates a file (``tempfile.mkstemp`` would make it 0o600).
+    """
+    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import io
+import os
 import pathlib
 import re
+import stat
 import struct
 
 import numpy as np
@@ -13,9 +15,19 @@ import pytest
 from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
-from euleralign.model import ModelParams, State, sigma_from_rho
+from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, sigma_from_rho
 from euleralign.simulation import SimConfig, initial_state, run
 from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
+
+
+@pytest.fixture
+def umask_027():
+    """Run the test under umask 027, so a new file's normal mode is 0o640."""
+    old = os.umask(0o027)
+    try:
+        yield 0o640
+    finally:
+        os.umask(old)
 
 
 MINIMAL = """
@@ -183,6 +195,16 @@ class TestSnapshot:
         back, p2 = read_snapshot(a)
         write_snapshot(b, back, p2)
         assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+    def test_snapshot_gets_the_normal_file_mode(self, tmp_path, umask_027):
+        # the mode of a plain open(): 0o666 less the umask, also when the
+        # snapshot replaces a file of another mode
+        st, p = self._state()
+        path = tmp_path / "s.snap"
+        path.write_bytes(b"old")
+        os.chmod(path, 0o600)
+        write_snapshot(str(path), st, p)
+        assert stat.S_IMODE(path.stat().st_mode) == umask_027
 
     def test_2d_round_trip(self, tmp_path):
         g = Grid(2, 16, 1.0)
@@ -646,16 +668,79 @@ column = l2_u
         err = capsys.readouterr().err
         assert "unknown key decay.s0" in err and "Traceback" not in err
 
-    def test_unknown_decay_column_exits_2_after_the_trace(self, tmp_path, capsys):
+    def test_unknown_decay_column_exits_2_before_the_run(self, tmp_path, capsys):
+        # the config check names every trace column, and nothing runs
+        text = (
+            "[grid]\nn = 32\n\n[time]\nt_end = 0.5\n\n"
+            "[output]\nnorms = extra sigma homogeneous 0.5 1\n\n"
+            "[decay]\nt_a = 0.1\nt_b = 0.5\ncolumn = {}\n"
+        )
+        good = tmp_path / "good.csv"
+        cfg = _write_config(tmp_path, text.format("extra"), name="good.ini")
+        assert main(["run", "--config", cfg, "--output", str(good)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "t.csv"
+        cfg = _write_config(tmp_path, text.format("l2_sgima"))
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err
+        assert "decay.column" in err and "l2_sgima" in err and "Traceback" not in err
+        with open(good, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert "extra" in header and all(col in err for col in header)
+
+    def test_run_to_stdout_writes_only_the_csv(self, tmp_path, capsys):
+        # the banner and the decay fit go to stderr, so stdout parses as CSV
         cfg = _write_config(
             tmp_path,
-            "[grid]\nn = 32\n\n[time]\nt_end = 0.5\n\n"
-            "[decay]\nt_a = 0.1\nt_b = 0.5\ncolumn = l2_sgima\n",
+            "[grid]\nn = 32\n\n[time]\nt_end = 0.5\ndt = 0.02\n\n"
+            "[decay]\nt_a = 0.0\nt_b = 0.5\n",
         )
-        out = tmp_path / "t.csv"
-        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "decay.column" in err and "l2_sgima" in err and "Traceback" not in err
+        assert main(["run", "--config", cfg, "--output", "-"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out, newline="")))
+        assert rows[0][0] == "t" and len(rows) == 27
+        assert all(float(cell) == float(cell) for row in rows[1:] for cell in row)
+        assert "lambda=1" in captured.err and "decay fit [l2_sigma]" in captured.err
+
+    def test_heat_decay_to_stdout_writes_only_the_csv(self, capsys):
+        args = ["heat-decay", "--n", "1024", "--L", str(64 * np.pi), "--t-a", "2.0",
+                "--t-b", "10.0", "--samples", "50"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out, newline="")))
+        assert rows[0][0] == "alpha" and [r[5] for r in rows[1:]] == ["l2", "b_s1"]
+        assert "l2 exponent=" in captured.err
+
+    def test_trace_csv_gets_the_normal_file_mode(self, tmp_path, umask_027):
+        out = tmp_path / "trace.csv"
+        out.write_text("old")
+        os.chmod(out, 0o600)
+        cfg = _write_config(tmp_path, RUN_INI.format(snap=tmp_path / "final.snap"))
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == umask_027
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # the density collapses at step 29, between two records
+            "[grid]\nn = 64\n\n[time]\nt_end = 5.0\ndt = 0.02\ncfl = 1e9\ncadence = 5\n\n"
+            "[ic]\npreset = single_mode\namplitude = 1.2\n",
+            # sigma turns NaN at step 1
+            "[grid]\nn = 32\n\n[time]\nt_end = 0.01\ndt = 0.001\ncfl = 1e9\ncadence = 2\n\n"
+            "[ic]\namplitude = 800.0\n",
+        ],
+    )
+    def test_vacuum_between_records_exits_3(self, tmp_path, capsys, body):
+        snap = tmp_path / "final.snap"
+        cfg = _write_config(tmp_path, body + f"\n[output]\nsnapshot = {snap}\n")
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 3
+        assert "vacuum" in capsys.readouterr().err and snap.exists()
         with open(out, newline="") as fh:
-            header = next(csv.reader(fh))
-        assert "l2_sigma" in header and all(col in err for col in header)
+            rows = list(csv.DictReader(fh))
+        min_rho = [float(row["min_rho"]) for row in rows]
+        assert min_rho and all(m >= VACUUM_THRESHOLD for m in min_rho)
+        assert read_snapshot(str(snap))[0].t == float(rows[-1]["t"])

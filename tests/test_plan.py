@@ -294,3 +294,36 @@ def test_step_results_share_no_memory(dim, n):
             assert not np.shares_memory(arr, other)
     finer = plan_for(Grid(dim, 2 * n, 2 * np.pi), p)
     assert not any(np.shares_memory(x, y) for x in work for y in vars(finer.workspace).values())
+
+
+def _count_transforms(monkeypatch) -> list:
+    """Record the name of every numpy.fft call from here on."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, n, per_batch", [(1, 64, 1), (2, 32, 2)])
+def test_transform_counts(dim, n, per_batch, monkeypatch):
+    # 4 batches per tendency and 16 per step: the step checks the density on
+    # the samples of its first stage, with no batch of its own.  A 2D batch
+    # is one NumPy call per axis; a linear step makes none.
+    st = random_state(dim, n, seed=51)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    plan = plan_for(st.grid, p)
+    step(st, p, 1e-3)  # builds the workspace and the semigroup
+    calls = _count_transforms(monkeypatch)
+    plan.tendency(st.scalar.coef, st.u.coef)
+    assert len(calls) == 4 * per_batch
+    calls.clear()
+    step(st, p, 1e-3)
+    assert len(calls) == 16 * per_batch
+    calls.clear()
+    step(st, p, 1e-3, linear_only=True)
+    assert calls == []

@@ -6,7 +6,7 @@ import pytest
 from euleralign.besov import NormSpec
 from euleralign.grid import Grid, SpectralField
 from euleralign.lp import LPDecomp
-from euleralign.model import ModelParams, State, VacuumError
+from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, VacuumError
 from euleralign.operators import ParameterError, heat_semigroup
 from euleralign.simulation import (
     DecaySpec,
@@ -152,6 +152,24 @@ class TestStep:
         st = State(sig, SpectralField.zeros(g, 1))
         with pytest.raises(VacuumError):
             step(st, p, 0.01)
+
+    def test_linear_step_checks_nothing(self):
+        # a linear_only step makes no transform, so it has no samples to check
+        g = Grid(1, 64, 2 * np.pi)
+        sig = SpectralField.from_physical(g, np.log(1e-7) * np.ones(g.shape))
+        st = step(State(sig, SpectralField.zeros(g, 1)), self._params(), 0.01, linear_only=True)
+        assert np.all(np.isfinite(st.scalar.coef))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_guards_its_input_not_its_output(self):
+        # sigma = 800 at the bump's peak overflows h(sigma) = e^sigma - 1: the
+        # first step starts from a sound density and returns NaN, the second
+        # refuses that NaN input
+        c = SimConfig(n=32, dt=1e-3, amplitude=800.0)
+        st = step(initial_state(c), c.model_params(), c.dt)
+        assert np.isnan(st.scalar.coef).any()
+        with pytest.raises(VacuumError, match="nan"):
+            step(st, c.model_params(), c.dt)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_bad_dt(self, dt):
@@ -317,6 +335,30 @@ class TestRun:
         trace, _ = run(c)
         assert trace.status == "vacuum"
         assert len(trace.t) >= 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cadence, rows", [(5, 6), (1, 29)])
+    def test_density_collapse_between_records_is_a_vacuum(self, cadence, rows):
+        # min rho jumps from 0.52 to 0 at step 29: with a record every fifth
+        # step, step 30 refuses its input; with a record every step, the
+        # record of step 29 refuses its row
+        c = SimConfig(
+            n=64, t_end=5.0, dt=0.02, cadence=cadence, ic="single_mode", amplitude=1.2, cfl=1e9
+        )
+        trace, states = run(c)
+        assert trace.status == "vacuum" and len(trace.t) == rows
+        assert states[-1].t == trace.t[-1]
+        assert np.all(trace.column("min_rho") >= VACUUM_THRESHOLD)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cadence", [1, 2])
+    def test_nan_sigma_is_a_vacuum(self, cadence):
+        # step 1 turns sigma NaN (see test_step_guards_its_input_not_its_output):
+        # the record of step 1, or else step 2, stops the run
+        c = SimConfig(n=32, t_end=0.01, dt=1e-3, cadence=cadence, amplitude=800.0, cfl=1e9)
+        trace, states = run(c)
+        assert trace.status == "vacuum" and trace.t.tolist() == [0.0]
+        assert np.all(trace.column("min_rho") >= VACUUM_THRESHOLD)
 
     def test_default_dt_resolves_acoustics(self):
         c = SimConfig(n=256)
