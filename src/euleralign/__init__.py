@@ -51,6 +51,7 @@ from .linear import (
 )
 from .simulation import (
     DecaySpec,
+    Recorder,
     SimConfig,
     decay_fit,
     fractional_heat_trace,

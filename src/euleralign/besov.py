@@ -135,17 +135,15 @@ def chemin_lerner(
 
 @dataclass
 class NormTrace:
-    """Time series of named norm / diagnostic values."""
+    """Time series of named norm / diagnostic values; every row has a "t"."""
 
-    times: list = field(default_factory=list)
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     status: str = "ok"
 
-    def append(self, t: float, values: dict):
+    def append(self, values: dict):
         if not self.columns:
             self.columns = list(values.keys())
-        self.times.append(t)
         self.rows.append([values[c] for c in self.columns])
 
     def column(self, name: str) -> np.ndarray:
@@ -154,7 +152,7 @@ class NormTrace:
 
     @property
     def t(self) -> np.ndarray:
-        return np.asarray(self.times)
+        return self.column("t")
 
 
 def bony_decompose(f: SpectralField, g: SpectralField, lp: Optional[LPDecomp] = None):

@@ -27,9 +27,8 @@ from .model import VacuumError
 from .operators import ParameterError
 from .simulation import (
     DecaySpec,
+    Recorder,
     decay_fit,
-    default_norm_columns,
-    diagnostics_row,
     fractional_heat_trace,
     run,
 )
@@ -111,9 +110,7 @@ def _cmd_analyze(args) -> int:
     header = None
     for path in args.snapshots:
         st, params = read_snapshot(path)
-        ep = LinearEnergyParams.from_model(params)
-        norms = default_norm_columns(params, st.grid.dim, ep.j0)
-        row, *_ = diagnostics_row(st, params, norms)
+        row, *_ = Recorder(st.grid, params).row(st)
         if header is None:
             header = list(row)
         elif list(row) != header:

@@ -8,6 +8,7 @@ import pathlib
 import re
 import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -613,9 +614,17 @@ dt = 1e9
         out, err = capsys.readouterr()
         assert f"{flag} must be finite and > 0" in err and out == ""
 
-    def test_heat_decay_rejects_a_nan_mu(self, capsys):
-        assert main(["heat-decay", "--n", "64", "--mu", "nan", "--output", "-"]) == 2
-        assert "mu must be > 0" in capsys.readouterr().err
+    _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
+
+    @pytest.mark.parametrize(
+        "flag, value", _BAD_HEAT_DECAY, ids=[f"{f}={v}" for f, v in _BAD_HEAT_DECAY]
+    )
+    def test_heat_decay_rejects_a_bad_value(self, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check comes before any arithmetic
+            assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
+        message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0"}[flag]
+        assert message in capsys.readouterr().err
 
     def test_heat_decay_small(self, tmp_path, capsys):
         out = str(tmp_path / "hd.csv")

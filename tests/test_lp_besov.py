@@ -234,8 +234,8 @@ class TestCheminLerner:
 class TestNormTrace:
     def test_append_and_column(self):
         tr = NormTrace()
-        tr.append(0.0, {"t": 0.0, "a": 1.0})
-        tr.append(1.0, {"t": 1.0, "a": 2.0})
+        tr.append({"t": 0.0, "a": 1.0})
+        tr.append({"t": 1.0, "a": 2.0})
         assert tr.columns == ["t", "a"]
         assert np.array_equal(tr.column("a"), [1.0, 2.0])
         assert np.array_equal(tr.t, [0.0, 1.0])

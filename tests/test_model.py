@@ -19,7 +19,7 @@ from euleralign.model import (
     sigma_from_rho,
 )
 from euleralign.operators import ParameterError, dealias, fractional_laplacian
-from euleralign.simulation import diagnostics_row
+from euleralign.simulation import Recorder
 
 
 class TestConstantsAndParams:
@@ -133,7 +133,7 @@ class TestConversions:
         sig = SpectralField.from_physical(g, sigma_from_rho(rho, p))
         st = State(sig, SpectralField.from_physical(g, 0.1 * np.sin(g.axis_points())))
         assert np.max(np.abs(rho_from_sigma(st.scalar.to_physical()[0], p) - rho)) < 1e-14
-        row, *_ = diagnostics_row(st, p, [])
+        row, *_ = Recorder(st.grid, p).row(st)
         assert row["min_rho"] == pytest.approx(0.8, rel=1e-14)
 
     def test_state_validation(self):
@@ -326,7 +326,7 @@ class TestRHS:
         rho, u, p = _smooth_fields()
         st, _ = _smooth_state()
         # the trace row's mass and momentum columns are int rho and int rho u
-        row, *_ = diagnostics_row(st, p, [])
+        row, *_ = Recorder(st.grid, p).row(st)
         rv = rho.to_physical()[0]
         uv = u.to_physical()[0]
         cell = st.grid.cell_volume()

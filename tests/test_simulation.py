@@ -1,15 +1,19 @@
 """Time stepping, run orchestration, heat-flow traces, and decay fitting."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from euleralign.besov import NormSpec
+from euleralign.cli import main
 from euleralign.grid import Grid, SpectralField
 from euleralign.lp import LPDecomp
 from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, VacuumError
 from euleralign.operators import ParameterError, heat_semigroup
 from euleralign.simulation import (
     DecaySpec,
+    Recorder,
     SimConfig,
     decay_fit,
     default_dt,
@@ -20,6 +24,7 @@ from euleralign.simulation import (
     step,
     z_norms,
 )
+from euleralign.snapshot import write_snapshot
 
 
 class TestSimConfig:
@@ -214,8 +219,39 @@ class TestLinearExactFlow:
             linear_exact_flow(initial_state(c), c.model_params(), t)
 
 
+def _x_growth(trace):
+    """X(T)/X(0) of a trace: X = X1 + X2 + X3 + X4, and X3 = X4 = 0 at t = 0."""
+    xt = sum(trace.column(k)[-1] for k in ("X1_sigma_sup", "X2_u_sup", "X3_sigma_int", "X4_u_int"))
+    return xt / (trace.column("X1_sigma_sup")[0] + trace.column("X2_u_sup")[0])
+
+
+class TestRecorder:
+    def test_traces_any_state_sequence(self):
+        # the exact linear flow and a linear_only IF-RK4 run, traced on the
+        # same record times, give the same growth of the composite norm X
+        c = SimConfig(n=128, t_end=20.0, ic="gaussian_bump")
+        params, s0 = c.model_params(), initial_state(c)
+        cadence = 4
+        nsteps = int(np.ceil(c.t_end / (c.grid().dx / 4.0)))
+        nsteps = ((nsteps + cadence - 1) // cadence) * cadence  # as run rounds it
+        dt = c.t_end / nsteps
+        exact, stepped = Recorder(s0.grid, params), Recorder(s0.grid, params)
+        exact.record(s0)
+        stepped.record(s0)
+        state = s0
+        for istep in range(1, nsteps + 1):
+            state = step(state, params, dt, linear_only=True)
+            if istep % cadence == 0:
+                state.t = istep * dt
+                stepped.record(state)
+                exact.record(linear_exact_flow(s0, params, state.t))
+        assert np.array_equal(exact.trace.t, stepped.trace.t)
+        assert _x_growth(stepped.trace) == pytest.approx(_x_growth(exact.trace), rel=1e-4)
+        assert _x_growth(exact.trace) == pytest.approx(2.80330, abs=1e-5)
+
+
 class TestRun:
-    def test_short_run_columns_and_conservation(self):
+    def test_short_run_columns_and_conservation(self, tmp_path):
         c = SimConfig(
             n=64, t_end=0.5, dt=1.0 / 64.0, ic="gaussian_bump", amplitude=0.01
         )
@@ -230,15 +266,30 @@ class TestRun:
             "X4_u_int",
         ]
         assert trace.columns == base + extras
-        assert trace.status == "ok"
-        mass = trace.column("mass")
-        mom = trace.column("mom_1")
-        assert np.max(np.abs(mass - mass[0])) < 1e-12 * abs(mass[0])
-        assert np.max(np.abs(mom - mom[0])) < 1e-10
-        assert np.all(trace.column("min_rho") > 0.9)
-        # sup-type accumulators are nondecreasing; integral accumulators too
-        for col in ("X1_sigma_sup", "X2_u_sup", "X3_sigma_int", "X4_u_int"):
-            assert np.all(np.diff(trace.column(col)) >= -1e-15)
+        # a 2D run with one custom norm column: Recorder.columns alone fixes
+        # the header, and analyze writes the same one up to u_crit (the small
+        # dt keeps RK4's O(dt^4) momentum drift in 2D below 1e-10)
+        crit = ("crit", "u", NormSpec.homogeneous(0.5, 1))
+        c2 = SimConfig(dim=2, n=32, t_end=0.25, dt=1.0 / 256.0, amplitude=0.01, norms=[crit])
+        for cfg, (trace, states) in [(c, (trace, states)), (c2, run(c2))]:
+            names = [name for name, _, _ in cfg.norms]
+            assert trace.columns == list(Recorder.columns(cfg.dim, names))
+            assert trace.status == "ok"
+            mass = trace.column("mass")
+            assert np.max(np.abs(mass - mass[0])) < 1e-12 * abs(mass[0])
+            for i in range(cfg.dim):
+                mom = trace.column(f"mom_{i + 1}")
+                assert np.max(np.abs(mom - mom[0])) < 1e-10
+            assert np.all(trace.column("min_rho") > 0.9)
+            # sup-type accumulators are nondecreasing; integral accumulators too
+            for col in ("X1_sigma_sup", "X2_u_sup", "X3_sigma_int", "X4_u_int"):
+                assert np.all(np.diff(trace.column(col)) >= -1e-15)
+            snap, out = tmp_path / f"{cfg.dim}d.snap", tmp_path / f"{cfg.dim}d.csv"
+            write_snapshot(str(snap), states[-1], cfg.model_params())
+            assert main(["analyze", str(snap), "--output", str(out)]) == 0
+            with open(out, newline="") as fh:
+                header = next(csv.reader(fh))
+            assert header == trace.columns[: trace.columns.index("u_crit") + 1]
 
     def test_deterministic(self):
         c = SimConfig(n=64, t_end=0.25, dt=1.0 / 64.0, ic="random_smooth", seed=9)
