@@ -135,15 +135,14 @@ def chemin_lerner(
 
 @dataclass
 class NormTrace:
-    """Time series of named norm / diagnostic values; every row has a "t"."""
+    """Time series of named norm / diagnostic values, in the ``columns`` it is
+    built with (one of them "t"); a trace with no rows still has them."""
 
-    columns: list = field(default_factory=list)
+    columns: list
     rows: list = field(default_factory=list)
     status: str = "ok"
 
     def append(self, values: dict):
-        if not self.columns:
-            self.columns = list(values.keys())
         self.rows.append([values[c] for c in self.columns])
 
     def column(self, name: str) -> np.ndarray:

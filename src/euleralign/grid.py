@@ -14,10 +14,10 @@ A ``Grid`` builds each Fourier symbol of its lattice once, read-only:
 the 2/3 rule's ``dealias_mask`` and ``dealias_cutoff``, and the
 ``plancherel_weights``.  Only the dyadic multipliers live in ``lp.LPDecomp``.
 
-``Grid.physical``/``Grid.spectral`` are the general transform pair.  In 2D
-``spectral`` runs ``rfftn``'s two 1D passes itself, the second in place, and
-``physical`` is ``irfftn``; coefficients that the 2/3 rule has masked have
-the faster inverse ``model.SpectralPlan.band_physical``.
+A ``Grid`` also makes every transform; no other module calls ``numpy.fft``:
+the general pair ``spectral``/``physical``, and ``band_physical``, the faster
+inverse of coefficients that the 2/3 rule has masked.  In 2D each runs the 1D
+passes of ``rfftn`` or ``irfftn`` itself, in their order, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -88,16 +88,23 @@ class Grid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def physical(self, coef: np.ndarray) -> np.ndarray:
-        """Grid samples of half-spectrum coefficients; leading axes are batched.
+    def physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Grid samples of any half-spectrum coefficients, into ``out`` if given;
+        leading axes are batched.  In 2D ``irfftn``'s passes, so its bits:
+        ``ifft`` along the leading axis into a new array, then ``irfft``."""
+        if self.dim == 2:
+            coef = np.fft.ifft(coef, axis=-2, norm="forward")
+        return np.fft.irfft(coef, n=self.n, norm="forward", out=out)
 
-        The general inverse, for any coefficients: ``irfft`` in 1D, ``irfftn``
-        in 2D.  ``SpectralPlan.band_physical`` is the faster inverse of
-        coefficients that the 2/3 rule has masked.
-        """
-        if self.dim == 1:  # the bits of irfftn, without its n-d wrapper
-            return np.fft.irfft(coef, n=self.n, norm="forward")
-        return np.fft.irfftn(coef, s=self.shape, axes=(-2, -1), norm="forward")
+    def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
+        bit, into ``out`` if given.  In 2D the leading-axis ``ifft`` runs in place
+        over the last-axis columns k <= ``dealias_cutoff`` that the rule keeps,
+        overwriting them in ``coef``, and ``irfft`` zero-pads the others."""
+        if self.dim == 2:
+            kept = coef[..., : self.dealias_cutoff + 1]
+            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
+        return np.fft.irfft(coef, n=self.n, norm="forward", out=out)
 
     def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched.

@@ -237,8 +237,7 @@ def alignment_direct(
     def midpoint_sum(factor: int) -> np.ndarray:
         m = grid.n * factor
         fine = Grid(1, m, grid.L)
-        rf = np.fft.irfft(r_coef, n=m, norm="forward")
-        uf = np.fft.irfft(u_coef, n=m, norm="forward")
+        rf, uf = fine.physical(r_coef), fine.physical(u_coef)
         # K(x_i - y_j) depends on (i*factor - j) mod m only: m kernel values
         kern = _periodized_kernel(fine.axis_points(), alpha, grid.L)
         kern = kern[(np.arange(grid.n)[:, None] * factor - np.arange(m)) % m]
@@ -317,15 +316,15 @@ class Workspace:
 
 
 class SpectralPlan:
-    """Multipliers, the masked inverse transform, the sigma-u tendency, the
-    integrating-factor RK4 step and the reusable buffers of one (grid, params).
+    """Multipliers, the sigma-u tendency, the integrating-factor RK4 step and
+    the reusable buffers of one (grid, params).
 
     ``ixi`` (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean
     zeroed) and ``mask`` (2/3 rule) are the grid's own read-only symbols;
     ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency acts on the stacked
     (sigma, u) array: each operation that is the same for sigma and u runs
-    once on all 1 + N fields.  It moves its batches to the grid with
-    ``band_physical`` and back with the grid's ``spectral``: 4 transform
+    once on all 1 + N fields.  It moves its batches to the grid with the
+    grid's ``band_physical`` and back with its ``spectral``: 4 transform
     batches, 16 per ``step``, whose first stage checks the input's density on
     samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass
     per axis.  The batches, temporaries, stage inputs and tendencies live in
@@ -361,21 +360,6 @@ class SpectralPlan:
             scaled = read_only(dt * e_half), read_only(2.0 * e_half)
             self._semigroup = dt, (e_half, read_only(e_half * e_half)), scaled
         return self._semigroup[1]
-
-    def band_physical(self, coef: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``grid.physical`` of coefficients that ``mask`` has zeroed, bit for bit.
-
-        In 2D the leading-axis ``ifft`` runs only over the last-axis columns
-        k <= ``grid.dealias_cutoff`` that the 2/3 rule keeps, in place: it
-        overwrites them in ``coef``, which is always one of the workspace's
-        batches.  ``irfft`` zero-pads the other columns.  On a 1D grid this is
-        ``grid.physical``'s ``irfft``.  The samples go to ``out`` if given.
-        """
-        grid = self.grid
-        if grid.dim == 2:
-            kept = coef[..., : grid.dealias_cutoff + 1]
-            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
-        return np.fft.irfft(coef, n=grid.n, axis=-1, norm="forward", out=out)
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
@@ -413,7 +397,7 @@ class SpectralPlan:
         np.multiply(-p.lam, k, out=k)  # -lam (div u, grad sigma)
         if linear_only:
             return
-        self.band_physical(ws.batch, out=ws.phys)
+        self.grid.band_physical(ws.batch, out=ws.phys)
         g = h_of_sigma(ws.sv, p, out=ws.pair[0])
         if guard:
             mn = 1.0 + float(np.minimum.reduce(g, axis=None))
@@ -423,7 +407,7 @@ class SpectralPlan:
         self.grid.spectral(g, out=pair_hat[0])
         np.multiply(pair_hat[0], mask, out=pair_hat[0])
         np.multiply(self.lam_alpha, pair_hat[0], out=pair_hat[1])
-        gv, lam_g = self.band_physical(pair_hat, out=ws.pair)
+        gv, lam_g = self.grid.band_physical(pair_hat, out=ws.pair)
         div_u, adv, terms = ws.div_u, ws.adv, ws.terms  # the batch is dead
         np.add.reduce(ws.gv_diag, axis=0, initial=0.0, out=div_u)  # 0 + d_1 u_1 + ..., as sum() adds
         np.add.reduce(np.multiply(ws.uv_col, ws.gv, out=ws.gv), axis=0, out=adv)

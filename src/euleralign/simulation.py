@@ -267,11 +267,10 @@ class Recorder:
     """
 
     def __init__(self, grid: Grid, params: ModelParams, norms=()):
-        self.trace = NormTrace()
+        self.trace = NormTrace(list(self.columns(grid.dim, [name for name, _, _ in norms])))
         self._params = params
         self._lp = LPDecomp.for_grid(grid)
         self._js = np.array(self._lp.j_range)
-        self._columns = self.columns(grid.dim, [name for name, _, _ in norms])
         j0 = LinearEnergyParams.from_model(params).j0
         half_n = grid.dim / 2.0
         s_crit = half_n + 1.0 - params.alpha
@@ -304,7 +303,7 @@ class Recorder:
         values = (st.t, float(np.min(rho)), float(np.sum(rho) * cell), *moms, sig_mf.l2(), u_mf.l2())
         values += tuple(besov_norm_from_blocks(self._js, bn_u if target == "u" else bn_sig, spec)
                         for target, spec in self._norms)
-        return dict(zip(self._columns, values)), (bn_sig, bn_u), uv
+        return dict(zip(self.trace.columns, values)), (bn_sig, bn_u), uv
 
     def record(self, st: State) -> np.ndarray:
         """Append the row of ``st`` at ``st.t``; return its velocity samples.  A
@@ -322,7 +321,7 @@ class Recorder:
         self._last = (st.t, inst)
         sups = [besov_norm_from_blocks(self._js, sup, spec)
                 for sup, (_, spec) in zip(self._sups, self._norms)]
-        row.update(zip(self._columns[-4:], (*sups, *self._ints)))
+        row.update(zip(self.trace.columns[-4:], (*sups, *self._ints)))
         self.trace.append(row)
         return uv
 
@@ -333,10 +332,11 @@ def run(config: SimConfig, store_states: bool = False):
     Returns (trace, states) where ``states`` holds every recorded state when
     ``store_states`` is set, and otherwise only the last recorded one; the
     final state of a completed run is always recorded.  A run that stops
-    early keeps the records so far and sets ``trace.status``:
-    "vacuum" when the density guard trips, "cfl" after three consecutive
-    records whose dt exceeds ``cfl_limit``, or at once when the final record's
-    dt exceeds it.  Each ``step`` guards the state it is given, and each
+    early keeps the records so far and sets ``trace.status``: "vacuum" when
+    the density guard trips (initial data with rho <= 0 somewhere stop it at
+    its first record, with no row), "cfl" after three consecutive records
+    whose dt exceeds ``cfl_limit``, or at once when the final record's dt
+    exceeds it.  Each ``step`` guards the state it is given, and each
     record after the first checks the ``min_rho`` of its row before keeping
     it, so no kept state past the initial data has a density below
     ``VACUUM_THRESHOLD`` or NaN, and the final state is checked too.
@@ -350,10 +350,10 @@ def run(config: SimConfig, store_states: bool = False):
     dt = config.t_end / nsteps
 
     recorder = Recorder(state.grid, params, config.norms)
-    recorder.record(state)  # the initial data as given: step 1 guards it
     states = [state]
     cfl_strikes = 0
     try:
+        recorder.record(state)  # the initial data as given: step 1 guards it
         for istep in range(1, nsteps + 1):
             state = step(state, params, dt)
             if istep % cadence == 0:
@@ -415,7 +415,7 @@ def fractional_heat_trace(
     u0 = u0.mean_free()
 
     spec = NormSpec.homogeneous(s1, np.inf)
-    trace = NormTrace()
+    trace = NormTrace(["t", "l2", "b_s1"])
     for t in np.asarray(times, dtype=float):
         ut = heat_semigroup(u0, alpha, mu, t)
         trace.append({"t": t, "l2": ut.l2(), "b_s1": besov_norm(ut, spec)})

@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .grid import Grid, SpectralField
-from .model import ModelParams, State, VacuumError, sigma_from_rho
+from .model import ModelParams, State, VacuumError, h_of_sigma, sigma_from_rho
 
 __all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
 
@@ -86,7 +86,8 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 
 def read_snapshot(path: str):
-    """Read a snapshot as (state, params); a rho file, with rho > 0, becomes a sigma state."""
+    """Read a snapshot as (state, params); a rho file becomes a sigma state.
+    Either file's density must be > 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -106,11 +107,13 @@ def read_snapshot(path: str):
     scalar = body[:count].reshape(grid.shape)
     u = body[count:].reshape((dim,) + grid.shape)
     params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)
-    if code == _RHO:
-        try:
+    try:  # rho <= 0 is bad input data, not a run that reached vacuum
+        if code == _RHO:
             scalar = sigma_from_rho(scalar, params)
-        except VacuumError as exc:  # bad input data, not a run that reached vacuum
-            raise SnapshotError(f"{path}: rho must be > 0, min rho = {exc.min_rho:.6e}") from None
+        else:
+            h_of_sigma(scalar, params)  # raises where rho <= 0
+    except VacuumError as exc:
+        raise SnapshotError(f"{path}: rho must be > 0, min rho = {exc.min_rho:.6e}") from None
     state = State(
         SpectralField.from_physical(grid, scalar),
         SpectralField.from_physical(grid, u),

@@ -18,7 +18,14 @@ from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
 from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, sigma_from_rho
 from euleralign.simulation import SimConfig, initial_state, run
-from euleralign.snapshot import _HEADER, MAGIC, SnapshotError, read_snapshot, write_snapshot
+from euleralign.snapshot import (
+    _HEADER,
+    MAGIC,
+    SnapshotError,
+    atomic_open,
+    read_snapshot,
+    write_snapshot,
+)
 
 
 @pytest.fixture
@@ -207,6 +214,17 @@ class TestSnapshot:
         write_snapshot(str(path), st, p)
         assert stat.S_IMODE(path.stat().st_mode) == umask_027
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # a block that raises leaves the old bytes and no temp file behind
+        path = tmp_path / "s.snap"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_open(str(path)) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.snap"]
+
     def test_2d_round_trip(self, tmp_path):
         g = Grid(2, 16, 1.0)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2, mu=1.0)
@@ -270,12 +288,22 @@ class TestSnapshot:
             assert main(["analyze", snap, "--output", out]) == 0
         assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
 
-    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("code", ["rho", "sigma"])
+    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys, code):
         path = tmp_path / "bad.snap"
-        self._legacy_rho_file(path)
-        data = bytearray(path.read_bytes())
-        data[_HEADER.size + 8 * 3 : _HEADER.size + 8 * 4] = struct.pack("<d", -1.0)
-        path.write_bytes(bytes(data))
+        if code == "rho":
+            self._legacy_rho_file(path)
+            data = bytearray(path.read_bytes())
+            data[_HEADER.size + 8 * 3 : _HEADER.size + 8 * 4] = struct.pack("<d", -1.0)
+            path.write_bytes(bytes(data))
+        else:
+            # at gamma = 2, rho = 1 + sigma / lam: sigma = -2 is rho < 0, not a vacuum abort
+            g = Grid(1, 32, 2.0 * np.pi)
+            p = ModelParams(alpha=1.5, kappa=1.0, gamma=2.0)
+            sig = np.full(g.shape, -2.0)
+            sig[0] = 0.0
+            st = State(SpectralField.from_physical(g, sig), SpectralField.zeros(g))
+            write_snapshot(str(path), st, p)
         with pytest.raises(SnapshotError, match="rho must be > 0"):
             read_snapshot(str(path))
         out = tmp_path / "bad.csv"
@@ -487,29 +515,36 @@ class TestCLI:
         assert snap.read_bytes() == (tmp_path / "all.snap").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_vacuum_exits_3_with_partial_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "body, initial_row",
+        [
+            # rho ~ e^{-30} in the troughs: step 1 refuses the initial data
+            ("[time]\nt_end = 5.0\ndt = 0.05\ncfl = 1e9\n\n"
+             "[ic]\npreset = single_mode\namplitude = 30.0\n", True),
+            # rho <= 0 in the initial data: the first record stops the run
+            ("[model]\ngamma = 2\n\n[time]\nt_end = 0.1\n\n"
+             "[ic]\npreset = random_smooth\namplitude = 2\n", False),
+        ],
+        ids=["single_mode", "no_initial_density"],
+    )
+    def test_vacuum_exits_3_with_partial_trace(self, tmp_path, capsys, body, initial_row):
+        snap = tmp_path / "final.snap"
         cfg = _write_config(
-            tmp_path,
-            """
-[grid]
-n = 64
-
-[time]
-t_end = 5.0
-dt = 0.05
-cfl = 1e9
-
-[ic]
-preset = single_mode
-amplitude = 30.0
-""",
+            tmp_path, f"[grid]\nn = 64\n\n{body}\n[output]\nsnapshot = {snap}\n"
         )
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg, "--output", out]) == 3
-        assert "vacuum" in capsys.readouterr().err
+        assert "vacuum abort: partial trace written" in capsys.readouterr().err
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert len(rows) >= 2  # header + at least the t=0 row
+        assert rows[0][0] == "t" and snap.exists()
+        if initial_row:
+            assert len(rows) >= 2  # header + at least the t=0 row
+        else:
+            assert len(rows) == 1  # the header alone
+            # the snapshot of the initial data is bad input for analyze
+            assert main(["analyze", str(snap), "--output", str(tmp_path / "an.csv")]) == 2
+            assert "rho must be > 0" in capsys.readouterr().err
 
     def test_cfl_exits_4_with_partial_trace(self, tmp_path, capsys):
         cfg = _write_config(
@@ -585,6 +620,17 @@ dt = 1e9
         assert float(r2[2]) == pytest.approx(-32.0 + 16 * np.sqrt(3))
         assert r2[4] == "low"
 
+    def test_linear_default_range_is_log_spaced(self, tmp_path):
+        out = str(tmp_path / "lin.csv")
+        argv = ["linear", "--alpha", "1.5", "--lambda", "1", "--mu", "1",
+                "--xi-min", "0.5", "--xi-max", "8", "--xi-count", "5", "--output", out]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            xis = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+        assert xis.size == 5
+        np.testing.assert_allclose(xis[[0, -1]], [0.5, 8.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(xis[1:] / xis[:-1], 2.0, rtol=1e-15)
+
     def test_linear_rejects_bad_params(self, capsys):
         assert main(["linear", "--alpha", "2.5", "--lambda", "1", "--mu", "1"]) == 2
         assert main(["linear", "--alpha", "1.5", "--lambda", "-1", "--mu", "1"]) == 2
@@ -615,6 +661,7 @@ dt = 1e9
         assert f"{flag} must be finite and > 0" in err and out == ""
 
     _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
+    _BAD_HEAT_DECAY += [("--samples", v) for v in ("0", "5")]
 
     @pytest.mark.parametrize(
         "flag, value", _BAD_HEAT_DECAY, ids=[f"{f}={v}" for f, v in _BAD_HEAT_DECAY]
@@ -623,7 +670,8 @@ dt = 1e9
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the check comes before any arithmetic
             assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
-        message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0"}[flag]
+        message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0",
+                   "--samples": "decay_fit needs at least 10 samples"}[flag]
         assert message in capsys.readouterr().err
 
     def test_heat_decay_small(self, tmp_path, capsys):

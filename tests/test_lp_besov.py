@@ -233,7 +233,8 @@ class TestCheminLerner:
 
 class TestNormTrace:
     def test_append_and_column(self):
-        tr = NormTrace()
+        tr = NormTrace(["t", "a"])
+        assert tr.t.size == 0 and tr.column("a").size == 0
         tr.append({"t": 0.0, "a": 1.0})
         tr.append({"t": 1.0, "a": 2.0})
         assert tr.columns == ["t", "a"]

@@ -387,6 +387,16 @@ class TestRun:
         assert trace.status == "vacuum"
         assert len(trace.t) >= 1
 
+    def test_initial_data_without_density_is_a_vacuum(self):
+        # at gamma = 2, rho = 1 + sigma / lam: random_smooth of amplitude 2 has
+        # rho < 0 somewhere, so the first record stops the run, which keeps its
+        # columns and no row
+        c = SimConfig(n=64, t_end=0.1, gamma=2.0, ic="random_smooth", amplitude=2.0)
+        trace, states = run(c)
+        assert trace.status == "vacuum" and trace.rows == []
+        assert trace.columns == list(Recorder.columns(1))
+        assert len(states) == 1 and states[0].t == 0.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("cadence, rows", [(5, 6), (1, 29)])
     def test_density_collapse_between_records_is_a_vacuum(self, cadence, rows):
