@@ -16,8 +16,9 @@ Values are read verbatim (no ``%`` interpolation).
 
 The [output] ``norms`` value is a semicolon-separated list of custom norm
 columns, each "name target kind args..." with target in {sigma, u} and kind
-one of homogeneous (args: s r), hybrid (args: s1 s2 j0), low/high (args: s
-j0 r).  Unknown sections or keys are rejected with their full key path.
+one of homogeneous (args: s [r]), hybrid (args: s1 s2 j0), low/high (args: s
+j0 [r]); an entry with fewer or more arguments is rejected.  Unknown sections
+or keys are rejected with their full key path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending key path."""
 
 
+# norm kind -> (fewest, most) arguments: s [r], s1 s2 j0, s j0 [r]
+_NORM_ARGS = {"homogeneous": (1, 2), "hybrid": (3, 3), "low": (2, 3), "high": (2, 3)}
+
+
 def _parse_norms(raw: str):
     """The [output] norms entries as (name, target, NormSpec)."""
     out = []
@@ -49,19 +54,18 @@ def _parse_norms(raw: str):
         name, target, kind, args = tokens[0], tokens[1], tokens[2], tokens[3:]
         if target not in ("sigma", "u"):
             raise ValueError(f"target must be sigma or u, got {target!r}")
-        try:
-            if kind == "homogeneous":
-                spec = NormSpec.homogeneous(*map(float, args[:2]))
-            elif kind == "hybrid":
-                spec = NormSpec.hybrid(float(args[0]), float(args[1]), int(args[2]))
-            elif kind in ("low", "high"):
-                spec = NormSpec.restricted(
-                    float(args[0]), kind, int(args[1]), *map(float, args[2:3])
-                )
-            else:
-                raise ValueError(f"unknown norm kind {kind!r}")
-        except IndexError:
-            raise ValueError(f"too few arguments for a {kind} norm") from None
+        if kind not in _NORM_ARGS:
+            raise ValueError(f"unknown norm kind {kind!r}")
+        fewest, most = _NORM_ARGS[kind]
+        if not fewest <= len(args) <= most:
+            many = "few" if len(args) < fewest else "many"
+            raise ValueError(f"too {many} arguments for a {kind} norm in {item!r}")
+        if kind == "homogeneous":
+            spec = NormSpec.homogeneous(*map(float, args))
+        elif kind == "hybrid":
+            spec = NormSpec.hybrid(float(args[0]), float(args[1]), int(args[2]))
+        else:
+            spec = NormSpec.restricted(float(args[0]), kind, int(args[1]), *map(float, args[2:]))
         out.append((name, target, spec))
     return out
 

@@ -10,9 +10,10 @@ their own conjugates.  Physical wavenumbers are xi = 2*pi*k/L.
 
 A ``Grid`` builds each Fourier symbol of its lattice once, read-only:
 ``wavenumbers``, ``xi_norm``, the Nyquist-zeroed ``xi_tilde`` with its
-``xi_tilde_norm`` and derivative symbol ``ixi``, the powers ``lambda_symbol``,
-the 2/3 rule's ``dealias_mask`` and ``dealias_cutoff``, and the
-``plancherel_weights``.  Only the dyadic multipliers live in ``lp.LPDecomp``.
+``xi_tilde_norm``, derivative symbol ``ixi`` and Riesz symbol ``riesz`` (the
+one symbol of the Helmholtz split), the powers ``lambda_symbol``, the 2/3
+rule's ``dealias_mask`` and ``dealias_cutoff``, and the ``plancherel_weights``.
+Only the dyadic multipliers live in ``lp.LPDecomp``.
 
 A ``Grid`` also makes every transform; no other module calls ``numpy.fft``:
 the general pair ``spectral``/``physical``, and ``band_physical``, the faster
@@ -88,13 +89,13 @@ class Grid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Grid samples of any half-spectrum coefficients, into ``out`` if given;
-        leading axes are batched.  In 2D ``irfftn``'s passes, so its bits:
-        ``ifft`` along the leading axis into a new array, then ``irfft``."""
+    def physical(self, coef: np.ndarray) -> np.ndarray:
+        """Grid samples of any half-spectrum coefficients; leading axes are
+        batched.  In 2D ``irfftn``'s passes, so its bits: ``ifft`` along the
+        leading axis into a new array, then ``irfft``."""
         if self.dim == 2:
             coef = np.fft.ifft(coef, axis=-2, norm="forward")
-        return np.fft.irfft(coef, n=self.n, norm="forward", out=out)
+        return np.fft.irfft(coef, n=self.n, norm="forward")
 
     def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
@@ -156,6 +157,16 @@ class Grid:
         return read_only(np.stack([1j * xt for xt in self.xi_tilde()]))
 
     @functools.lru_cache(maxsize=32)
+    def riesz(self) -> np.ndarray:
+        """The Riesz symbols i*xi_tilde/|xi_tilde|, stacked over the axes like
+        ``ixi``, with 0 where xi_tilde = 0: the Helmholtz split's one symbol."""
+        xin = self.xi_tilde_norm()
+        nz = xin > 0
+        r = np.zeros_like(self.ixi())
+        r[:, nz] = self.ixi()[:, nz] / xin[nz]
+        return read_only(r)
+
+    @functools.lru_cache(maxsize=32)
     def lambda_symbol(self, power: float) -> np.ndarray:
         """|xi|^power with the mean mode zeroed."""
         xi = self.xi_norm()
@@ -201,8 +212,6 @@ class SpectralField:
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=np.complex128)
         expect = self.grid.spectral_shape
-        if self.coef.ndim == self.grid.dim:
-            self.coef = self.coef[np.newaxis]
         if self.coef.shape[1:] != expect:
             raise GridError(
                 f"coefficient shape {self.coef.shape} incompatible with grid {expect}"

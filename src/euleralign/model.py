@@ -146,10 +146,8 @@ def h_of_sigma(
     return np.expm1(arg, out=arg)
 
 
-def rho_from_sigma(
-    sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    h = h_of_sigma(sigma, params, out=out)
+def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
+    h = h_of_sigma(sigma, params)
     return np.add(1.0, h, out=h)
 
 
@@ -489,9 +487,7 @@ def plan_for(grid: Grid, params: ModelParams) -> SpectralPlan:
     return SpectralPlan(grid, params)
 
 
-def rhs_conservative(
-    rho: SpectralField, u: SpectralField, params: ModelParams, linear_only: bool = False
-):
+def rhs_conservative(rho: SpectralField, u: SpectralField, params: ModelParams):
     """Tendencies of (rho, u) from the conservative form (test oracle).
 
     Mass and momentum tendencies integrate to zero: the flux and pressure
@@ -519,12 +515,11 @@ def rhs_conservative(
             dm[i] -= spectral_derivative(fij, ax).to_physical()[0]
     pressure = SpectralField.from_physical(grid, params.kappa * rv**params.gamma)
     dm -= gradient(pressure).to_physical()
-    if not linear_only:
-        # D = -mu rho (Lambda^alpha q - u Lambda^alpha rho) with q the flux: the
-        # same product q in both terms makes the momentum integral of D cancel
-        lam_q = fractional_laplacian(flux, params.alpha).to_physical()
-        lam_rho = fractional_laplacian(rho, params.alpha).to_physical()[0]
-        dm -= params.mu * (rv * lam_q - flux.to_physical() * lam_rho)
+    # D = -mu rho (Lambda^alpha q - u Lambda^alpha rho) with q the flux: the
+    # same product q in both terms makes the momentum integral of D cancel
+    lam_q = fractional_laplacian(flux, params.alpha).to_physical()
+    lam_rho = fractional_laplacian(rho, params.alpha).to_physical()[0]
+    dm -= params.mu * (rv * lam_q - flux.to_physical() * lam_rho)
     dmom = SpectralField.from_physical(grid, dm)
 
     # du/dt = (d(rho u)/dt - u * d rho/dt) / rho, pointwise

@@ -1,7 +1,9 @@
 """Fourier multiplier operators on spectral fields.
 
 Each multiplier is a symbol the field's ``Grid`` builds once: ``ixi``,
-``xi_tilde``, ``xi_tilde_norm``, ``lambda_symbol`` or ``dealias_mask``.
+``riesz``, ``lambda_symbol`` or ``dealias_mask``.  The Helmholtz split takes
+the one Riesz symbol R = i xi_tilde/|xi_tilde|: d = Lambda^{-1} Div u = R.u,
+its velocity -R d, and the Leray projection u minus that velocity.
 
 Conventions:
   * the fractional Laplacian is the multiplier |xi|^alpha with the mean mode
@@ -82,7 +84,8 @@ def divergence(u: SpectralField) -> SpectralField:
 
 
 def leray_project(u: SpectralField) -> SpectralField:
-    """Projection onto divergence-free fields: coef'(k) = (I - xi xi^T/|xi|^2) coef(k).
+    """Projection onto divergence-free fields: u minus its compressible part,
+    coef'(k) = (I - xi xi^T/|xi|^2) coef(k) with xi = xi_tilde.
 
     The mean mode passes through unchanged.  In 1D the projector removes all
     non-mean content.
@@ -91,35 +94,24 @@ def leray_project(u: SpectralField) -> SpectralField:
         raise GridError(
             f"leray_project expects {u.grid.dim} components, got {u.components}"
         )
-    xi = u.grid.xi_tilde()
-    xi2 = sum(c**2 for c in xi)
-    safe = np.where(xi2 > 0, xi2, 1.0)
-    dot = sum(x * c for x, c in zip(xi, u.coef))
-    out = [c - np.where(xi2 > 0, x * dot / safe, 0.0) for x, c in zip(xi, u.coef)]
-    return SpectralField(u.grid, np.stack(out))
+    return u - grad_lambda_inv(lambda_inv_div(u))
 
 
 def lambda_inv_div(u: SpectralField) -> SpectralField:
-    """Compressible component d = Lambda^{-1} Div u; mean mode set to 0."""
+    """Compressible component d = Lambda^{-1} Div u = sum_a R_a u_a; mean mode 0."""
     if u.components != u.grid.dim:
         raise GridError(
             f"lambda_inv_div expects {u.grid.dim} components, got {u.components}"
         )
-    xin = u.grid.xi_tilde_norm()
-    safe = np.where(xin > 0, xin, 1.0)
-    div = divergence(u).coef[0]
-    d = np.where(xin > 0, div / safe, 0.0)
+    d = sum(u.coef * u.grid.riesz())
     return SpectralField(u.grid, d[np.newaxis])
 
 
 def grad_lambda_inv(d: SpectralField) -> SpectralField:
-    """-grad Lambda^{-1} d, the compressible velocity carried by d."""
+    """-grad Lambda^{-1} d = -R d, the compressible velocity carried by d."""
     if not d.is_scalar:
         raise GridError("grad_lambda_inv expects a scalar field")
-    xin = d.grid.xi_tilde_norm()
-    safe = np.where(xin > 0, xin, 1.0)
-    base = np.where(xin > 0, d.coef[0] / safe, 0.0)
-    return SpectralField(d.grid, -base * d.grid.ixi())
+    return SpectralField(d.grid, -(d.coef[0] * d.grid.riesz()))
 
 
 def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> SpectralField:

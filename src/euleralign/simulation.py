@@ -22,14 +22,7 @@ from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
 from .model import VACUUM_THRESHOLD, ModelParams, State, VacuumError, plan_for, rho_from_sigma
-from .operators import (
-    ParameterError,
-    dealias,
-    grad_lambda_inv,
-    heat_semigroup,
-    lambda_inv_div,
-    leray_project,
-)
+from .operators import ParameterError, dealias, grad_lambda_inv, heat_semigroup, lambda_inv_div
 
 __all__ = [
     "SimConfig",
@@ -214,24 +207,22 @@ def step(
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     """Exact solution of the linearized (constant-coefficient) system.
 
-    The compressible pair (sigma, d) is propagated by ``propagate_pair_field``,
-    which rejects a negative or non-finite t; the incompressible part decays
-    under the fractional heat semigroup.
+    The velocity splits once through d = Lambda^{-1} Div u: the compressible
+    pair (sigma, d) is propagated by ``propagate_pair_field``, which rejects a
+    negative or non-finite t, and the incompressible part Pu = u - (-R d)
+    decays under the fractional heat semigroup.  The Riesz symbol R is 0 on
+    the mean mode and the heat flow leaves that mode alone, so Pu carries the
+    conserved mean velocity.
     """
     ep = LinearEnergyParams.from_model(params)
     d = lambda_inv_div(state.u)
-    pu = leray_project(state.u)
+    pu = state.u - grad_lambda_inv(d)
     # couple through the Nyquist-zeroed wavenumbers that the discrete
     # derivatives actually see (sigma is frozen where they vanish)
     coupling = state.grid.xi_tilde_norm()
     sig_t, d_t = propagate_pair_field(state.scalar, d, t, ep, coupling=coupling)
-    u_comp = grad_lambda_inv(d_t)
-    pu_t = heat_semigroup(pu, params.alpha, params.mu, t)
-    # restore the conserved mean velocity
-    u_new = SpectralField(state.grid, u_comp.coef + pu_t.coef)
-    idx = (slice(None),) + (0,) * state.grid.dim
-    u_new.coef[idx] = state.u.coef[idx]
-    return State(sig_t, u_new, state.t + t)
+    u_t = grad_lambda_inv(d_t) + heat_semigroup(pu, params.alpha, params.mu, t)
+    return State(sig_t, u_t, state.t + t)
 
 
 # -- run orchestration ------------------------------------------------------

@@ -87,7 +87,7 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 def read_snapshot(path: str):
     """Read a snapshot as (state, params); a rho file becomes a sigma state.
-    Either file's density must be > 0."""
+    t and every field sample must be finite, and either file's density > 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -104,6 +104,8 @@ def read_snapshot(path: str):
         body = np.frombuffer(fh.read(8 * count * (1 + dim)), dtype="<f8")
         if body.size != count * (1 + dim):
             raise SnapshotError(f"{path}: truncated field data")
+    if not (np.isfinite(t) and np.isfinite(body).all()):
+        raise SnapshotError(f"{path}: t and every field sample must be finite")
     scalar = body[:count].reshape(grid.shape)
     u = body[count:].reshape((dim,) + grid.shape)
     params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)

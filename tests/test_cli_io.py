@@ -132,6 +132,24 @@ kind = power
             parse_config("[output]\nnorms = x sigma fancy 0.5\n")
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("a u homogeneous 0.5 1 7", "too many arguments for a homogeneous norm"),
+            ("a u hybrid 0.5 1 2 9 9", "too many arguments for a hybrid norm"),
+            ("a u low 0.5 2 1 extra", "too many arguments for a low norm"),
+            ("a u low 0.5", "too few arguments for a low norm"),
+        ],
+    )
+    def test_norm_entry_argument_count(self, entry, message):
+        # an extra token, even a non-number, is no longer dropped silently
+        with pytest.raises(ConfigError, match=re.escape(f"{message} in {entry!r}")):
+            parse_config(f"[output]\nnorms = {entry}\n")
+
+    def test_norm_entries_take_a_trailing_semicolon(self):
+        c = parse_config("[output]\nnorms = a u homogeneous 0.5 1; b sigma high 1 2;\n")
+        assert [name for name, _, _ in c.norms] == ["a", "b"]
+
+    @pytest.mark.parametrize(
         "entries",
         ["mass u homogeneous 0 1", "X1_sigma_sup sigma homogeneous 0 1",
          "a u homogeneous 0 1; a sigma homogeneous 1 1"],
@@ -305,6 +323,41 @@ class TestSnapshot:
             st = State(SpectralField.from_physical(g, sig), SpectralField.zeros(g))
             write_snapshot(str(path), st, p)
         with pytest.raises(SnapshotError, match="rho must be > 0"):
+            read_snapshot(str(path))
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, gamma, value",
+        [
+            ("sigma", 1.0, np.nan),
+            ("sigma", 2.0, np.nan),
+            ("rho", 1.0, np.nan),
+            ("u", 1.0, np.nan),
+            ("t", 1.0, np.nan),
+            ("sigma", 1.0, np.inf),
+        ],
+        ids=["sigma_nan_gamma1", "sigma_nan_gamma2", "rho_nan", "u_nan", "t_nan", "sigma_inf"],
+    )
+    def test_non_finite_value_is_a_validation_error(self, tmp_path, capsys, field, gamma, value):
+        # a non-finite sample is bad input, not data for a row of nan
+        g = Grid(1, 32, 2 * np.pi)
+        p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, mu=1.0)
+        x = g.axis_points()
+        scalar = 1.0 + 0.2 * np.cos(x) if field == "rho" else 0.01 * np.cos(x)
+        u, t = 0.02 * np.sin(x), 1.25
+        if field == "t":
+            t = value
+        else:
+            (u if field == "u" else scalar)[3] = value
+        code = 0 if field == "rho" else 1
+        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, t, p.alpha, p.kappa, p.gamma, p.mu, code)
+        path = tmp_path / "bad.snap"
+        path.write_bytes(header + np.concatenate([scalar, u]).astype("<f8").tobytes())
+        with pytest.raises(SnapshotError, match="must be finite"):
             read_snapshot(str(path))
         out = tmp_path / "bad.csv"
         assert main(["analyze", str(path), "--output", str(out)]) == 2

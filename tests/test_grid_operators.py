@@ -308,14 +308,71 @@ class TestProjections:
         back = grad_lambda_inv(d)
         assert np.allclose(back.coef, u.mean_free().coef, atol=1e-13)
 
-    def test_helmholtz_split_2d(self):
-        g = Grid(2, 32, 2.0 * np.pi)
+    @staticmethod
+    def _assert_explicit_projector(dim):
+        # leray_project against (I - xi xi^T/|xi|^2) u over the Nyquist-zeroed
+        # xi, written out here: the operators build it from the Riesz symbol
+        g = Grid(dim, 32, 2.0 * np.pi)
         rng = np.random.default_rng(5)
-        u = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape))
-        pu = leray_project(u)
-        comp = grad_lambda_inv(lambda_inv_div(u))
-        # solenoidal + compressible parts reassemble the full field
-        assert np.allclose(pu.coef + comp.coef, u.coef, atol=1e-12)
+        u = SpectralField.from_physical(g, rng.standard_normal((dim,) + g.shape))
+        xi = np.stack(g.xi_tilde())
+        xi2 = np.sum(xi**2, axis=0)
+        nz = xi2 > 0
+        dot = np.sum(xi * u.coef, axis=0)
+        expect = u.coef.copy()
+        expect[:, nz] -= xi[:, nz] * dot[nz] / xi2[nz]
+        got = leray_project(u).coef
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(u.coef))
+
+    def test_helmholtz_split_1d(self):
+        self._assert_explicit_projector(1)
+
+    def test_helmholtz_split_2d(self):
+        self._assert_explicit_projector(2)
+
+    def test_riesz_symbol_is_unit_off_the_zero_modes(self):
+        for g in (Grid(1, 32, 2.0 * np.pi), Grid(2, 32, 3.0)):
+            r = g.riesz()
+            size = np.sum(np.abs(r) ** 2, axis=0)
+            nz = g.xi_tilde_norm() > 0
+            np.testing.assert_allclose(size[nz], 1.0, rtol=0, atol=1e-15)
+            assert not np.any(r[:, ~nz])
+
+
+_G2 = Grid(2, 16, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gradient(SpectralField.zeros(_G2, 2)), "gradient expects a scalar"),
+        (lambda: divergence(SpectralField.zeros(_G2, 1)), "divergence expects 2 components, got 1"),
+        (lambda: lambda_inv_div(SpectralField.zeros(_G2, 3)), "lambda_inv_div expects 2"),
+        (lambda: leray_project(SpectralField.zeros(_G2, 1)), "leray_project expects 2"),
+        (lambda: grad_lambda_inv(SpectralField.zeros(_G2, 2)), "grad_lambda_inv expects a scalar"),
+        (
+            lambda: physical_product(
+                SpectralField.zeros(_G2), SpectralField.zeros(Grid(2, 16, 2.0))
+            ),
+            "different grids",
+        ),
+        (lambda: SpectralField.from_physical(_G2, np.zeros((2, 16, 8))), "sample shape"),
+    ],
+    ids=[
+        "gradient", "divergence", "lambda_inv_div", "leray_project", "grad_lambda_inv",
+        "product_grids", "from_physical",
+    ],
+)
+def test_argument_checks_raise_grid_error(call, message):
+    with pytest.raises(GridError, match=message):
+        call()
+
+
+def test_product_takes_the_scalar_factor_either_side():
+    rng = np.random.default_rng(8)
+    s = SpectralField.from_physical(_G2, rng.standard_normal(_G2.shape))
+    v = SpectralField.from_physical(_G2, rng.standard_normal((2,) + _G2.shape))
+    assert np.array_equal(physical_product(v, s).coef, physical_product(s, v).coef)
 
 
 class TestHeatSemigroup:
