@@ -74,8 +74,8 @@ class NormSpec:
 def _combine(weights: np.ndarray, block_norms: np.ndarray, r: float) -> float:
     vals = weights * block_norms
     if r == 1:
-        return float(np.sum(vals))
-    return float(np.max(vals)) if vals.size else 0.0
+        return float(np.add.reduce(vals))
+    return float(np.maximum.reduce(vals)) if vals.size else 0.0
 
 
 def besov_norm(
@@ -100,8 +100,8 @@ def besov_norm_from_blocks(js: np.ndarray, block_norms: np.ndarray, spec: NormSp
     if spec.kind == "hybrid":
         low = js <= spec.j0
         return float(
-            np.sum(2.0 ** (js[low] * spec.s) * bn[low])
-            + np.sum(2.0 ** (js[~low] * spec.s2) * bn[~low])
+            np.add.reduce(2.0 ** (js[low] * spec.s) * bn[low])
+            + np.add.reduce(2.0 ** (js[~low] * spec.s2) * bn[~low])
         )
     sel = js <= spec.j0 if spec.kind == "low" else js > spec.j0
     return _combine(2.0 ** (js[sel] * spec.s), bn[sel], spec.r)

@@ -19,6 +19,19 @@ A ``Grid`` also makes every transform; no other module calls ``numpy.fft``:
 the general pair ``spectral``/``physical``, and ``band_physical``, the faster
 inverse of coefficients that the 2/3 rule has masked.  In 2D each runs the 1D
 passes of ``rfftn`` or ``irfftn`` itself, in their order, so the bits are theirs.
+
+Each pass calls NumPy's pocketfft gufuncs (``rfft_n_even``, ``irfft``, ``fft``,
+``ifft`` of ``numpy.fft._pocketfft_umath``) directly, with the factors the
+public functions pass for ``norm="forward"`` (1/n forward, 1 inverse) and an
+explicit ``out``.  This skips the Python wrapper that ``numpy.fft`` runs on
+every call (dtype resolution, the norm factor, the axis check and an output
+allocation), most of a transform's cost on the small 1D grids of long runs.
+The gufuncs are NumPy's own FFT since 2.0, the release that added them with
+the ``out=`` the in-place passes need and the floor this package declares.
+Their module is private, which is accepted because only this module refers to
+it, and because the tests pin the bits of every transform here to the public
+``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses: a NumPy that moves
+or changes them fails those tests rather than drifting.
 """
 
 from __future__ import annotations
@@ -27,12 +40,17 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 __all__ = ["Grid", "SpectralField", "GridError"]
 
 
 class GridError(ValueError):
     """Invalid grid construction or mismatched grids."""
+
+
+# the gufunc ``axes`` of a pass along the leading axis of a 2D batch
+_LEADING_AXIS = [(-2,), (), (-2,)]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -94,8 +112,10 @@ class Grid:
         batched.  In 2D ``irfftn``'s passes, so its bits: ``ifft`` along the
         leading axis into a new array, then ``irfft``."""
         if self.dim == 2:
-            coef = np.fft.ifft(coef, axis=-2, norm="forward")
-        return np.fft.irfft(coef, n=self.n, norm="forward")
+            coef = _pocketfft_umath.ifft(
+                coef, 1.0, axes=_LEADING_AXIS, out=np.empty(coef.shape, complex)
+            )
+        return _pocketfft_umath.irfft(coef, 1.0, out=np.empty(coef.shape[:-1] + (self.n,)))
 
     def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
@@ -104,8 +124,10 @@ class Grid:
         overwriting them in ``coef``, and ``irfft`` zero-pads the others."""
         if self.dim == 2:
             kept = coef[..., : self.dealias_cutoff + 1]
-            coef = np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
-        return np.fft.irfft(coef, n=self.n, norm="forward", out=out)
+            coef = _pocketfft_umath.ifft(kept, 1.0, axes=_LEADING_AXIS, out=kept)
+        if out is None:
+            out = np.empty(coef.shape[:-1] + (self.n,))
+        return _pocketfft_umath.irfft(coef, 1.0, out=out)
 
     def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched.
@@ -114,9 +136,11 @@ class Grid:
         last axis, then in 2D ``fft`` along the leading axis, in place.  The
         coefficients go to ``out`` if given.
         """
-        coef = np.fft.rfft(values, norm="forward", out=out)
+        if out is None:
+            out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
+        coef = _pocketfft_umath.rfft_n_even(values, 1.0 / self.n, out=out)
         if self.dim == 2:
-            np.fft.fft(coef, axis=-2, norm="forward", out=coef)
+            _pocketfft_umath.fft(coef, 1.0 / self.n, axes=_LEADING_AXIS, out=coef)
         return coef
 
     @functools.lru_cache(maxsize=32)

@@ -111,10 +111,10 @@ class LPDecomp:
 
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of all blocks (vector fields: joint l2 over components)."""
-        energy = np.sum(np.abs(f.coef) ** 2, axis=0).ravel()
+        energy = np.add.reduce(np.abs(f.coef) ** 2, axis=0).ravel()
         vol = self.grid.volume()
-        return np.array(
-            [np.sqrt(np.sum(w2 * energy[idx]) * vol) for idx, w2 in self.block_weights()]
+        return np.sqrt(
+            [np.add.reduce(w2 * energy.take(idx)) * vol for idx, w2 in self.block_weights()]
         )
 
     def partition_defect(self) -> float:

@@ -24,8 +24,9 @@ import struct
 
 import numpy as np
 
-from .grid import Grid, SpectralField
+from .grid import Grid, GridError, SpectralField
 from .model import ModelParams, State, VacuumError, h_of_sigma, sigma_from_rho
+from .operators import ParameterError
 
 __all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
 
@@ -87,7 +88,9 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 def read_snapshot(path: str):
     """Read a snapshot as (state, params); a rho file becomes a sigma state.
-    t and every field sample must be finite, and either file's density > 0."""
+    The header's grid and model parameters must be valid, the file must hold
+    the field data they declare, t and every field sample must be finite, and
+    either file's density > 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -99,16 +102,23 @@ def read_snapshot(path: str):
             raise SnapshotError(f"{path}: unsupported version {version}")
         if code not in (_RHO, _SIGMA):
             raise SnapshotError(f"{path}: unknown scalar field code {code}")
-        grid = Grid(dim, n, L)
+        try:
+            grid = Grid(dim, n, L)
+            params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)
+        except (GridError, ParameterError) as exc:
+            raise SnapshotError(f"{path}: {exc}") from None
         count = n**dim
-        body = np.frombuffer(fh.read(8 * count * (1 + dim)), dtype="<f8")
-        if body.size != count * (1 + dim):
-            raise SnapshotError(f"{path}: truncated field data")
+        size = 8 * count * (1 + dim)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:  # checked first: the header's n may declare any size
+            raise SnapshotError(
+                f"{path}: truncated field data: the header declares {size} bytes, {left} follow"
+            )
+        body = np.frombuffer(fh.read(size), dtype="<f8")
     if not (np.isfinite(t) and np.isfinite(body).all()):
         raise SnapshotError(f"{path}: t and every field sample must be finite")
     scalar = body[:count].reshape(grid.shape)
     u = body[count:].reshape((dim,) + grid.shape)
-    params = ModelParams(alpha=alpha, kappa=kappa, gamma=gamma, dim=dim, mu=mu)
     try:  # rho <= 0 is bad input data, not a run that reached vacuum
         if code == _RHO:
             scalar = sigma_from_rho(scalar, params)

@@ -365,6 +365,30 @@ class TestSnapshot:
         assert str(path) in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "dim, n, L, alpha, mu, match",
+        [
+            (1, 32, np.nan, 1.5, 1.0, "L must be finite"),
+            (1, 32, 2 * np.pi, 1.5, np.nan, "mu must be finite"),
+            (1, 32, 2 * np.pi, 2.5, 1.0, "alpha must lie in"),
+            (2, 2**31, 2 * np.pi, 1.5, 1.0, "truncated field data"),
+        ],
+        ids=["L_nan", "mu_nan", "alpha_2.5", "2d_n_2**31"],
+    )
+    def test_bad_header_is_a_validation_error(self, tmp_path, capsys, dim, n, L, alpha, mu, match):
+        # a 1D n = 32 body follows each header; the 2D one declares 2**62 samples
+        # per field, which must be refused before any of them is read
+        header = _HEADER.pack(MAGIC, 1, dim, n, L, 0.5, alpha, 1.0, 1.0, mu, 1)
+        path = tmp_path / "bad.snap"
+        path.write_bytes(header + np.zeros(2 * 32).astype("<f8").tobytes())
+        with pytest.raises(SnapshotError, match=match):
+            read_snapshot(str(path))
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_scalar_code(self, tmp_path):
         self._legacy_rho_file(tmp_path / "bad.snap", code=2)
         with pytest.raises(SnapshotError, match="code 2"):

@@ -107,6 +107,29 @@ class TestGrid:
         want = np.fft.irfftn(coef, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward")
         assert g.band_physical(coef).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 256), (1, 4096), (2, 8), (2, 64), (2, 256)])
+    def test_every_transform_has_the_bits_of_rfftn_and_irfftn(self, dim, n, batch, given_out):
+        # the transforms call NumPy's pocketfft gufuncs without the numpy.fft
+        # wrapper; the public functions pin their bits, so a NumPy that moves or
+        # changes the gufuncs fails here
+        g = Grid(dim, n, 2.0 * np.pi)
+        axes = tuple(range(-dim, 0))
+        values = np.random.default_rng(n + len(batch)).standard_normal(batch + g.shape)
+        out = np.empty(batch + g.spectral_shape, complex) if given_out else None
+        coef = g.spectral(values, out=out)
+        assert out is None or coef is out
+        assert coef.tobytes() == np.fft.rfftn(values, axes=axes, norm="forward").tobytes()
+        want = np.fft.irfftn(coef, s=g.shape, axes=axes, norm="forward")
+        assert g.physical(coef).tobytes() == want.tobytes()
+        masked = coef * g.dealias_mask()
+        want = np.fft.irfftn(masked, s=g.shape, axes=axes, norm="forward")
+        out = np.empty(batch + g.shape) if given_out else None
+        back = g.band_physical(masked, out=out)
+        assert out is None or back is out
+        assert back.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32)])
     def test_in_place_transforms_leave_the_state_untouched(self, dim, n):
         # the tendency's inverse transforms overwrite its own batches; the

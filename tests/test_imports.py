@@ -1,5 +1,6 @@
 """Each module owns its private names: no module imports another's.  ``Grid``
-owns the transforms: no other module refers to ``numpy.fft``."""
+owns the transforms: no other module refers to ``numpy.fft``, which includes
+NumPy's private ``numpy.fft._pocketfft_umath`` that ``Grid`` calls directly."""
 
 import ast
 from pathlib import Path
