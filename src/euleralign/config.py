@@ -14,6 +14,9 @@ takes that field's default, and ``SimConfig`` checks the values.  Every
 number must be finite; ``inf`` is accepted only as a norm entry's ``r``.
 Values are read verbatim (no ``%`` interpolation).
 
+An inline comment starts at a ``#``, or at a ``;`` at the start of a value or
+after whitespace, except in ``norms``, where every ``;`` separates entries.
+
 The [output] ``norms`` value is a semicolon-separated list of custom norm
 columns, each "name target kind args..." with target in {sigma, u} and kind
 one of homogeneous (args: s [r]), hybrid (args: s1 s2 j0), low/high (args: s
@@ -26,6 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 
 from .besov import NormSpec
 from .simulation import SimConfig
@@ -91,9 +95,15 @@ _KEYS = {
 }
 
 
+# an inline ';' comment: a ';' at the start of the value or after whitespace
+_SEMICOLON_COMMENT = re.compile(r"(?:^|\s);")
+
+
 def _value(cp, section, key, cast):
     path = f"{section}.{key}"
     raw = cp.get(section, key)
+    if cast is not _parse_norms:  # in norms ';' separates the entries
+        raw = _SEMICOLON_COMMENT.split(raw, 1)[0].rstrip()
     try:
         value = cast(raw)
     except (TypeError, ValueError) as exc:
@@ -105,8 +115,9 @@ def _value(cp, section, key, cast):
 
 def parse_config(text: str) -> SimConfig:
     """Parse and validate an INI configuration into a SimConfig."""
-    # values are taken verbatim: a '%' in a path is no interpolation
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # values are taken verbatim: a '%' in a path is no interpolation; an inline
+    # ';' comment is cut in _value, so that it can separate norm entries
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str  # keep key case ('L' vs 'l')
     try:
         cp.read_file(io.StringIO(text))

@@ -89,8 +89,8 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 def read_snapshot(path: str):
     """Read a snapshot as (state, params); a rho file becomes a sigma state.
     The header's grid and model parameters must be valid, the file must hold
-    the field data they declare, t and every field sample must be finite, and
-    either file's density > 0."""
+    exactly the field data they declare, t and every field sample must be
+    finite, and either file's density > 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -110,9 +110,10 @@ def read_snapshot(path: str):
         count = n**dim
         size = 8 * count * (1 + dim)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > left:  # checked first: the header's n may declare any size
+        if size != left:  # checked first: the header's n may declare any size
+            what = "truncated" if size > left else "trailing bytes after the"
             raise SnapshotError(
-                f"{path}: truncated field data: the header declares {size} bytes, {left} follow"
+                f"{path}: {what} field data: the header declares {size} bytes, {left} follow"
             )
         body = np.frombuffer(fh.read(size), dtype="<f8")
     if not (np.isfinite(t) and np.isfinite(body).all()):

@@ -149,6 +149,28 @@ kind = power
         c = parse_config("[output]\nnorms = a u homogeneous 0.5 1; b sigma high 1 2;\n")
         assert [name for name, _, _ in c.norms] == ["a", "b"]
 
+    @pytest.mark.parametrize("sep", [";", " ;", " ; "])
+    def test_every_semicolon_separates_norm_entries(self, sep, tmp_path):
+        # a ';' after whitespace used to start an inline comment, which dropped
+        # every entry after it without a word
+        text = (
+            "[grid]\nn = 32\n[time]\nt_end = 0.1\n"
+            f"[output]\nnorms = a sigma homogeneous 0.5{sep}b u homogeneous 1  # note\n"
+        )
+        assert [name for name, _, _ in parse_config(text).norms] == ["a", "b"]
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", _write_config(tmp_path, text), "--output", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert {"a", "b"} <= set(header)
+
+    def test_inline_semicolon_comments_on_other_keys(self):
+        c = parse_config(
+            "[grid]\ndim = 1          ; 1 or 2\n[ic]\npreset = gaussian_bump   ; a | b\n"
+            "[decay]\nt_a = 1 ;x\nt_b = 2\nkind = power     ; power | exp\n"
+        )
+        assert (c.dim, c.ic, c.decay_kind) == (1, "gaussian_bump", "power")
+        assert c.decay_window == (1.0, 2.0)
+
     @pytest.mark.parametrize(
         "entries",
         ["mass u homogeneous 0 1", "X1_sigma_sup sigma homogeneous 0 1",
@@ -393,6 +415,27 @@ class TestSnapshot:
         self._legacy_rho_file(tmp_path / "bad.snap", code=2)
         with pytest.raises(SnapshotError, match="code 2"):
             read_snapshot(str(tmp_path / "bad.snap"))
+
+    def test_field_data_past_the_declared_body(self, tmp_path, capsys):
+        # bytes appended to a valid file, and a 2D file whose header is edited
+        # to 1D (it declares less data than follows), are refused naming the file
+        st, p = self._state()
+        path = tmp_path / "snap"
+        write_snapshot(str(path), st, p)
+        appended = path.read_bytes() + bytes(8)
+        st2 = initial_state(SimConfig(dim=2, n=16, ic="random_smooth", seed=3))
+        write_snapshot(str(path), st2, ModelParams(1.5, 1.0, 1.0, dim=2))
+        data = bytearray(path.read_bytes())
+        data[9:13] = struct.pack("<I", 1)  # the header's dim
+        for name, body in (("appended.snap", appended), ("edited.snap", bytes(data))):
+            bad = tmp_path / name
+            bad.write_bytes(body)
+            with pytest.raises(SnapshotError, match=f"{re.escape(str(bad))}: trailing bytes"):
+                read_snapshot(str(bad))
+            out = tmp_path / "bad.csv"
+            assert main(["analyze", str(bad), "--output", str(out)]) == 2
+            assert str(bad) in capsys.readouterr().err
+            assert not out.exists()
 
     def test_truncated_body(self, tmp_path):
         st, p = self._state()

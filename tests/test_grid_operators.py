@@ -1,8 +1,17 @@
 """Grid construction, spectral transforms, and Fourier multiplier operators."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from euleralign import grid as grid_module
+from euleralign.cli import main
 from euleralign.grid import Grid, GridError, SpectralField
 from euleralign.model import ModelParams, State, plan_for
 from euleralign.operators import (
@@ -21,11 +30,28 @@ from euleralign.operators import (
 )
 from euleralign.simulation import step
 
+SRC = str(Path(grid_module.__file__).resolve().parents[1])
+
+
+def _python(script: str, *args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports euleralign from here."""
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
 
 def assert_real_field(f: SpectralField, rtol: float = 1e-14):
     """The coefficients are those of the real field they describe."""
     back = SpectralField.from_physical(f.grid, f.to_physical()).coef
     assert np.max(np.abs(back - f.coef)) <= rtol * np.max(np.abs(f.coef))
+
+
+# batches that Grid splits over the CPUs: along the fields in 1D, and along
+# the rows and the columns of one field or of many in 2D
+SPLIT_CASES = [(1, 65536, (4,)), (2, 256, (2,)), (2, 256, (9,)), (2, 512, ())]
 
 
 class TestGrid:
@@ -108,13 +134,22 @@ class TestGrid:
         assert g.band_physical(coef).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
-    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 256), (1, 4096), (2, 8), (2, 64), (2, 256)])
+    @pytest.mark.parametrize(
+        "dim, n, batch",
+        [
+            (dim, n, batch)
+            for dim, n in [(1, 8), (1, 256), (1, 4096), (2, 8), (2, 64), (2, 256)]
+            for batch in [(), (3,), (2, 3)]
+        ]
+        + SPLIT_CASES,
+    )
     def test_every_transform_has_the_bits_of_rfftn_and_irfftn(self, dim, n, batch, given_out):
         # the transforms call NumPy's pocketfft gufuncs without the numpy.fft
         # wrapper; the public functions pin their bits, so a NumPy that moves or
         # changes the gufuncs fails here
         g = Grid(dim, n, 2.0 * np.pi)
+        if (dim, n, batch) in SPLIT_CASES:
+            assert np.prod(batch + g.spectral_shape) >= grid_module._SPLIT_MIN
         axes = tuple(range(-dim, 0))
         values = np.random.default_rng(n + len(batch)).standard_normal(batch + g.shape)
         out = np.empty(batch + g.spectral_shape, complex) if given_out else None
@@ -143,6 +178,201 @@ class TestGrid:
         plan_for(g, p).tendency(sig, u)
         step(State(SpectralField(g, sig), SpectralField(g, u)), p, 1e-3)
         assert (sig.tobytes(), u.tobytes()) == before
+
+
+FORK_SCRIPT = """
+import os, signal, sys
+import numpy as np
+from euleralign import grid
+grid._CPUS = max(grid._CPUS, 2)  # the pool runs on one CPU too
+g = grid.Grid(2, 256, 1.0)
+values = np.random.default_rng(5).standard_normal((9,) + g.shape)
+want = np.fft.rfftn(values, axes=(-2, -1), norm="forward").tobytes()
+assert g.spectral(values).tobytes() == want and grid._helper, "no split in the parent"
+pid = os.fork()
+if pid == 0:  # the parent's helper threads are not here
+    signal.alarm(30)  # ends a child that waits for them
+    ok = g.spectral(values).tobytes() == want
+    os._exit(0 if ok and grid._helper.is_alive() else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+RUN_SCRIPT = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from euleralign import cli, grid
+assert grid._CPUS == 1
+sys.exit(cli.main(["run", "--config", sys.argv[1], "--output", sys.argv[2]]))
+"""
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split large passes in two even where this process has one CPU."""
+    monkeypatch.setattr(grid_module, "_CPUS", max(grid_module._CPUS, 2))
+
+
+class TestSplitPasses:
+    """Grid runs each pass of a large batch as two halves, one of them on a
+    helper thread."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_transforms(self):
+        # a child inherits the parent's pool but not its threads: it must
+        # start its own, and its transforms must not wait for the parent's
+        proc = _python(FORK_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_pass_splits_in_two_on_any_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_CPUS", 4)
+        rows = []
+
+        def record(a, fct, out):
+            rows.append(len(a))
+
+        a = np.zeros((8, 1))
+        grid_module._split_pass(record, a, 1.0, np.empty_like(a))
+        assert rows == [4, 4]
+
+    def test_the_helper_lives_on_with_more_cpus(self, monkeypatch):
+        # one helper takes one half of each pass however many CPUs there are,
+        # and no thread dies with an exception
+        monkeypatch.setattr(grid_module, "_CPUS", 4)
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        threads = threading.active_count()
+        g = Grid(2, 256, 1.0)
+        values = np.random.default_rng(8).standard_normal((9,) + g.shape)
+        want = np.fft.rfftn(values, axes=(-2, -1), norm="forward")
+        for _ in range(20):
+            coef = g.spectral(values)
+            assert coef.tobytes() == want.tobytes()
+            g.physical(coef)
+        assert died == []
+        assert grid_module._helper.is_alive()
+        assert threading.active_count() <= threads + 1
+
+    def test_a_failed_pass_raises_in_the_caller(self, two_cpus):
+        # a wrong last axis is refused before any pass (the gufuncs would take
+        # the transform's length from it), a wrong batch fails in the one
+        # gufunc call it falls back to, and a wrong dtype in every piece
+        g = Grid(2, 256, 1.0)
+        values = np.random.default_rng(6).standard_normal((9,) + g.shape)
+        with pytest.raises(ValueError, match="out has shape"):
+            g.spectral(values, out=np.empty((9, 256, 128), complex))
+        with pytest.raises(ValueError):
+            g.spectral(values, out=np.empty((8,) + g.spectral_shape, complex))
+        with pytest.raises(TypeError):
+            g.spectral(values, out=np.empty((9,) + g.spectral_shape))
+        want = np.fft.rfftn(values, axes=(-2, -1), norm="forward")
+        assert g.spectral(values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_out_of_another_length_is_refused(self, dim):
+        g = Grid(dim, 64, 1.0)
+        values = np.ones((3,) + g.shape)
+        with pytest.raises(GridError, match="out has shape"):
+            g.spectral(values, out=np.empty((3,) + g.shape[:-1] + (32,), complex))
+        coef = g.spectral(values)
+        with pytest.raises(GridError, match="out has shape"):
+            g.band_physical(coef, out=np.empty((3,) + g.shape[:-1] + (60,)))
+
+    @staticmethod
+    def _two_row_pass(first, second):
+        """A stand-in gufunc for a pass split into its two rows, which run on
+        two threads at once: the first row waits until the second has begun."""
+        begun = threading.Event()
+
+        def two_rows(a, fct, out):
+            if a[0, 0]:
+                begun.set()
+                second(out)
+            else:
+                assert begun.wait(10), "the rows ran one after the other"
+                first(out)
+
+        return two_rows
+
+    def test_an_error_in_either_row_reaches_the_caller(self, two_cpus):
+        def fails(out):
+            raise KeyError("this row")
+
+        a = np.array([[0.0], [1.0]])
+        for rows in [(fails, lambda out: None), (lambda out: None, fails)]:
+            with pytest.raises(KeyError, match="this row"):
+                grid_module._split_pass(self._two_row_pass(*rows), a, 1.0, np.empty_like(a))
+
+    def test_every_piece_ends_before_the_caller_raises(self, two_cpus):
+        def fails(out):
+            raise KeyError("first row")
+
+        def slow(out):
+            time.sleep(0.2)
+            out[...] = 1.0
+
+        a, out = np.array([[0.0], [1.0]]), np.zeros((2, 1))
+        with pytest.raises(KeyError, match="first row"):
+            grid_module._split_pass(self._two_row_pass(fails, slow), a, 1.0, out)
+        assert out[1, 0] == 1.0
+
+    def test_the_helper_runs_under_the_callers_errstate(self, two_cpus):
+        seen = []
+
+        def record(out):
+            seen.append(np.geterr()["over"])
+
+        a = np.array([[0.0], [1.0]])
+        with np.errstate(over="raise"):
+            grid_module._split_pass(self._two_row_pass(record, record), a, 1.0, np.empty_like(a))
+        assert seen == ["raise", "raise"]
+
+    def test_transforms_from_several_threads(self, two_cpus, monkeypatch):
+        # more callers than CPUs share the pool, every pass split and the GIL
+        # switched often: a piece lost or run twice would change the bits
+        monkeypatch.setattr(grid_module, "_SPLIT_MIN", 1)
+        g = Grid(2, 16, 1.0)
+        values = np.random.default_rng(7).standard_normal((8, 3) + g.shape)
+        want = [np.fft.rfftn(v, axes=(-2, -1), norm="forward").tobytes() for v in values]
+        wrong = []
+
+        def transform(i):
+            for _ in range(200):
+                if g.spectral(values[i]).tobytes() != want[i]:
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=transform, args=(i,)) for i in range(len(values))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_a_run_on_one_cpu_has_the_bits_of_this_run(self, tmp_path):
+        # criterion 10 on both sides of the CPU count: this process splits the
+        # large batches of a 2D n=256 step where it has several CPUs
+        outputs = []
+        for side in ("here", "one_cpu"):
+            cfg = tmp_path / f"{side}.ini"
+            cfg.write_text(
+                "[grid]\ndim = 2\nn = 256\n[time]\nt_end = 0.04\ncadence = 2\n"
+                "[ic]\npreset = random_smooth\nseed = 3\n"
+                f"[output]\nsnapshot = {tmp_path / side}.snap\n"
+            )
+            csv = tmp_path / f"{side}.csv"
+            if side == "here":
+                assert main(["run", "--config", str(cfg), "--output", str(csv)]) == 0
+            else:
+                proc = _python(RUN_SCRIPT, cfg, csv)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append((csv.read_bytes(), (tmp_path / f"{side}.snap").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestSpectralField:
