@@ -31,25 +31,29 @@ the ``out=`` the in-place passes need and the floor this package declares.
 Their module is private, which is accepted because only this module refers to
 it, and because the tests pin the bits of every transform here to the public
 ``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses: a NumPy that moves
-or changes them fails those tests rather than drifting.  A given ``out`` must
-have the result's last axis, since the gufuncs take the transform's length
-from it.
+or changes them fails those tests rather than drifting.  The gufuncs take the
+transform's length from their output, so every transform checks that its
+input ends in ``shape`` (samples) or ``spectral_shape`` (coefficients) and a
+given ``out`` in the result's last axis, and raises ``GridError`` otherwise.
 
-The gufuncs release the GIL for a whole pass, so where the process may use
-two CPUs or more (``os.sched_getaffinity``, read at import) a batch of at
-least ``_SPLIT_MIN`` = 2**16 half-spectrum coefficients runs each pass as two
-contiguous halves at once, along axis -2 for a last-axis pass (the rows in
-2D, the fields in 1D) and along the columns for a leading-axis pass.  The
-caller runs a half itself while one daemon helper thread, started on first
-use and started afresh in a forked child, takes the other, and it returns,
-or raises a half's error, only when both have ended.  Two halves is the case
-that was measured; more pieces wait for measurements on more CPUs.  Each
+``two_halves(f)`` runs ``f(0)`` and ``f(1)`` at once: the caller takes one
+half and one daemon helper thread, started on first use and afresh in a
+forked child, the other; it returns, or raises a half's error, only when both
+have ended, and ``f`` runs under the caller's ``np.errstate``.  ``half``
+takes a contiguous half of an array, and ``splits(size)`` says where halves
+pay: from ``_SPLIT_MIN`` = 2**16 half-spectrum coefficients on, where the
+process may use two CPUs or more (``os.sched_getaffinity``, read at import).
+The gufuncs release the GIL for a whole pass, so a transform of such a batch
+runs each pass as two halves, along axis -2 for a last-axis pass (the rows in
+2D, the fields in 1D) and along the columns for a leading-axis pass; each
 line still meets the same gufunc with the same factor, so every transform
-keeps its bits.  With one CPU, below the threshold (split, a 2D n=256 step
-is faster by about a quarter and a 2D n=64 one slower: README, "Numerics") or
-with nothing to split (one 1D field), a pass is one gufunc call as before.  No
-setting selects the path.  Transforms may be called from several threads,
-which share the helper.
+keeps its bits.  The plan of ``model`` runs its pointwise work between the
+transforms on the same helper.  Two halves is the case that was measured;
+more pieces wait for measurements on more CPUs.  With one CPU, below the
+threshold (split, a 2D n=256 step is faster and a 2D n=64 one slower:
+README, "Numerics") or with nothing to split (one 1D field), a pass is one
+gufunc call.  No setting selects the path.  Transforms may be called from
+several threads, which share the helper.
 """
 
 from __future__ import annotations
@@ -78,48 +82,18 @@ _LEADING_AXIS = [(-2,), (), (-2,)]
 
 # the CPUs this process may run on, read once
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# a transform whose batch holds this many half-spectrum coefficients splits
-# each pass in two (the crossover table is in README "Numerics")
+# work on this many half-spectrum coefficients, a transform's batch or a
+# plan's state, runs as two halves (the crossover table is in README "Numerics")
 _SPLIT_MIN = 2**16
 
-_inbox = queue.SimpleQueue()  # the passes that the helper thread joins
+_inbox = queue.SimpleQueue()  # the halves that the helper thread takes
 _helper = None  # the helper thread, started on first use
 _start_lock = threading.Lock()
 
 
-class _Pass:
-    """One split pass.  Whichever thread is free takes the next piece, so a
-    helper that is slow to wake, or busy with another caller's pass, leaves
-    its piece to the caller.  The helper runs its piece in the caller's
-    context, under its ``np.errstate``."""
-
-    def __init__(self, gufunc, fct, axes: dict, pieces: list):
-        self.gufunc, self.fct, self.axes, self.pieces = gufunc, fct, axes, pieces
-        self.context = contextvars.copy_context()
-        self.taken, self.ended = itertools.count(), itertools.count(1)  # atomic
-        self.errors = []
-        self.done = threading.Lock()
-        self.done.acquire()  # released when the last piece ends
-
-    def work(self) -> None:
-        for i in self.taken:
-            if i >= len(self.pieces):
-                return
-            a, out = self.pieces[i]
-            try:
-                self.gufunc(a, self.fct, out=out, **self.axes)
-            except BaseException as exc:
-                self.errors.append(exc)
-            if next(self.ended) == len(self.pieces):
-                self.done.release()
-
-    def help(self) -> None:
-        self.context.run(self.work)
-
-
 def _serve(inbox: queue.SimpleQueue) -> None:
     while True:
-        inbox.get().help()
+        inbox.get()()
 
 
 def _forget_helper() -> None:
@@ -132,34 +106,64 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _split_pass(gufunc, a: np.ndarray, fct, out: np.ndarray, **axes) -> np.ndarray:
-    """``gufunc(a, fct, out=out, **axes)`` as two contiguous halves that the
-    caller and the helper thread run at once; it returns, or raises the
-    first error a half met, only when both have ended.  A last-axis pass
-    splits along axis -2 (the rows in 2D, the fields in 1D), a leading-axis
-    pass along the columns.  Each line meets the same gufunc and factor, so
-    the bits are those of one call, which runs instead when ``a`` has no
-    axis to split, its batch is not ``out``'s or one CPU is usable."""
+def splits(size: int) -> bool:
+    """Whether work on ``size`` coefficients runs as two halves (README, "Numerics")."""
+    return _CPUS >= 2 and size >= _SPLIT_MIN
+
+
+def half(a: np.ndarray, i: int, axis: int = -2) -> np.ndarray:
+    """Half ``i`` (0 or 1) of ``a`` along ``axis``, or all of a broadcast ``a``."""
+    m = a.shape[axis]
+    rows = slice(None) if m == 1 else slice(None, m // 2) if i == 0 else slice(m // 2, None)
+    return a[(Ellipsis, rows) + (slice(None),) * (-1 - axis)]
+
+
+def two_halves(f) -> list:
+    """``[f(0), f(1)]`` at once: the caller takes half 0 and the helper thread
+    half 1, unless the caller is free first, so a helper that is slow to wake
+    or busy stalls no one.  It returns, or raises the first error a half met,
+    when both have ended; then no thread holds ``f``.  ``f`` runs in the
+    caller's context, so under its ``np.errstate`` on either thread."""
     global _helper
+    results, errors = [None, None], []
+    taken, ended = itertools.count(), itertools.count(1)  # atomic under the GIL
+    done = threading.Lock()
+    done.acquire()  # released when the second half ends
+
+    def work() -> None:
+        for i in taken:
+            if i > 1:
+                return
+            try:
+                results[i] = f(i)
+            except BaseException as exc:
+                errors.append(exc)
+            if next(ended) == 2:
+                done.release()
+
+    with _start_lock:
+        if _helper is None:
+            _helper = threading.Thread(target=_serve, args=(_inbox,), daemon=True)
+            _helper.start()
+    _inbox.put(functools.partial(contextvars.copy_context().run, work))
+    work()
+    done.acquire()
+    found, results[:], f = results[:], (), None  # a late helper finds no half and no array
+    if errors:
+        raise errors[0]
+    return found
+
+
+def _split_pass(gufunc, a: np.ndarray, fct, out: np.ndarray, **axes) -> np.ndarray:
+    """``gufunc(a, fct, out=out, **axes)`` by ``two_halves``, along axis -2 (the
+    rows in 2D, the fields in 1D) for a last-axis pass, along the columns for
+    a leading-axis one, each line with the bits of one call, which runs instead
+    where ``a`` has no axis to split, its batch is not ``out``'s or one CPU is usable."""
     axis = -1 if axes else -2
     m = a.shape[axis] if a.ndim > 1 and a.shape[:-1] == out.shape[:-1] else 1
     if _CPUS < 2 or m < 2:
         return gufunc(a, fct, out=out, **axes)
-    if _helper is None:
-        with _start_lock:
-            if _helper is None:
-                helper = threading.Thread(target=_serve, args=(_inbox,), daemon=True)
-                helper.start()
-                _helper = helper
-    rest = (slice(None),) * (-1 - axis)
-    halves = [(Ellipsis, slice(None, m // 2)) + rest, (Ellipsis, slice(m // 2, None)) + rest]
-    job = _Pass(gufunc, fct, axes, [(a[i], out[i]) for i in halves])
-    _inbox.put(job)
-    job.work()
-    job.done.acquire()
-    job.pieces = ()  # a helper that wakes late finds no piece and no array
-    if job.errors:
-        raise job.errors[0]
+    two_halves(lambda i: gufunc(half(a, i, axis), fct, out=half(out, i, axis), **axes))
     return out
 
 
@@ -170,6 +174,12 @@ _SPLIT = types.SimpleNamespace(
         for name in ("rfft_n_even", "irfft", "fft", "ifft")
     }
 )
+
+
+def _shape_error(what: str, a: np.ndarray, shape: tuple) -> GridError:
+    # the gufuncs take a transform's length from their output, so an array of
+    # another shape would make a transform of another length, not an error
+    return GridError(f"{what} has shape {a.shape}, not {shape} per field")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -202,11 +212,11 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.n
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    @property
+    @functools.cached_property
     def spectral_shape(self) -> tuple:
         """Shape of the half spectrum: the last axis keeps k = 0..n/2."""
         return self.shape[:-1] + (self.n // 2 + 1,)
@@ -230,6 +240,8 @@ class Grid:
         """Grid samples of any half-spectrum coefficients; leading axes are
         batched.  In 2D ``irfftn``'s passes, so its bits: ``ifft`` along the
         leading axis into a new array, then ``irfft``."""
+        if coef.shape[-self.dim :] != self.spectral_shape:
+            raise _shape_error("input", coef, self.spectral_shape)
         fft = _SPLIT if coef.size >= _SPLIT_MIN else _pocketfft_umath
         if self.dim == 2:
             coef = fft.ifft(coef, 1.0, axes=_LEADING_AXIS, out=np.empty(coef.shape, complex))
@@ -237,18 +249,19 @@ class Grid:
 
     def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
-        bit, into ``out`` if given, which must hold n samples per line.  In 2D
-        the leading-axis ``ifft`` runs in place over the last-axis columns
-        k <= ``dealias_cutoff`` that the rule keeps, overwriting them in
-        ``coef``, and ``irfft`` zero-pads the others."""
+        bit, into ``out`` if given.  In 2D the leading-axis ``ifft`` runs in
+        place over the last-axis columns k <= ``dealias_cutoff`` that the rule
+        keeps, overwriting them in ``coef``, and ``irfft`` zero-pads the others."""
+        if coef.shape[-self.dim :] != self.spectral_shape:
+            raise _shape_error("input", coef, self.spectral_shape)
+        if out is None:
+            out = np.empty(coef.shape[:-1] + (self.n,))
+        elif out.shape[-1] != self.n:  # numpy checks the other axes against coef's
+            raise _shape_error("out", out, self.shape)
         fft = _SPLIT if coef.size >= _SPLIT_MIN else _pocketfft_umath
         if self.dim == 2:
             kept = coef[..., : self.dealias_cutoff + 1]
             coef = fft.ifft(kept, 1.0, axes=_LEADING_AXIS, out=kept)
-        if out is None:
-            out = np.empty(coef.shape[:-1] + (self.n,))
-        elif out.shape[-1] != self.n:  # irfft would take its length from it
-            raise GridError(f"out has shape {out.shape}, not n = {self.n} samples per line")
         return fft.irfft(coef, 1.0, out=out)
 
     def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -256,12 +269,14 @@ class Grid:
 
         ``rfftn``'s two 1D passes in its order, so its bits: ``rfft`` along the
         last axis, then in 2D ``fft`` along the leading axis, in place.  The
-        coefficients go to ``out`` if given, which must hold n/2 + 1 per line.
+        coefficients go to ``out`` if given.
         """
+        if values.shape[-self.dim :] != self.shape:
+            raise _shape_error("input", values, self.shape)
         if out is None:
             out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
-        elif out.shape[-1] != self.n // 2 + 1:  # rfft would take its length from it
-            raise GridError(f"out has shape {out.shape}, not n/2 + 1 = {self.n // 2 + 1} per line")
+        elif out.shape[-1] != self.n // 2 + 1:  # numpy checks the other axes against values'
+            raise _shape_error("out", out, self.spectral_shape)
         fft = _SPLIT if out.size >= _SPLIT_MIN else _pocketfft_umath
         coef = fft.rfft_n_even(values, 1.0 / self.n, out=out)
         if self.dim == 2:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, GridError, SpectralField, read_only
+from .grid import Grid, GridError, SpectralField, half, read_only, splits, two_halves
 from .operators import (
     ParameterError,
     dealias,
@@ -235,7 +236,8 @@ def alignment_direct(
     def midpoint_sum(factor: int) -> np.ndarray:
         m = grid.n * factor
         fine = Grid(1, m, grid.L)
-        rf, uf = fine.physical(r_coef), fine.physical(u_coef)
+        # trigonometric interpolation: the fine modes above the coarse ones are 0
+        rf, uf = (fine.physical(np.pad(c, (0, m // 2 - grid.n // 2))) for c in (r_coef, u_coef))
         # K(x_i - y_j) depends on (i*factor - j) mod m only: m kernel values
         kern = _periodized_kernel(fine.axis_points(), alpha, grid.L)
         kern = kern[(np.arange(grid.n)[:, None] * factor - np.arange(m)) % m]
@@ -265,7 +267,8 @@ class Workspace:
                  input, masked in place, then ``grad``, grad[a, c] = d_a x_c:
                  ``grad_sig`` is grad[:, 0] and ``div_terms`` the d_a u_a.
                  Once they are transformed, ``pair_hat`` (the first two
-                 fields) holds (g, Lambda^alpha g); once that is transformed,
+                 fields) holds (``g_hat``, ``lam_g_hat``) = (g, Lambda^alpha
+                 g); once that is transformed,
                  the real ``div_u`` and ``adv`` = (u.grad sigma, (u.grad) u)
                  use the same memory, and then ``prods_hat``, the first
                  1 + 2N fields, holds the products' spectra.
@@ -274,12 +277,17 @@ class Workspace:
                  (grad's, with ``gv_diag`` its d_a u_a).  The u_a d_a x
                  products overwrite ``gv``, and once they are reduced, the
                  1 + 2N ``prods`` start where ``gv`` did: ``terms``, the
-                 (sigma, u) terms without Lambda^alpha(g u), then ``gu``.  The
-                 last two fields are ``pair``: h(sigma), then the samples of
+                 (sigma, u) terms (``terms_s``, ``terms_u``) without
+                 Lambda^alpha(g u), then ``gu``.  The last two fields are
+                 ``pair`` = (``g``, ``lam_g``): h(sigma), then the samples of
                  (g, Lambda^alpha g).  One array, not two, keeps the heap free
                  of a long-lived 1 MB block at 2D n=256.
     ``k``        complex, 3 x F fields: ``acc``, the RK4 sum, and the stage
                  tendencies ``ka`` and ``kb``, each with its (sigma, u) parts.
+
+    The plan also takes each slot's two halves along axis -N, once, as views
+    (``SpectralPlan._parts``), so that two threads can run pointwise work on
+    them at once.  Like the plan, a workspace is not re-entrant.
     """
 
     def __init__(self, grid: Grid):
@@ -294,11 +302,13 @@ class Workspace:
         self.grad = self.batch[F:].reshape((dim, F) + spectral)
         self.grad_sig, self.div_terms = self.batch[F::F], self.batch[F + 1 :: F + 1]
         self.pair_hat, self.prods_hat = self.batch[:2], self.batch[: 1 + 2 * dim]
+        self.g_hat, self.lam_g_hat = self.pair_hat
         real = self.batch.reshape(-1).view(np.float64)[: (1 + F) * grid.n**dim]
         real = real.reshape((1 + F,) + shape)
         self.div_u, self.adv = real[0], real[1:]
 
         self.pair = self.samples[n_phys:]
+        self.g, self.lam_g = self.pair
         self.phys, self.xv = self.samples[: F * F], self.samples[:F]
         self.sv, self.uv = self.samples[0], self.samples[1:F]
         self.uv_col = self.uv[:, np.newaxis]
@@ -306,6 +316,7 @@ class Workspace:
         self.gv_diag = self.samples[F + 1 : F * F : F + 1]
         self.prods = self.samples[F : F + 1 + 2 * dim]
         self.terms, self.gu = self.prods[:F], self.prods[F:]
+        self.terms_s, self.terms_u = self.terms[0], self.terms[1:]
         self.terms_hat, self.gu_hat = self.prods_hat[:F], self.prods_hat[F:]
 
         self.acc, self.ka, self.kb = self.k
@@ -330,6 +341,11 @@ class SpectralPlan:
     ``tendency`` and ``step``, so a step allocates only the arrays it
     returns.  A plan is therefore not re-entrant: two threads must not run
     its ``tendency`` or ``step`` at once.  Use ``plan_for``.
+
+    Between the transforms the work is pointwise, and ``_run`` runs it on two
+    halves at once where ``grid.splits`` holds for the (sigma, u)
+    coefficients.  Its ufuncs take ``out`` positionally, which skips NumPy's
+    keyword parsing.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -338,26 +354,75 @@ class SpectralPlan:
         self.lam_alpha = grid.lambda_symbol(params.alpha)
         self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
         self.mask = grid.dealias_mask()
-        self._ixi_col = self.ixi[:, np.newaxis]
         # the fields' factors in -(gamma-1) sigma div u and mu u Lambda^alpha g
         source = [-(params.gamma - 1.0)] + [params.mu] * grid.dim
         self._source_factor = read_only(np.array(source).reshape((-1,) + (1,) * grid.dim))
-        # (dt, its pair, (dt e_half, 2 e_half)): a run steps with one dt
+        self._state_size = (1 + grid.dim) * self.mask.size
+        # (dt, its pair): a run steps with one dt
         self._semigroup = None
 
     @functools.cached_property
     def workspace(self) -> Workspace:
         return Workspace(self.grid)
 
+    @functools.cached_property
+    def _parts(self) -> tuple:
+        """The whole workspace with the symbols, then its two halves along axis
+        -N, each a namespace of those names and ``cut``, which takes the same
+        part of any array; ``semigroup`` adds the step's symbols."""
+        whole = dict(vars(self.workspace), mask=self.mask, ixi_col=self.ixi[:, np.newaxis])
+        whole.update(lam_alpha=self.lam_alpha, mu_lam_alpha=self.mu_lam_alpha)
+        whole.update(source=self._source_factor)
+        cuts = [lambda a: a] + [functools.partial(half, i=i, axis=-self.grid.dim) for i in (0, 1)]
+        return tuple(
+            types.SimpleNamespace(**{k: c(a) for k, a in whole.items()}, cut=c) for c in cuts
+        )
+
     def semigroup(self, dt: float):
         """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt
-        together with the step's dt e_half and 2 e_half."""
+        together with the step's dt e_half and 2 e_half, and their halves."""
         if self._semigroup is None or self._semigroup[0] != dt:
             p = self.params
             e_half = read_only(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
-            scaled = read_only(dt * e_half), read_only(2.0 * e_half)
-            self._semigroup = dt, (e_half, read_only(e_half * e_half)), scaled
+            e_full = read_only(e_half * e_half)
+            self._semigroup = dt, (e_half, e_full)
+            symbols = dict(e_half=e_half, e_full=e_full, dt_e_half=read_only(dt * e_half))
+            symbols.update(two_e_half=read_only(2.0 * e_half))
+            for v in self._parts:
+                vars(v).update({k: v.cut(a) for k, a in symbols.items()})
         return self._semigroup[1]
+
+    def _run(self, phases, transforms: int, parts: tuple = ()) -> None:
+        """Run the generator ``phases(part)`` on the whole workspace, or on its
+        two halves at once, with ``transforms`` of the tendency's four in turn
+        between its yields; a value yielded is min h(sigma) for the guard.  A
+        ``VacuumError`` in a half, which knows only its own min rho, runs the
+        whole again, to name the global one."""
+        parts = parts or (self._parts[1:] if splits(self._state_size) else self._parts[:1])
+        ws, grid, gens = self.workspace, self.grid, [phases(v) for v in parts]
+        advance = (lambda i: next(gens[i], None)) if len(gens) == 2 else None
+        cycle = (
+            lambda: grid.band_physical(ws.batch, out=ws.phys),  # (x, grad x) to the grid
+            lambda: grid.spectral(ws.g, out=ws.g_hat),  # h(sigma) back
+            lambda: grid.band_physical(ws.pair_hat, out=ws.pair),  # (g, Lambda^alpha g) to the grid
+            lambda: grid.spectral(ws.prods, out=ws.prods_hat),  # the products back
+        )
+        for i in range(-1, transforms):
+            if i >= 0:
+                cycle[i % 4]()
+            try:
+                mins = two_halves(advance) if advance else [next(gens[0], None)]
+            except VacuumError:
+                if len(parts) == 1:
+                    raise
+                break
+            if mins[0] is not None:
+                mn = 1.0 + float(functools.reduce(np.minimum, mins))
+                if not (mn >= VACUUM_THRESHOLD):
+                    raise VacuumError(mn)
+        else:
+            return
+        self._run(phases, transforms, self._parts[:1])
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
@@ -369,13 +434,18 @@ class SpectralPlan:
         workspace's stage input, so they may be any arrays; the kernel is the
         one ``step`` runs (see ``_tendency``).
         """
-        ws = self.workspace
-        ws.sig[...], ws.u[...] = sig, u
-        self._tendency(ws.kb, linear_only)
-        return ws.kb_s.copy(), ws.kb_u.copy()
 
-    def _tendency(self, k: np.ndarray, linear_only: bool, guard: bool = False) -> None:
-        """The tendency of the stage input ``workspace.x`` into the stacked k.
+        def phases(v):
+            v.sig[...], v.u[...] = v.cut(sig), v.cut(u)
+            yield from self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only)
+
+        self._run(phases, 0 if linear_only else 4)
+        return self.workspace.kb_s.copy(), self.workspace.kb_u.copy()
+
+    def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False):
+        """The phases of the tendency of the stage input ``v.x`` into the
+        stacked k, with its (sigma, u) parts ``k_s`` and ``k_u``, on part v:
+        a generator that yields before each transform of ``_run``'s cycle.
 
         The nonlinear terms cost four batched transforms: (sigma, u) and their
         gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
@@ -383,42 +453,38 @@ class SpectralPlan:
         terms, the advection, the source terms and the final sums run once
         on the stacked (sigma, u) fields, each element with the operations and
         operation order of the out-of-place formula, so the bits are the same.
-        With ``guard`` the density min rho = 1 + min h(sigma) of the samples
-        is checked, and ``VacuumError`` raised below ``VACUUM_THRESHOLD`` or
-        at a NaN; ``linear_only`` makes no transform and so checks nothing.
+        With ``guard`` it yields min h(sigma) of the samples, and ``_run``
+        raises ``VacuumError`` where min rho = 1 + that is below
+        ``VACUUM_THRESHOLD`` or NaN; ``linear_only`` makes no transform and so
+        checks nothing.
         """
-        p, ws, mask = self.params, self.workspace, self.mask
-        np.multiply(ws.x, mask, out=ws.x)
-        np.multiply(self._ixi_col, ws.x, out=ws.grad)
-        np.add.reduce(ws.div_terms, axis=0, keepdims=True, out=k[:1])
-        k[1:] = ws.grad_sig
-        np.multiply(-p.lam, k, out=k)  # -lam (div u, grad sigma)
+        p = self.params
+        np.multiply(v.x, v.mask, v.x)
+        np.multiply(v.ixi_col, v.x, v.grad)
+        np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
+        k_u[...] = v.grad_sig
+        np.multiply(-p.lam, k, k)  # -lam (div u, grad sigma)
         if linear_only:
             return
-        self.grid.band_physical(ws.batch, out=ws.phys)
-        g = h_of_sigma(ws.sv, p, out=ws.pair[0])
-        if guard:
-            mn = 1.0 + float(np.minimum.reduce(g, axis=None))
-            if not (mn >= VACUUM_THRESHOLD):
-                raise VacuumError(mn)
-        pair_hat = ws.pair_hat  # (g, Lambda^alpha g)
-        self.grid.spectral(g, out=pair_hat[0])
-        np.multiply(pair_hat[0], mask, out=pair_hat[0])
-        np.multiply(self.lam_alpha, pair_hat[0], out=pair_hat[1])
-        gv, lam_g = self.grid.band_physical(pair_hat, out=ws.pair)
-        div_u, adv, terms = ws.div_u, ws.adv, ws.terms  # the batch is dead
-        np.add.reduce(ws.gv_diag, axis=0, initial=0.0, out=div_u)  # 0 + d_1 u_1 + ..., as sum() adds
-        np.add.reduce(np.multiply(ws.uv_col, ws.gv, out=ws.gv), axis=0, out=adv)
+        yield
+        h_of_sigma(v.sv, p, out=v.g)
+        yield np.minimum.reduce(v.g, axis=None) if guard else None
+        np.multiply(v.g_hat, v.mask, v.g_hat)
+        np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
+        yield
+        # the batch is dead: its memory holds div u and the advection terms
+        np.add.reduce(v.gv_diag, axis=0, initial=0.0, out=v.div_u)  # 0 + d_1 u_1 + ...
+        np.add.reduce(np.multiply(v.uv_col, v.gv, v.gv), axis=0, out=v.adv)
         # -(gamma-1) sigma div u and mu u Lambda^alpha g; a - b is a + (-b)
-        np.multiply(self._source_factor, ws.xv, out=terms)
-        np.multiply(terms[0], div_u, out=terms[0])
-        np.multiply(terms[1:], lam_g, out=terms[1:])
-        np.add(np.negative(adv, out=adv), terms, out=terms)
-        np.multiply(gv, ws.uv, out=ws.gu)
-        self.grid.spectral(ws.prods, out=ws.prods_hat)
-        k += ws.terms_hat
-        k[1:] -= np.multiply(self.mu_lam_alpha, ws.gu_hat, out=ws.gu_hat)
-        np.multiply(k, mask, out=k)
+        np.multiply(v.source, v.xv, v.terms)
+        np.multiply(v.terms_s, v.div_u, v.terms_s)
+        np.multiply(v.terms_u, v.lam_g, v.terms_u)
+        np.add(np.negative(v.adv, v.adv), v.terms, v.terms)
+        np.multiply(v.g, v.uv, v.gu)
+        yield
+        k += v.terms_hat
+        k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
+        np.multiply(k, v.mask, k)
 
     def step(self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False):
         """One integrating-factor RK4 step of the coefficients (sigma, u).
@@ -434,44 +500,50 @@ class SpectralPlan:
         those of the out-of-place expression.  Returns the new (sigma, u),
         the only new memory.
         """
-        e_half, e_full = self.semigroup(dt)
-        dt_e_half, two_e_half = self._semigroup[2]
-        ws, half = self.workspace, 0.5 * dt
-        x, xs, xu = ws.x, ws.sig, ws.u  # the stage input, in the batch
-        acc, ka, kb = ws.acc, ws.ka, ws.kb  # the RK4 sum, from k1 on, and two stages
+        self.semigroup(dt)  # the parts' symbols for this dt
+        ws = self.workspace
+        s_out, u_out = np.empty(ws.acc_s.shape, complex), np.empty(ws.acc_u.shape, complex)
 
-        xs[...], xu[...] = sig, u
-        self._tendency(acc, linear_only, guard=True)  # k1
-        # sig + dt/2 k1s, (u + dt/2 k1u) e_half
-        np.multiply(half, acc, out=x)
-        np.add(sig, xs, out=xs)
-        np.multiply(np.add(u, xu, out=xu), e_half, out=xu)
-        self._tendency(ka, linear_only)  # k2
-        # sig + dt/2 k2s, u e_half + dt/2 k2u
-        np.multiply(half, ka, out=x)
-        np.add(sig, xs, out=xs)
-        np.add(np.multiply(u, e_half, out=ws.kb_u), xu, out=xu)
-        ws.ka_s *= 2.0
-        ws.acc_s += ws.ka_s  # k1s + 2 k2s
-        ws.acc_u *= e_full  # e_full k1u
-        self._tendency(kb, linear_only)  # k3
-        # sig + dt k3s, u e_full + dt e_half k3u
-        np.add(sig, np.multiply(dt, ws.kb_s, out=xs), out=xs)
-        ws.ka_u += ws.kb_u  # k2u + k3u
-        np.multiply(dt_e_half, ws.kb_u, out=ws.kb_u)
-        np.add(np.multiply(u, e_full, out=xu), ws.kb_u, out=xu)
-        ws.kb_s *= 2.0
-        ws.acc_s += ws.kb_s  # + 2 k3s
-        ws.acc_u += np.multiply(two_e_half, ws.ka_u, out=ws.ka_u)
-        self._tendency(ka, linear_only)  # k4
-        acc += ka
-        s_new = np.multiply(ws.acc_s, dt / 6.0)
-        s_new += sig
-        s_new *= self.mask
-        u_new = np.multiply(ws.acc_u, dt / 6.0)
-        u_new += np.multiply(u, e_full, out=ws.kb_u)
-        u_new *= self.mask
-        return s_new, u_new
+        def phases(v):
+            s, w, half = v.cut(sig), v.cut(u), 0.5 * dt
+            x, xs, xu = v.x, v.sig, v.u  # the stage input, in the batch
+            acc, ka, kb = v.acc, v.ka, v.kb  # the RK4 sum, from k1 on, and two stages
+            stage = functools.partial(self._tendency, v, linear_only=linear_only)
+            xs[...], xu[...] = s, w
+            yield from stage(acc, v.acc_s, v.acc_u, guard=True)  # k1
+            # sig + dt/2 k1s, (u + dt/2 k1u) e_half
+            np.multiply(half, acc, x)
+            np.add(s, xs, xs)
+            np.multiply(np.add(w, xu, xu), v.e_half, xu)
+            yield from stage(ka, v.ka_s, v.ka_u)  # k2
+            # sig + dt/2 k2s, u e_half + dt/2 k2u
+            np.multiply(half, ka, x)
+            np.add(s, xs, xs)
+            np.add(np.multiply(w, v.e_half, v.kb_u), xu, xu)
+            v.ka_s *= 2.0
+            v.acc_s += v.ka_s  # k1s + 2 k2s
+            v.acc_u *= v.e_full  # e_full k1u
+            yield from stage(kb, v.kb_s, v.kb_u)  # k3
+            # sig + dt k3s, u e_full + dt e_half k3u
+            np.add(s, np.multiply(dt, v.kb_s, xs), xs)
+            v.ka_u += v.kb_u  # k2u + k3u
+            np.multiply(v.dt_e_half, v.kb_u, v.kb_u)
+            np.add(np.multiply(w, v.e_full, xu), v.kb_u, xu)
+            v.kb_s *= 2.0
+            v.acc_s += v.kb_s  # + 2 k3s
+            v.acc_u += np.multiply(v.two_e_half, v.ka_u, v.ka_u)
+            yield from stage(ka, v.ka_s, v.ka_u)  # k4
+            acc += ka
+            s_new, u_new = v.cut(s_out), v.cut(u_out)
+            np.multiply(v.acc_s, dt / 6.0, s_new)
+            s_new += s
+            s_new *= v.mask
+            np.multiply(v.acc_u, dt / 6.0, u_new)
+            u_new += np.multiply(w, v.e_full, v.kb_u)
+            u_new *= v.mask
+
+        self._run(phases, 0 if linear_only else 16)
+        return s_out, u_out
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,10 +1,13 @@
 """Grid construction, spectral transforms, and Fourier multiplier operators."""
 
+import functools
+import gc
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +251,10 @@ class TestSplitPasses:
             coef = g.spectral(values)
             assert coef.tobytes() == want.tobytes()
             g.physical(coef)
+        # a step shares the one helper between its passes and its phases
+        st = State(SpectralField(g, 0.1 * coef[:1]), SpectralField(g, 0.1 * coef[1:3]))
+        for _ in range(3):
+            st = step(st, ModelParams(1.5, 1.0, 1.4, dim=2), 1e-4)
         assert died == []
         assert grid_module._helper.is_alive()
         assert threading.active_count() <= threads + 1
@@ -276,6 +283,32 @@ class TestSplitPasses:
         coef = g.spectral(values)
         with pytest.raises(GridError, match="out has shape"):
             g.band_physical(coef, out=np.empty((3,) + g.shape[:-1] + (60,)))
+
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_input_of_another_shape_is_refused(self, dim, given_out):
+        # the gufuncs take a transform's length from their output: a wrong
+        # input would make a zero-padded or truncated transform, not an error
+        g = Grid(dim, 64, 1.0)
+        spectral_out = np.empty((3,) + g.spectral_shape, complex) if given_out else None
+        physical_out = np.empty((3,) + g.shape) if given_out else None
+        bad_samples = {1: [(3, 60), (3, 64, 60)], 2: [(3, 64, 60), (3, 48, 64), (1, 1, 64), (64,)]}
+        bad_coefs = {1: [(3, 20), (3, 64)], 2: [(3, 64, 20), (3, 48, 33), (1, 1, 33), (33,)]}
+        for shape in bad_samples[dim]:
+            with pytest.raises(GridError, match="input has shape"):
+                g.spectral(np.ones(shape), out=spectral_out)
+        for shape in bad_coefs[dim]:
+            with pytest.raises(GridError, match="input has shape"):
+                g.band_physical(np.ones(shape, complex), out=physical_out)
+            if not given_out:  # physical takes no out
+                with pytest.raises(GridError, match="input has shape"):
+                    g.physical(np.ones(shape, complex))
+        if dim == 2:  # an out of the right last axis but other rows: numpy refuses it
+            with pytest.raises(ValueError):
+                g.spectral(np.ones((3,) + g.shape), out=np.empty((3, 48, 33), complex))
+            coef = np.ones((3,) + g.spectral_shape, complex)
+            with pytest.raises(ValueError):
+                g.band_physical(coef, out=np.empty((3, 48, 64)))
 
     @staticmethod
     def _two_row_pass(first, second):
@@ -314,6 +347,15 @@ class TestSplitPasses:
         with pytest.raises(KeyError, match="first row"):
             grid_module._split_pass(self._two_row_pass(fails, slow), a, 1.0, out)
         assert out[1, 0] == 1.0
+
+    def test_two_halves_returns_both_results_and_keeps_no_array(self):
+        a = np.arange(4.0)
+        kept = weakref.ref(a)
+        halves = functools.partial(lambda arr, i: float(grid_module.half(arr, i, -1).sum()), a)
+        assert grid_module.two_halves(halves) == [1.0, 5.0]
+        del a, halves
+        gc.collect()
+        assert kept() is None  # neither thread, nor a call left in the inbox, holds f
 
     def test_the_helper_runs_under_the_callers_errstate(self, two_cpus):
         seen = []
@@ -354,13 +396,17 @@ class TestSplitPasses:
         assert wrong == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    def test_a_run_on_one_cpu_has_the_bits_of_this_run(self, tmp_path):
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    def test_a_run_on_one_cpu_has_the_bits_of_this_run(self, tmp_path, gamma):
         # criterion 10 on both sides of the CPU count: this process splits the
-        # large batches of a 2D n=256 step where it has several CPUs
+        # passes and the pointwise phases of a 2D n=256 step where it has
+        # several CPUs; gamma > 1 takes h(sigma)'s log1p/expm1 path, whose
+        # SIMD loops meet halves with other tails
         outputs = []
         for side in ("here", "one_cpu"):
             cfg = tmp_path / f"{side}.ini"
             cfg.write_text(
+                f"[model]\ngamma = {gamma}\n"
                 "[grid]\ndim = 2\nn = 256\n[time]\nt_end = 0.04\ncadence = 2\n"
                 "[ic]\npreset = random_smooth\nseed = 3\n"
                 f"[output]\nsnapshot = {tmp_path / side}.snap\n"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from euleralign import grid as grid_module
+from euleralign import model as model_module
 from euleralign.grid import Grid, SpectralField
 from euleralign.lp import LPDecomp
 from euleralign.model import (
@@ -31,7 +32,7 @@ from euleralign.operators import (
     physical_product,
 )
 from euleralign.simulation import step
-from test_grid_operators import assert_real_field
+from test_grid_operators import assert_real_field, two_cpus  # noqa: F401 (a fixture)
 
 
 def _advection(u: SpectralField, f: SpectralField) -> SpectralField:
@@ -332,3 +333,88 @@ def test_transform_counts(dim, n, per_batch, monkeypatch):
     calls.clear()
     step(st, p, 1e-3, linear_only=True)
     assert calls == []
+
+
+def _count_halves(monkeypatch) -> list:
+    """Record every ``two_halves`` call that the plan makes from here on."""
+    calls = []
+
+    def count(f, _two_halves=grid_module.two_halves):
+        calls.append(f)
+        return _two_halves(f)
+
+    monkeypatch.setattr(model_module, "two_halves", count)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+def test_a_split_step_has_the_bits_of_one_cpu(gamma, two_cpus, monkeypatch):
+    # 2D n=256 runs its pointwise phases on two row halves where two CPUs are
+    # usable, and once on the whole with one: each element meets the same
+    # operations either way
+    st = random_state(2, 256, seed=71)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=2)
+    plan = plan_for(st.grid, p)
+    sig, u = st.scalar.coef, st.u.coef
+    calls = _count_halves(monkeypatch)
+    outs = []
+    for cpus in (grid_module._CPUS, 1):
+        monkeypatch.setattr(grid_module, "_CPUS", cpus)
+        got = [*plan.step(sig, u, 1e-3), *plan.step(sig, u, 1e-3, linear_only=True)]
+        got += [*plan.tendency(sig, u), *plan.tendency(sig, u, linear_only=True)]
+        outs.append([a.tobytes() for a in got])
+        if cpus > 1:
+            # 17 phases a step, the RK4 sums joined to the stages' ends and
+            # starts, and 5 a tendency; 1 each with linear_only
+            assert len(calls) == 17 + 1 + 5 + 1
+            calls.clear()
+    assert calls == []
+    assert outs[0] == outs[1]
+
+
+def _dipped_state(depths) -> State:
+    """2D n=256 sigma with Gaussian dips of the given depths, centred in the
+    caller's half of the rows (x < L/2) and in the helper's (x >= L/2)."""
+    grid = Grid(2, 256, 2 * np.pi)
+    x, y = grid.points()
+    sig = sum(
+        -depth * np.exp(-((x - cx) ** 2 + (y - np.pi) ** 2) / 0.09)
+        for depth, cx in zip(depths, (0.5 * np.pi, 1.5 * np.pi))
+    )
+    return State(SpectralField.from_physical(grid, sig), SpectralField.zeros(grid, 2))
+
+
+@pytest.mark.parametrize(
+    "gamma, depths",
+    [(1.0, (0.0, 20.0)), (1.0, (16.0, 20.0)), (1.4, (0.0, 6.0)), (1.4, (4.0, 6.0))],
+    ids=["gamma1-helper", "gamma1-both", "gamma1.4-helper", "gamma1.4-both"],
+)
+def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, two_cpus, monkeypatch):
+    # the deeper vacuum lies in the helper's rows.  At gamma = 1 the guard
+    # combines the halves' minima; at gamma > 1 h(sigma) raises inside a
+    # half, which knows only its own minimum
+    st = _dipped_state(depths)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=2)
+    found = []
+    for cpus in (grid_module._CPUS, 1):
+        monkeypatch.setattr(grid_module, "_CPUS", cpus)
+        with pytest.raises(VacuumError) as err:
+            step(st, p, 1e-3)
+        found.append(err.value.min_rho)
+    assert found[0] == found[1]
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller(two_cpus, monkeypatch):
+    # an inf in a masked coefficient of the helper's rows (k = -106, past the
+    # cutoff 85) is a NaN after the mask: inf * 0 is invalid
+    st = random_state(2, 256, seed=73)
+    sig = st.scalar.coef.copy()
+    sig[0, 150, 3] = np.inf
+    plan = plan_for(st.grid, ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2))
+    messages = []
+    for cpus in (grid_module._CPUS, 1):
+        monkeypatch.setattr(grid_module, "_CPUS", cpus)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as err:
+            plan.step(sig, st.u.coef, 1e-3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
