@@ -42,18 +42,24 @@ forked child, the other; it returns, or raises a half's error, only when both
 have ended, and ``f`` runs under the caller's ``np.errstate``.  ``half``
 takes a contiguous half of an array, and ``splits(size)`` says where halves
 pay: from ``_SPLIT_MIN`` = 2**16 half-spectrum coefficients on, where the
-process may use two CPUs or more (``os.sched_getaffinity``, read at import).
-The gufuncs release the GIL for a whole pass, so a transform of such a batch
-runs each pass as two halves, along axis -2 for a last-axis pass (the rows in
-2D, the fields in 1D) and along the columns for a leading-axis pass; each
-line still meets the same gufunc with the same factor, so every transform
-keeps its bits.  The plan of ``model`` runs its pointwise work between the
-transforms on the same helper.  Two halves is the case that was measured;
-more pieces wait for measurements on more CPUs.  With one CPU, below the
-threshold (split, a 2D n=256 step is faster and a 2D n=64 one slower:
-README, "Numerics") or with nothing to split (one 1D field), a pass is one
-gufunc call.  No setting selects the path.  Transforms may be called from
-several threads, which share the helper.
+process may use two CPUs or more (``os.sched_getaffinity``, read at import);
+it is the one place that rule is written.
+
+Every pass goes through ``_pass``, which looks its gufunc up on
+``_pocketfft_umath`` at each call, so a counter that replaces that handle
+sees every call: two for a pass that splits.  Each transform asks ``splits``
+once, for its batch.  The gufuncs release the GIL for a whole pass, so a pass
+of a batch that splits runs as two halves along axis -2: the rows in 2D and
+the fields in 1D for a last-axis pass, and the columns for a leading-axis
+pass, which is given the transposed views ``.mT``.  Each line still meets the
+same gufunc with the same factor, so every transform keeps its bits.  The
+plan of ``model`` runs its pointwise work between the transforms on the same
+helper.  Two halves is the case that was measured; more pieces wait for
+measurements on more CPUs.  With one CPU, below the threshold (split, a 2D
+n=256 step is faster and a 2D n=64 one slower: README, "Numerics") or with
+nothing to split (one 1D field), a pass is one gufunc call.  No setting
+selects the path.  Transforms may be called from several threads, which share
+the helper.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ import itertools
 import os
 import queue
 import threading
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +81,6 @@ __all__ = ["Grid", "SpectralField", "GridError"]
 class GridError(ValueError):
     """Invalid grid construction or mismatched grids."""
 
-
-# the gufunc ``axes`` of a pass along the leading axis of a 2D batch
-_LEADING_AXIS = [(-2,), (), (-2,)]
 
 # the CPUs this process may run on, read once
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -108,7 +110,7 @@ if hasattr(os, "register_at_fork"):
 
 def splits(size: int) -> bool:
     """Whether work on ``size`` coefficients runs as two halves (README, "Numerics")."""
-    return _CPUS >= 2 and size >= _SPLIT_MIN
+    return size >= _SPLIT_MIN and _CPUS >= 2
 
 
 def half(a: np.ndarray, i: int, axis: int = -2) -> np.ndarray:
@@ -154,26 +156,18 @@ def two_halves(f) -> list:
     return found
 
 
-def _split_pass(gufunc, a: np.ndarray, fct, out: np.ndarray, **axes) -> np.ndarray:
-    """``gufunc(a, fct, out=out, **axes)`` by ``two_halves``, along axis -2 (the
-    rows in 2D, the fields in 1D) for a last-axis pass, along the columns for
-    a leading-axis one, each line with the bits of one call, which runs instead
-    where ``a`` has no axis to split, its batch is not ``out``'s or one CPU is usable."""
-    axis = -1 if axes else -2
-    m = a.shape[axis] if a.ndim > 1 and a.shape[:-1] == out.shape[:-1] else 1
-    if _CPUS < 2 or m < 2:
-        return gufunc(a, fct, out=out, **axes)
-    two_halves(lambda i: gufunc(half(a, i, axis), fct, out=half(out, i, axis), **axes))
-    return out
-
-
-# the passes of ``_pocketfft_umath`` under the same names, split in two
-_SPLIT = types.SimpleNamespace(
-    **{
-        name: functools.partial(_split_pass, getattr(_pocketfft_umath, name))
-        for name in ("rfft_n_even", "irfft", "fft", "ifft")
-    }
-)
+def _pass(gufunc: str, a: np.ndarray, fct, out: np.ndarray, split: bool) -> np.ndarray:
+    """``gufunc(a, fct, out=out)`` along the last axis, the gufunc looked up on
+    ``_pocketfft_umath`` at each call.  With ``split`` it runs by ``two_halves``
+    on the halves along axis -2, each line with the bits of one call, which
+    runs instead where ``a`` has no axis -2 to split or its batch is not
+    ``out``'s.  A leading-axis pass is given the transposed views ``.mT``, so
+    it splits along the columns."""
+    fn = getattr(_pocketfft_umath, gufunc)
+    if split and a.ndim > 1 and a.shape[:-1] == out.shape[:-1] and a.shape[-2] > 1:
+        two_halves(lambda i: fn(half(a, i), fct, out=half(out, i)))
+        return out
+    return fn(a, fct, out=out)
 
 
 def _shape_error(what: str, a: np.ndarray, shape: tuple) -> GridError:
@@ -242,10 +236,12 @@ class Grid:
         leading axis into a new array, then ``irfft``."""
         if coef.shape[-self.dim :] != self.spectral_shape:
             raise _shape_error("input", coef, self.spectral_shape)
-        fft = _SPLIT if coef.size >= _SPLIT_MIN else _pocketfft_umath
+        split = splits(coef.size)
         if self.dim == 2:
-            coef = fft.ifft(coef, 1.0, axes=_LEADING_AXIS, out=np.empty(coef.shape, complex))
-        return fft.irfft(coef, 1.0, out=np.empty(coef.shape[:-1] + (self.n,)))
+            rows = np.empty(coef.shape, complex)  # the leading-axis pass's result
+            _pass("ifft", coef.mT, 1.0, rows.mT, split)
+            coef = rows
+        return _pass("irfft", coef, 1.0, np.empty(coef.shape[:-1] + (self.n,)), split)
 
     def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
@@ -258,11 +254,11 @@ class Grid:
             out = np.empty(coef.shape[:-1] + (self.n,))
         elif out.shape[-1] != self.n:  # numpy checks the other axes against coef's
             raise _shape_error("out", out, self.shape)
-        fft = _SPLIT if coef.size >= _SPLIT_MIN else _pocketfft_umath
+        split = splits(coef.size)
         if self.dim == 2:
-            kept = coef[..., : self.dealias_cutoff + 1]
-            coef = fft.ifft(kept, 1.0, axes=_LEADING_AXIS, out=kept)
-        return fft.irfft(coef, 1.0, out=out)
+            coef = coef[..., : self.dealias_cutoff + 1]  # the kept columns
+            _pass("ifft", coef.mT, 1.0, coef.mT, split)
+        return _pass("irfft", coef, 1.0, out, split)
 
     def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched.
@@ -277,10 +273,10 @@ class Grid:
             out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
         elif out.shape[-1] != self.n // 2 + 1:  # numpy checks the other axes against values'
             raise _shape_error("out", out, self.spectral_shape)
-        fft = _SPLIT if out.size >= _SPLIT_MIN else _pocketfft_umath
-        coef = fft.rfft_n_even(values, 1.0 / self.n, out=out)
+        split = splits(out.size)
+        coef = _pass("rfft_n_even", values, 1.0 / self.n, out, split)
         if self.dim == 2:
-            fft.fft(coef, 1.0 / self.n, axes=_LEADING_AXIS, out=coef)
+            _pass("fft", coef.mT, 1.0 / self.n, coef.mT, split)
         return coef
 
     @functools.lru_cache(maxsize=32)

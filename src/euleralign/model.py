@@ -342,10 +342,13 @@ class SpectralPlan:
     returns.  A plan is therefore not re-entrant: two threads must not run
     its ``tendency`` or ``step`` at once.  Use ``plan_for``.
 
-    Between the transforms the work is pointwise, and ``_run`` runs it on two
-    halves at once where ``grid.splits`` holds for the (sigma, u)
-    coefficients.  Its ufuncs take ``out`` positionally, which skips NumPy's
-    keyword parsing.
+    Between the transforms the work is pointwise.  ``tendency`` and ``step``
+    write it as generators of phases, and each yield of ``_tendency`` names
+    the transform that runs next; ``_run`` drives the generators to their end,
+    on two halves at once where ``grid.splits`` holds for the (sigma, u)
+    coefficients, and runs each named transform in between.  So the stage's
+    transform sequence is written once, in ``_tendency``.  Its ufuncs take
+    ``out`` positionally, which skips NumPy's keyword parsing.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -392,37 +395,31 @@ class SpectralPlan:
                 vars(v).update({k: v.cut(a) for k, a in symbols.items()})
         return self._semigroup[1]
 
-    def _run(self, phases, transforms: int, parts: tuple = ()) -> None:
-        """Run the generator ``phases(part)`` on the whole workspace, or on its
-        two halves at once, with ``transforms`` of the tendency's four in turn
-        between its yields; a value yielded is min h(sigma) for the guard.  A
-        ``VacuumError`` in a half, which knows only its own min rho, runs the
-        whole again, to name the global one."""
-        parts = parts or (self._parts[1:] if splits(self._state_size) else self._parts[:1])
-        ws, grid, gens = self.workspace, self.grid, [phases(v) for v in parts]
-        advance = (lambda i: next(gens[i], None)) if len(gens) == 2 else None
-        cycle = (
-            lambda: grid.band_physical(ws.batch, out=ws.phys),  # (x, grad x) to the grid
-            lambda: grid.spectral(ws.g, out=ws.g_hat),  # h(sigma) back
-            lambda: grid.band_physical(ws.pair_hat, out=ws.pair),  # (g, Lambda^alpha g) to the grid
-            lambda: grid.spectral(ws.prods, out=ws.prods_hat),  # the products back
-        )
-        for i in range(-1, transforms):
-            if i >= 0:
-                cycle[i % 4]()
+    def _run(self, phases, whole: bool = False) -> None:
+        """Drive the generator ``phases(part)`` to its end on the whole workspace,
+        or on its two halves at once, and between its yields run the transform
+        each names: a (``Grid`` method, its whole-workspace input, its ``out``,
+        min h(sigma) for the guard or None) tuple.  A ``VacuumError`` in a half,
+        which knows only its own min rho, reruns ``phases`` on the ``whole``
+        workspace, to name the global one."""
+        parts = self._parts[:1] if whole or not splits(self._state_size) else self._parts[1:]
+        gens = [phases(v) for v in parts]
+        advance = lambda i: next(gens[i], None)
+        while True:
             try:
-                mins = two_halves(advance) if advance else [next(gens[0], None)]
+                named = two_halves(advance) if len(gens) == 2 else [next(gens[0], None)]
             except VacuumError:
-                if len(parts) == 1:
+                if len(gens) == 1:
                     raise
-                break
-            if mins[0] is not None:
-                mn = 1.0 + float(functools.reduce(np.minimum, mins))
+                return self._run(phases, whole=True)
+            if named[0] is None:
+                return
+            transform, a, out, mn = named[0]
+            if mn is not None:
+                mn = 1.0 + float(functools.reduce(np.minimum, [m for *_, m in named]))
                 if not (mn >= VACUUM_THRESHOLD):
                     raise VacuumError(mn)
-        else:
-            return
-        self._run(phases, transforms, self._parts[:1])
+            transform(a, out=out)
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
@@ -439,13 +436,14 @@ class SpectralPlan:
             v.sig[...], v.u[...] = v.cut(sig), v.cut(u)
             yield from self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only)
 
-        self._run(phases, 0 if linear_only else 4)
+        self._run(phases)
         return self.workspace.kb_s.copy(), self.workspace.kb_u.copy()
 
     def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False):
         """The phases of the tendency of the stage input ``v.x`` into the
         stacked k, with its (sigma, u) parts ``k_s`` and ``k_u``, on part v:
-        a generator that yields before each transform of ``_run``'s cycle.
+        a generator whose every yield names the transform that runs next, for
+        ``_run`` to run on the whole workspace.
 
         The nonlinear terms cost four batched transforms: (sigma, u) and their
         gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
@@ -453,12 +451,12 @@ class SpectralPlan:
         terms, the advection, the source terms and the final sums run once
         on the stacked (sigma, u) fields, each element with the operations and
         operation order of the out-of-place formula, so the bits are the same.
-        With ``guard`` it yields min h(sigma) of the samples, and ``_run``
-        raises ``VacuumError`` where min rho = 1 + that is below
+        With ``guard`` h(sigma)'s yield carries min h(sigma) of the samples,
+        and ``_run`` raises ``VacuumError`` where min rho = 1 + that is below
         ``VACUUM_THRESHOLD`` or NaN; ``linear_only`` makes no transform and so
         checks nothing.
         """
-        p = self.params
+        p, ws, grid = self.params, self.workspace, self.grid
         np.multiply(v.x, v.mask, v.x)
         np.multiply(v.ixi_col, v.x, v.grad)
         np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
@@ -466,12 +464,13 @@ class SpectralPlan:
         np.multiply(-p.lam, k, k)  # -lam (div u, grad sigma)
         if linear_only:
             return
-        yield
+        yield grid.band_physical, ws.batch, ws.phys, None  # (x, grad x) to the grid
         h_of_sigma(v.sv, p, out=v.g)
-        yield np.minimum.reduce(v.g, axis=None) if guard else None
+        # h(sigma) back, with its min for the guard
+        yield grid.spectral, ws.g, ws.g_hat, (np.minimum.reduce(v.g, axis=None) if guard else None)
         np.multiply(v.g_hat, v.mask, v.g_hat)
         np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
-        yield
+        yield grid.band_physical, ws.pair_hat, ws.pair, None  # (g, Lambda^alpha g) to the grid
         # the batch is dead: its memory holds div u and the advection terms
         np.add.reduce(v.gv_diag, axis=0, initial=0.0, out=v.div_u)  # 0 + d_1 u_1 + ...
         np.add.reduce(np.multiply(v.uv_col, v.gv, v.gv), axis=0, out=v.adv)
@@ -481,7 +480,7 @@ class SpectralPlan:
         np.multiply(v.terms_u, v.lam_g, v.terms_u)
         np.add(np.negative(v.adv, v.adv), v.terms, v.terms)
         np.multiply(v.g, v.uv, v.gu)
-        yield
+        yield grid.spectral, ws.prods, ws.prods_hat, None  # the products back
         k += v.terms_hat
         k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
         np.multiply(k, v.mask, k)
@@ -542,7 +541,7 @@ class SpectralPlan:
             u_new += np.multiply(w, v.e_full, v.kb_u)
             u_new *= v.mask
 
-        self._run(phases, 0 if linear_only else 16)
+        self._run(phases)
         return s_out, u_out
 
 

@@ -444,6 +444,8 @@ def decay_fit(times, values, window, kind: str = "power"):
     kind='power' fits log(v) against log(1+t) (algebraic decay); kind='exp'
     fits log(v) against t (exponential rate).  Returns (exponent, r2).
     """
+    if kind not in ("power", "exp"):
+        raise ValueError(f"decay_fit kind must be power or exp, got {kind!r}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t_a, t_b = window

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one pass/fail line each.
+"""Acceptance gate: eleven end-to-end checks, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
@@ -23,7 +23,7 @@ from euleralign.linear import (
     regime_classify,
 )
 from euleralign.lp import LPDecomp
-from euleralign.model import ModelParams, alignment_direct
+from euleralign.model import ModelParams, State, alignment_direct
 from euleralign.operators import (
     dealias,
     fractional_laplacian,
@@ -361,4 +361,34 @@ snapshot = {snap}
         ok,
         f"csv_identical={csv_identical} snapshots_identical={snaps_identical} "
         f"round_trip_bit_exact={round_trip}",
+    )
+
+
+def test_criterion_11_nonlinear_optimal_decay():
+    # the abstract's optimal decay law for the nonlinear system: small L1 data
+    # decay in L2 like t^{-N/(2 alpha)}, the rate of the linear heat flow that
+    # criterion 05 fits, on its box and at its mu
+    g = Grid(1, 2048, 512.0 * np.pi)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=0.25)
+    (x,) = g.points()
+    bump = dealias(SpectralField.from_physical(g, 1e-3 * np.exp(-((x - g.L / 2) ** 2) / 2)))
+    st = State(bump, bump.copy())
+    steps, T = 638, 200.0
+    times = np.linspace(0.0, T, steps + 1)
+
+    def l2(state):
+        return np.hypot(state.scalar.mean_free().l2(), state.u.mean_free().l2())
+
+    values = [l2(st)]
+    for _ in range(steps):
+        st = step(st, p, T / steps)
+        values.append(l2(st))
+    slope, r2 = decay_fit(times, values, (20.0, 200.0), kind="power")
+    err = abs(slope + 1.0 / 3.0) / (1.0 / 3.0)
+    ok = err <= 0.01
+    _report(
+        11,
+        "nonlinear optimal decay",
+        ok,
+        f"l2 slope={slope:.5f} vs -1/3 (err {100 * err:.2f}% <= 1%), r2={r2:.5f}",
     )

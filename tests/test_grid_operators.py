@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -226,6 +227,13 @@ class TestSplitPasses:
         proc = _python(FORK_SCRIPT)
         assert proc.returncode == 0, proc.stderr
 
+    @staticmethod
+    def _split_pass(monkeypatch, gufunc, a, out, split=True):
+        """A pass of the stand-in ``gufunc``, which ``_pass`` looks up on
+        ``_pocketfft_umath`` as it does the real gufuncs."""
+        monkeypatch.setattr(grid_module, "_pocketfft_umath", types.SimpleNamespace(irfft=gufunc))
+        return grid_module._pass("irfft", a, 1.0, out, split)
+
     def test_a_pass_splits_in_two_on_any_cpu_count(self, monkeypatch):
         monkeypatch.setattr(grid_module, "_CPUS", 4)
         rows = []
@@ -234,7 +242,8 @@ class TestSplitPasses:
             rows.append(len(a))
 
         a = np.zeros((8, 1))
-        grid_module._split_pass(record, a, 1.0, np.empty_like(a))
+        split = grid_module.splits(grid_module._SPLIT_MIN)
+        self._split_pass(monkeypatch, record, a, np.empty_like(a), split)
         assert rows == [4, 4]
 
     def test_the_helper_lives_on_with_more_cpus(self, monkeypatch):
@@ -326,16 +335,16 @@ class TestSplitPasses:
 
         return two_rows
 
-    def test_an_error_in_either_row_reaches_the_caller(self, two_cpus):
+    def test_an_error_in_either_row_reaches_the_caller(self, monkeypatch):
         def fails(out):
             raise KeyError("this row")
 
         a = np.array([[0.0], [1.0]])
         for rows in [(fails, lambda out: None), (lambda out: None, fails)]:
             with pytest.raises(KeyError, match="this row"):
-                grid_module._split_pass(self._two_row_pass(*rows), a, 1.0, np.empty_like(a))
+                self._split_pass(monkeypatch, self._two_row_pass(*rows), a, np.empty_like(a))
 
-    def test_every_piece_ends_before_the_caller_raises(self, two_cpus):
+    def test_every_piece_ends_before_the_caller_raises(self, monkeypatch):
         def fails(out):
             raise KeyError("first row")
 
@@ -345,7 +354,7 @@ class TestSplitPasses:
 
         a, out = np.array([[0.0], [1.0]]), np.zeros((2, 1))
         with pytest.raises(KeyError, match="first row"):
-            grid_module._split_pass(self._two_row_pass(fails, slow), a, 1.0, out)
+            self._split_pass(monkeypatch, self._two_row_pass(fails, slow), a, out)
         assert out[1, 0] == 1.0
 
     def test_two_halves_returns_both_results_and_keeps_no_array(self):
@@ -357,7 +366,7 @@ class TestSplitPasses:
         gc.collect()
         assert kept() is None  # neither thread, nor a call left in the inbox, holds f
 
-    def test_the_helper_runs_under_the_callers_errstate(self, two_cpus):
+    def test_the_helper_runs_under_the_callers_errstate(self, monkeypatch):
         seen = []
 
         def record(out):
@@ -365,7 +374,7 @@ class TestSplitPasses:
 
         a = np.array([[0.0], [1.0]])
         with np.errstate(over="raise"):
-            grid_module._split_pass(self._two_row_pass(record, record), a, 1.0, np.empty_like(a))
+            self._split_pass(monkeypatch, self._two_row_pass(record, record), a, np.empty_like(a))
         assert seen == ["raise", "raise"]
 
     def test_transforms_from_several_threads(self, two_cpus, monkeypatch):

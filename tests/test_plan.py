@@ -315,21 +315,26 @@ def _count_transforms(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("dim, n, per_batch", [(1, 64, 1), (2, 32, 2)])
-def test_transform_counts(dim, n, per_batch, monkeypatch):
+@pytest.mark.parametrize(
+    "dim, n, cpus, per_step", [(1, 64, 1, 16), (2, 32, 1, 32), (2, 256, 1, 32), (2, 256, 2, 56)]
+)
+def test_transform_counts(dim, n, cpus, per_step, monkeypatch):
     # 4 batches per tendency and 16 per step: the step checks the density on
     # the samples of its first stage, with no batch of its own.  A 2D batch
-    # is one gufunc call per axis; a linear step makes none.
+    # is one gufunc call per axis, and a pass split in two halves is two: on
+    # two CPUs, 24 of a 2D n=256 step's 32 passes split (all but h(sigma)'s),
+    # 56 calls in all.  A linear step makes none.
+    monkeypatch.setattr(grid_module, "_CPUS", cpus)
     st = random_state(dim, n, seed=51)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
     plan = plan_for(st.grid, p)
     step(st, p, 1e-3)  # builds the workspace and the semigroup
     calls = _count_transforms(monkeypatch)
     plan.tendency(st.scalar.coef, st.u.coef)
-    assert len(calls) == 4 * per_batch
+    assert len(calls) == per_step // 4
     calls.clear()
     step(st, p, 1e-3)
-    assert len(calls) == 16 * per_batch
+    assert len(calls) == per_step
     calls.clear()
     step(st, p, 1e-3, linear_only=True)
     assert calls == []

@@ -528,6 +528,12 @@ class TestDecayFit:
         slope, r2 = decay_fit(t, v, (1.0, 9.0), kind="exp")
         assert slope == pytest.approx(-1.25, abs=1e-10)
 
+    def test_unknown_kind(self):
+        # a misspelt kind is refused, not read as "exp"
+        t = np.linspace(0.0, 100.0, 400)
+        with pytest.raises(ValueError, match="power or exp, got 'pow'"):
+            decay_fit(t, (1.0 + t) ** -0.5, (10.0, 100.0), kind="pow")
+
     def test_too_few_samples(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
