@@ -158,6 +158,8 @@ def _cmd_linear(args) -> int:
 
 def _cmd_heat_decay(args) -> int:
     grid = Grid(args.dim, args.n, args.L)
+    if not 0.0 < args.alpha < 2.0:  # before DecaySpec, whose s0 range depends on it
+        raise ParameterError(f"--alpha must lie in (0, 2), got {args.alpha}")
     DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)  # validates s0, s1
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(

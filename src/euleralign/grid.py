@@ -32,26 +32,31 @@ Their module is private, which is accepted because only this module refers to
 it, and because the tests pin the bits of every transform here to the public
 ``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses: a NumPy that moves
 or changes them fails those tests rather than drifting.  The gufuncs take the
-transform's length from their output, so every transform checks that its
-input ends in ``shape`` (samples) or ``spectral_shape`` (coefficients) and a
-given ``out`` in the result's last axis, and raises ``GridError`` otherwise.
+transform's length from their output, so a transform checks once, when it is
+bound to its buffers by ``Grid.bind``, that its input ends in ``shape``
+(samples) or ``spectral_shape`` (coefficients) and its ``out`` in the
+result's last axis, and raises ``GridError`` otherwise.  The public
+transforms check their arguments at each call and run the same pass lists
+(``Grid._passes``); a caller that reuses its buffers, like the plan of
+``model``, binds them once and skips the check.
 
 ``two_halves(f)`` runs ``f(0)`` and ``f(1)`` at once: the caller takes one
 half and one daemon helper thread, started on first use and afresh in a
 forked child, the other; it returns, or raises a half's error, only when both
 have ended, and ``f`` runs under the caller's ``np.errstate``.  ``half``
 takes a contiguous half of an array, and ``splits(size)`` says where halves
-pay: from ``_SPLIT_MIN`` = 2**16 half-spectrum coefficients on, where the
-process may use two CPUs or more (``os.sched_getaffinity``, read at import);
-it is the one place that rule is written.
+pay: from ``_SPLIT_MIN`` = 2**16 half-spectrum coefficients on (``is_large``,
+the size half of the rule, which the plan also reads), where the process may
+use two CPUs or more (``os.sched_getaffinity``, read at import); they are the
+one place that rule is written.
 
 Every pass goes through ``_pass``, which looks its gufunc up on
 ``_pocketfft_umath`` at each call, so a counter that replaces that handle
-sees every call: two for a pass that splits.  Each transform asks ``splits``
-once, for its batch.  The gufuncs release the GIL for a whole pass, so a pass
-of a batch that splits runs as two halves along axis -2: the rows in 2D and
-the fields in 1D for a last-axis pass, and the columns for a leading-axis
-pass, which is given the transposed views ``.mT``.  Each line still meets the
+sees every call: two for a pass that splits.  Each call of a transform asks
+``splits`` once, for its batch.  The gufuncs release the GIL for a whole
+pass, so a pass of a batch that splits runs as two halves along axis -2: the
+rows in 2D and the fields in 1D for a last-axis pass, and the columns for a
+leading-axis pass, which is given the transposed views ``.mT``.  Each line still meets the
 same gufunc with the same factor, so every transform keeps its bits.  The
 plan of ``model`` runs its pointwise work between the transforms on the same
 helper.  Two halves is the case that was measured; more pieces wait for
@@ -108,9 +113,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+def is_large(size: int) -> bool:
+    """Whether ``size`` coefficients are many enough to split, where two CPUs
+    are usable (README, "Numerics")."""
+    return size >= _SPLIT_MIN
+
+
 def splits(size: int) -> bool:
     """Whether work on ``size`` coefficients runs as two halves (README, "Numerics")."""
-    return size >= _SPLIT_MIN and _CPUS >= 2
+    return is_large(size) and _CPUS >= 2
 
 
 def half(a: np.ndarray, i: int, axis: int = -2) -> np.ndarray:
@@ -170,10 +181,13 @@ def _pass(gufunc: str, a: np.ndarray, fct, out: np.ndarray, split: bool) -> np.n
     return fn(a, fct, out=out)
 
 
-def _shape_error(what: str, a: np.ndarray, shape: tuple) -> GridError:
-    # the gufuncs take a transform's length from their output, so an array of
-    # another shape would make a transform of another length, not an error
-    return GridError(f"{what} has shape {a.shape}, not {shape} per field")
+def _run_passes(passes: list, size: int, out: np.ndarray) -> np.ndarray:
+    """Run a transform's ``passes`` (``Grid._passes``), split where ``splits``
+    holds for its batch of ``size`` coefficients, and return ``out``."""
+    split = splits(size)
+    for gufunc, a, fct, y in passes:
+        _pass(gufunc, a, fct, y, split)
+    return out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -234,31 +248,14 @@ class Grid:
         """Grid samples of any half-spectrum coefficients; leading axes are
         batched.  In 2D ``irfftn``'s passes, so its bits: ``ifft`` along the
         leading axis into a new array, then ``irfft``."""
-        if coef.shape[-self.dim :] != self.spectral_shape:
-            raise _shape_error("input", coef, self.spectral_shape)
-        split = splits(coef.size)
-        if self.dim == 2:
-            rows = np.empty(coef.shape, complex)  # the leading-axis pass's result
-            _pass("ifft", coef.mT, 1.0, rows.mT, split)
-            coef = rows
-        return _pass("irfft", coef, 1.0, np.empty(coef.shape[:-1] + (self.n,)), split)
+        return _run_passes(*self._passes("physical", coef, None))
 
     def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
         bit, into ``out`` if given.  In 2D the leading-axis ``ifft`` runs in
         place over the last-axis columns k <= ``dealias_cutoff`` that the rule
         keeps, overwriting them in ``coef``, and ``irfft`` zero-pads the others."""
-        if coef.shape[-self.dim :] != self.spectral_shape:
-            raise _shape_error("input", coef, self.spectral_shape)
-        if out is None:
-            out = np.empty(coef.shape[:-1] + (self.n,))
-        elif out.shape[-1] != self.n:  # numpy checks the other axes against coef's
-            raise _shape_error("out", out, self.shape)
-        split = splits(coef.size)
-        if self.dim == 2:
-            coef = coef[..., : self.dealias_cutoff + 1]  # the kept columns
-            _pass("ifft", coef.mT, 1.0, coef.mT, split)
-        return _pass("irfft", coef, 1.0, out, split)
+        return _run_passes(*self._passes("band_physical", coef, out))
 
     def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum coefficients of real grid samples; leading axes are batched.
@@ -267,17 +264,48 @@ class Grid:
         last axis, then in 2D ``fft`` along the leading axis, in place.  The
         coefficients go to ``out`` if given.
         """
-        if values.shape[-self.dim :] != self.shape:
-            raise _shape_error("input", values, self.shape)
+        return _run_passes(*self._passes("spectral", values, out))
+
+    def bind(self, transform: str, a: np.ndarray, out: np.ndarray = None):
+        """The transform named ``transform`` ("spectral", "physical" or
+        "band_physical") of ``a`` into ``out``, or into one new array, as a call
+        of no arguments that returns it: for a caller that reuses its buffers,
+        the shapes are checked once, here.  Each call runs the passes of the
+        public transform (``_run_passes``), looking up their gufuncs and
+        asking ``splits`` afresh, so it has the public transform's bits."""
+        return functools.partial(_run_passes, *self._passes(transform, a, out))
+
+    def _passes(self, transform: str, a: np.ndarray, out: np.ndarray) -> tuple:
+        """The passes of ``transform`` from ``a`` into ``out`` in their order, as
+        (gufunc, input, factor, output) tuples, the batch size they split by,
+        and ``out``, made here if None."""
+        if transform not in ("spectral", "physical", "band_physical"):
+            raise GridError(f"no transform {transform!r}")
+        forward = transform == "spectral"
+        shape, result = self.shape, self.spectral_shape
+        if not forward:
+            shape, result = result, shape
+        # the gufuncs take a transform's length from their output, so an array of
+        # another shape would make a transform of another length, not an error
+        if a.shape[-self.dim :] != shape:
+            raise GridError(f"input has shape {a.shape}, not {shape} per field")
+        if out is not None and out.shape[-1] != result[-1]:  # numpy checks a's other axes
+            raise GridError(f"out has shape {out.shape}, not {result} per field")
+        passes, size = [], a.size
+        if not forward and self.dim == 2:  # ifft in place over the kept columns, or into rows
+            band = transform == "band_physical"
+            rows = a[..., : self.dealias_cutoff + 1] if band else np.empty(a.shape, complex)
+            passes.append(("ifft", (rows if band else a).mT, 1.0, rows.mT))
+            a = rows
         if out is None:
-            out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), complex)
-        elif out.shape[-1] != self.n // 2 + 1:  # numpy checks the other axes against values'
-            raise _shape_error("out", out, self.spectral_shape)
-        split = splits(out.size)
-        coef = _pass("rfft_n_even", values, 1.0 / self.n, out, split)
+            out = np.empty(a.shape[:-1] + result[-1:], complex if forward else float)
+        if not forward:
+            return passes + [("irfft", a, 1.0, out)], size, out
+        # rfft along the last axis, then in 2D fft along the leading one in place
+        passes.append(("rfft_n_even", a, 1.0 / self.n, out))
         if self.dim == 2:
-            _pass("fft", coef.mT, 1.0 / self.n, coef.mT, split)
-        return coef
+            passes.append(("fft", out.mT, 1.0 / self.n, out.mT))
+        return passes, out.size, out
 
     @functools.lru_cache(maxsize=32)
     def wavenumbers(self):

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, GridError, SpectralField, half, read_only, splits, two_halves
+from .grid import Grid, GridError, SpectralField, half, is_large, read_only, splits, two_halves
 from .operators import (
     ParameterError,
     dealias,
@@ -285,9 +285,14 @@ class Workspace:
     ``k``        complex, 3 x F fields: ``acc``, the RK4 sum, and the stage
                  tendencies ``ka`` and ``kb``, each with its (sigma, u) parts.
 
-    The plan also takes each slot's two halves along axis -N, once, as views
-    (``SpectralPlan._parts``), so that two threads can run pointwise work on
-    them at once.  Like the plan, a workspace is not re-entrant.
+    The stage's four transforms are bound to their slots here, once, by
+    ``Grid.bind``, so their shapes are checked once: ``to_grid`` (``batch``
+    to ``phys``), ``g_back`` (``g`` to ``g_hat``), ``pair_to_grid``
+    (``pair_hat`` to ``pair``) and ``prods_back`` (``prods`` to
+    ``prods_hat``).  The plan also takes each slot's two halves along axis
+    -N, once, as views (``SpectralPlan._parts``), so that two threads can run
+    pointwise work on them at once.  Like the plan, a workspace is not
+    re-entrant.
     """
 
     def __init__(self, grid: Grid):
@@ -323,6 +328,11 @@ class Workspace:
         self.acc_s, self.ka_s, self.kb_s = self.k[:, :1]
         self.acc_u, self.ka_u, self.kb_u = self.k[:, 1:]
 
+        self.to_grid = grid.bind("band_physical", self.batch, self.phys)
+        self.g_back = grid.bind("spectral", self.g, self.g_hat)
+        self.pair_to_grid = grid.bind("band_physical", self.pair_hat, self.pair)
+        self.prods_back = grid.bind("spectral", self.prods, self.prods_hat)
+
 
 class SpectralPlan:
     """Multipliers, the sigma-u tendency, the integrating-factor RK4 step and
@@ -344,11 +354,17 @@ class SpectralPlan:
 
     Between the transforms the work is pointwise.  ``tendency`` and ``step``
     write it as generators of phases, and each yield of ``_tendency`` names
-    the transform that runs next; ``_run`` drives the generators to their end,
-    on two halves at once where ``grid.splits`` holds for the (sigma, u)
+    the workspace's bound transform that runs next; ``_run`` drives the
+    generator to its end with one plain loop, or through ``_halves`` on two
+    halves at once where ``grid.splits`` holds for the (sigma, u)
     coefficients, and runs each named transform in between.  So the stage's
     transform sequence is written once, in ``_tendency``.  Its ufuncs take
-    ``out`` positionally, which skips NumPy's keyword parsing.
+    ``out`` positionally, which skips NumPy's keyword parsing.  The phases
+    read their symbols from a namespace of the part (``_parts``), where the
+    factors of complex products are complex (``_operand``) below
+    ``grid.is_large`` state coefficients, and -lam and the step's scalars
+    are ``np.complex128``: NumPy would otherwise convert them at every call,
+    with the same bits.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -371,55 +387,77 @@ class SpectralPlan:
     @functools.cached_property
     def _parts(self) -> tuple:
         """The whole workspace with the symbols, then its two halves along axis
-        -N, each a namespace of those names and ``cut``, which takes the same
-        part of any array; ``semigroup`` adds the step's symbols."""
-        whole = dict(vars(self.workspace), mask=self.mask, ixi_col=self.ixi[:, np.newaxis])
-        whole.update(lam_alpha=self.lam_alpha, mu_lam_alpha=self.mu_lam_alpha)
-        whole.update(source=self._source_factor)
+        -N, each a namespace of those names, ``neg_lam`` = -lam and ``cut``,
+        which takes the same part of any array; ``semigroup`` adds the step's
+        symbols and scalars."""
+        whole = {k: a for k, a in vars(self.workspace).items() if isinstance(a, np.ndarray)}
+        symbols = ("mask", "lam_alpha", "mu_lam_alpha")
+        whole.update({k: self._operand(getattr(self, k)) for k in symbols})
+        whole.update(ixi_col=self.ixi[:, np.newaxis], source=self._source_factor)
         cuts = [lambda a: a] + [functools.partial(half, i=i, axis=-self.grid.dim) for i in (0, 1)]
+        neg_lam = np.complex128(-self.params.lam)
         return tuple(
-            types.SimpleNamespace(**{k: c(a) for k, a in whole.items()}, cut=c) for c in cuts
+            types.SimpleNamespace(**{k: c(a) for k, a in whole.items()}, neg_lam=neg_lam, cut=c)
+            for c in cuts
         )
+
+    def _operand(self, a: np.ndarray) -> np.ndarray:
+        """Symbol ``a``, read-only, as a factor of complex arrays: a complex copy
+        where the state is not ``is_large`` (NumPy would cast a real operand
+        at every call), and ``a`` itself above, where copies cost memory."""
+        return read_only(a if is_large(self._state_size) else a.astype(complex))
 
     def semigroup(self, dt: float):
         """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt
-        together with the step's dt e_half and 2 e_half, and their halves."""
+        together with the step's dt e_half and 2 e_half, and their halves, as
+        operands (``_operand``), and the scalars dt/2, dt, dt/6 and 2."""
         if self._semigroup is None or self._semigroup[0] != dt:
             p = self.params
             e_half = read_only(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
             e_full = read_only(e_half * e_half)
             self._semigroup = dt, (e_half, e_full)
-            symbols = dict(e_half=e_half, e_full=e_full, dt_e_half=read_only(dt * e_half))
-            symbols.update(two_e_half=read_only(2.0 * e_half))
+            symbols = dict(e_half=e_half, e_full=e_full, dt_e_half=dt * e_half)
+            symbols.update(two_e_half=2.0 * e_half)
+            symbols = {k: self._operand(a) for k, a in symbols.items()}
+            # the step's floats, as complex128 (the cast is exact)
+            scalars = np.array([0.5 * dt, dt, dt / 6.0, 2.0], complex)
+            scalars = dict(zip(("half_dt", "dt", "sixth_dt", "two"), scalars))
             for v in self._parts:
-                vars(v).update({k: v.cut(a) for k, a in symbols.items()})
+                vars(v).update({k: v.cut(a) for k, a in symbols.items()}, **scalars)
         return self._semigroup[1]
 
-    def _run(self, phases, whole: bool = False) -> None:
-        """Drive the generator ``phases(part)`` to its end on the whole workspace,
-        or on its two halves at once, and between its yields run the transform
-        each names: a (``Grid`` method, its whole-workspace input, its ``out``,
-        min h(sigma) for the guard or None) tuple.  A ``VacuumError`` in a half,
-        which knows only its own min rho, reruns ``phases`` on the ``whole``
-        workspace, to name the global one."""
-        parts = self._parts[:1] if whole or not splits(self._state_size) else self._parts[1:]
-        gens = [phases(v) for v in parts]
+    def _run(self, phases) -> None:
+        """Drive the generator ``phases(part)`` to its end, and between its yields
+        run the transform each names: a (bound transform of the workspace, min
+        h(sigma) for the guard or None) pair.  Where the (sigma, u)
+        coefficients do not split, this is one plain loop over ``phases`` of
+        the whole workspace; where ``grid.splits`` holds for them, ``_halves``
+        drives ``phases`` on the two halves at once."""
+        whole = not splits(self._state_size)
+        for transform, mn in phases(self._parts[0]) if whole else self._halves(phases):
+            if mn is not None:
+                mn = 1.0 + float(mn)
+                if not (mn >= VACUUM_THRESHOLD):
+                    raise VacuumError(mn)
+            transform()
+
+    def _halves(self, phases):
+        """The (transform, min h(sigma) of both halves or None) pairs of
+        ``phases`` run on the two halves at once by ``two_halves``.  A
+        ``VacuumError`` in a half, which knows only its own min rho, reruns
+        ``phases`` on the whole workspace, to name the global one."""
+        gens = [phases(v) for v in self._parts[1:]]
         advance = lambda i: next(gens[i], None)
         while True:
             try:
-                named = two_halves(advance) if len(gens) == 2 else [next(gens[0], None)]
+                named = two_halves(advance)
             except VacuumError:
-                if len(gens) == 1:
-                    raise
-                return self._run(phases, whole=True)
+                yield from phases(self._parts[0])
+                return
             if named[0] is None:
                 return
-            transform, a, out, mn = named[0]
-            if mn is not None:
-                mn = 1.0 + float(functools.reduce(np.minimum, [m for *_, m in named]))
-                if not (mn >= VACUUM_THRESHOLD):
-                    raise VacuumError(mn)
-            transform(a, out=out)
+            (transform, mn), (_, mn_1) = named
+            yield transform, (None if mn is None else np.minimum(mn, mn_1))
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), without the
@@ -456,21 +494,21 @@ class SpectralPlan:
         ``VACUUM_THRESHOLD`` or NaN; ``linear_only`` makes no transform and so
         checks nothing.
         """
-        p, ws, grid = self.params, self.workspace, self.grid
+        p, ws = self.params, self.workspace
         np.multiply(v.x, v.mask, v.x)
         np.multiply(v.ixi_col, v.x, v.grad)
         np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
         k_u[...] = v.grad_sig
-        np.multiply(-p.lam, k, k)  # -lam (div u, grad sigma)
+        np.multiply(v.neg_lam, k, k)  # -lam (div u, grad sigma)
         if linear_only:
             return
-        yield grid.band_physical, ws.batch, ws.phys, None  # (x, grad x) to the grid
+        yield ws.to_grid, None  # (x, grad x) to the grid
         h_of_sigma(v.sv, p, out=v.g)
         # h(sigma) back, with its min for the guard
-        yield grid.spectral, ws.g, ws.g_hat, (np.minimum.reduce(v.g, axis=None) if guard else None)
+        yield ws.g_back, (np.minimum.reduce(v.g, axis=None) if guard else None)
         np.multiply(v.g_hat, v.mask, v.g_hat)
         np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
-        yield grid.band_physical, ws.pair_hat, ws.pair, None  # (g, Lambda^alpha g) to the grid
+        yield ws.pair_to_grid, None  # (g, Lambda^alpha g) to the grid
         # the batch is dead: its memory holds div u and the advection terms
         np.add.reduce(v.gv_diag, axis=0, initial=0.0, out=v.div_u)  # 0 + d_1 u_1 + ...
         np.add.reduce(np.multiply(v.uv_col, v.gv, v.gv), axis=0, out=v.adv)
@@ -480,7 +518,7 @@ class SpectralPlan:
         np.multiply(v.terms_u, v.lam_g, v.terms_u)
         np.add(np.negative(v.adv, v.adv), v.terms, v.terms)
         np.multiply(v.g, v.uv, v.gu)
-        yield grid.spectral, ws.prods, ws.prods_hat, None  # the products back
+        yield ws.prods_back, None  # the products back
         k += v.terms_hat
         k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
         np.multiply(k, v.mask, k)
@@ -504,40 +542,40 @@ class SpectralPlan:
         s_out, u_out = np.empty(ws.acc_s.shape, complex), np.empty(ws.acc_u.shape, complex)
 
         def phases(v):
-            s, w, half = v.cut(sig), v.cut(u), 0.5 * dt
+            s, w = v.cut(sig), v.cut(u)
             x, xs, xu = v.x, v.sig, v.u  # the stage input, in the batch
             acc, ka, kb = v.acc, v.ka, v.kb  # the RK4 sum, from k1 on, and two stages
             stage = functools.partial(self._tendency, v, linear_only=linear_only)
             xs[...], xu[...] = s, w
             yield from stage(acc, v.acc_s, v.acc_u, guard=True)  # k1
             # sig + dt/2 k1s, (u + dt/2 k1u) e_half
-            np.multiply(half, acc, x)
+            np.multiply(v.half_dt, acc, x)
             np.add(s, xs, xs)
             np.multiply(np.add(w, xu, xu), v.e_half, xu)
             yield from stage(ka, v.ka_s, v.ka_u)  # k2
             # sig + dt/2 k2s, u e_half + dt/2 k2u
-            np.multiply(half, ka, x)
+            np.multiply(v.half_dt, ka, x)
             np.add(s, xs, xs)
             np.add(np.multiply(w, v.e_half, v.kb_u), xu, xu)
-            v.ka_s *= 2.0
+            v.ka_s *= v.two
             v.acc_s += v.ka_s  # k1s + 2 k2s
             v.acc_u *= v.e_full  # e_full k1u
             yield from stage(kb, v.kb_s, v.kb_u)  # k3
             # sig + dt k3s, u e_full + dt e_half k3u
-            np.add(s, np.multiply(dt, v.kb_s, xs), xs)
+            np.add(s, np.multiply(v.dt, v.kb_s, xs), xs)
             v.ka_u += v.kb_u  # k2u + k3u
             np.multiply(v.dt_e_half, v.kb_u, v.kb_u)
             np.add(np.multiply(w, v.e_full, xu), v.kb_u, xu)
-            v.kb_s *= 2.0
+            v.kb_s *= v.two
             v.acc_s += v.kb_s  # + 2 k3s
             v.acc_u += np.multiply(v.two_e_half, v.ka_u, v.ka_u)
             yield from stage(ka, v.ka_s, v.ka_u)  # k4
             acc += ka
             s_new, u_new = v.cut(s_out), v.cut(u_out)
-            np.multiply(v.acc_s, dt / 6.0, s_new)
+            np.multiply(v.acc_s, v.sixth_dt, s_new)
             s_new += s
             s_new *= v.mask
-            np.multiply(v.acc_u, dt / 6.0, u_new)
+            np.multiply(v.acc_u, v.sixth_dt, u_new)
             u_new += np.multiply(w, v.e_full, v.kb_u)
             u_new *= v.mask
 

@@ -442,16 +442,23 @@ def decay_fit(times, values, window, kind: str = "power"):
     """Least-squares decay exponent over a time window.
 
     kind='power' fits log(v) against log(1+t) (algebraic decay); kind='exp'
-    fits log(v) against t (exponential rate).  Returns (exponent, r2).
+    fits log(v) against t (exponential rate).  The window needs t_a < t_b
+    and at least 10 samples in it, at two distinct times or more; otherwise,
+    or with a value in it that is not positive and finite, ``ValueError``.
+    Returns (exponent, r2).
     """
     if kind not in ("power", "exp"):
         raise ValueError(f"decay_fit kind must be power or exp, got {kind!r}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t_a, t_b = window
+    if not t_a < t_b:
+        raise ValueError(f"decay_fit needs a window with t_a < t_b, got ({t_a}, {t_b})")
     sel = (times >= t_a) & (times <= t_b)
     if np.count_nonzero(sel) < 10:
         raise ValueError("decay_fit needs at least 10 samples in the window")
+    if np.unique(times[sel]).size < 2:
+        raise ValueError("decay_fit needs at least two distinct times in the window")
     v = values[sel]
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise ValueError("decay_fit needs positive finite values in the window")

@@ -1,9 +1,10 @@
-"""Acceptance gate: eleven end-to-end checks, one pass/fail line each.
+"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
 
 import csv
+import dataclasses
 import filecmp
 from pathlib import Path
 
@@ -31,10 +32,12 @@ from euleralign.operators import (
     physical_product,
 )
 from euleralign.simulation import (
+    Recorder,
     SimConfig,
     decay_fit,
     fractional_heat_trace,
     initial_state,
+    linear_exact_flow,
     run,
     step,
 )
@@ -391,4 +394,49 @@ def test_criterion_11_nonlinear_optimal_decay():
         "nonlinear optimal decay",
         ok,
         f"l2 slope={slope:.5f} vs -1/3 (err {100 * err:.2f}% <= 1%), r2={r2:.5f}",
+    )
+
+
+def _x_ratio(trace) -> float:
+    """R = X(T)/X(0), X = X1 + X2 + X3 + X4 of a trace (X3 = X4 = 0 at t = 0)."""
+    x = sum(trace.column(k) for k in ("X1_sigma_sup", "X2_u_sup", "X3_sigma_int", "X4_u_int"))
+    return float(x[-1] / x[0])
+
+
+def test_criterion_13_small_data_constant():
+    # the paper's small-data bound X(t) <= C X(0) on the composite norm X:
+    # R(eps) = X(T)/X(0) of a run of amplitude eps tends to the linear
+    # constant R_lin at first order, R(eps) = R_lin + c1 eps + O(eps^2).  A
+    # dt of about dx/4, below every run's CFL limit, keeps the stepper's
+    # error on R_lin (against the exact flow on the same records) small
+    nsteps, cadence = 1632, 4
+    base = SimConfig(n=128, t_end=20.0, dt=20.0 / nsteps, cadence=cadence, ic="gaussian_bump")
+    params, s0 = base.model_params(), initial_state(base)
+    stepped, exact = Recorder(s0.grid, params), Recorder(s0.grid, params)
+    stepped.record(s0)
+    exact.record(s0)
+    st = s0
+    for istep in range(1, nsteps + 1):
+        st = step(st, params, base.dt, linear_only=True)
+        if istep % cadence == 0:
+            st.t = istep * base.dt
+            stepped.record(st)
+            exact.record(linear_exact_flow(s0, params, st.t))
+    r_lin = _x_ratio(stepped.trace)
+    gap = abs(r_lin - _x_ratio(exact.trace))
+    statuses, c1 = [stepped.trace.status, exact.trace.status], {}
+    for eps in (1e-3, 1e-2, 0.1, 1.0):
+        trace, _ = run(dataclasses.replace(base, amplitude=eps))
+        assert len(trace.t) == nsteps // cadence + 1
+        statuses.append(trace.status)
+        c1[eps] = (_x_ratio(trace) - r_lin) / eps
+    spread = abs(c1[1e-2] - c1[1e-3]) / c1[1e-3]
+    ok = gap < 1e-4 and spread <= 0.01 and statuses == ["ok"] * 6
+    scan = ", ".join(f"{c:.5f} at {eps:g}" for eps, c in c1.items())
+    _report(
+        13,
+        "small-data constant",
+        ok,
+        f"R_lin={r_lin:.7f} (exact-flow gap {gap:.1e} < 1e-4); (R-R_lin)/eps = {scan} "
+        f"(c1 spread {100 * spread:.2f}% <= 1%); statuses {set(statuses)}",
     )

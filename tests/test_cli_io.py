@@ -782,6 +782,7 @@ dt = 1e9
 
     _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
     _BAD_HEAT_DECAY += [("--samples", v) for v in ("0", "5")]
+    _BAD_HEAT_DECAY += [("--alpha", v) for v in ("2.0", "0", "-1", "nan")]
 
     @pytest.mark.parametrize(
         "flag, value", _BAD_HEAT_DECAY, ids=[f"{f}={v}" for f, v in _BAD_HEAT_DECAY]
@@ -791,8 +792,21 @@ dt = 1e9
             warnings.simplefilter("error")  # the check comes before any arithmetic
             assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
         message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0",
-                   "--samples": "decay_fit needs at least 10 samples"}[flag]
+                   "--samples": "decay_fit needs at least 10 samples",
+                   "--alpha": "--alpha must lie in (0, 2)"}[flag]
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_a, t_b", [("20", "20"), ("30", "10")])
+    def test_heat_decay_rejects_a_degenerate_window(self, capsys, t_a, t_b):
+        # ten samples at one time once fitted a line through a point, with
+        # NumPy's RankWarning, and exited 0
+        argv = ["heat-decay", "--n", "1024", "--L", "100", "--t-a", t_a, "--t-b", t_b,
+                "--samples", "10", "--output", "-"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "decay_fit needs a window with t_a < t_b" in err and out == ""
 
     def test_heat_decay_small(self, tmp_path, capsys):
         out = str(tmp_path / "hd.csv")

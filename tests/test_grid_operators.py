@@ -183,6 +183,43 @@ class TestGrid:
         step(State(SpectralField(g, sig), SpectralField(g, u)), p, 1e-3)
         assert (sig.tobytes(), u.tobytes()) == before
 
+    @pytest.mark.parametrize(
+        "dim, n, batch", [(1, 64, (3,)), (1, 256, (2,)), (2, 32, (3,)), (2, 256, (3,))]
+    )
+    def test_a_bound_transform_has_the_bits_of_the_call(self, dim, n, batch, two_cpus):
+        # a bound transform checks its buffers once, then runs the transform's
+        # own passes on them at each call (split in halves at 2D n=256)
+        g = Grid(dim, n, 2.0 * np.pi)
+        values = np.random.default_rng(n).standard_normal(batch + g.shape)
+        coef = np.empty(batch + g.spectral_shape, complex)
+        assert g.bind("spectral", values, coef)() is coef
+        assert coef.tobytes() == g.spectral(values, out=np.empty_like(coef)).tobytes()
+        masked = coef * g.dealias_mask()
+        band, samples = np.empty_like(masked), np.empty(batch + g.shape)
+        to_grid = g.bind("band_physical", band, samples)
+        for _ in range(2):  # it overwrites its input, which the caller refills
+            band[...] = masked
+            assert to_grid() is samples
+            want = g.band_physical(masked.copy(), out=np.empty_like(samples))
+            assert samples.tobytes() == want.tobytes()
+        assert g.bind("physical", coef)().tobytes() == g.physical(coef).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_buffer_of_another_shape_is_refused_when_bound(self, dim):
+        g = Grid(dim, 64, 1.0)
+        values, coef = np.ones((3,) + g.shape), np.ones((3,) + g.spectral_shape, complex)
+        with pytest.raises(GridError, match="input has shape"):
+            g.bind("spectral", values[..., :60], coef)
+        with pytest.raises(GridError, match="out has shape"):
+            g.bind("spectral", values, coef[..., :20])
+        for transform in ("band_physical", "physical"):
+            with pytest.raises(GridError, match="input has shape"):
+                g.bind(transform, values, values)
+        with pytest.raises(GridError, match="out has shape"):
+            g.bind("band_physical", coef, coef.real)
+        with pytest.raises(GridError, match="no transform 'rfft'"):
+            g.bind("rfft", values, coef)
+
 
 FORK_SCRIPT = """
 import os, signal, sys

@@ -534,6 +534,18 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="power or exp, got 'pow'"):
             decay_fit(t, (1.0 + t) ** -0.5, (10.0, 100.0), kind="pow")
 
+    @pytest.mark.parametrize("window", [(20.0, 20.0), (30.0, 10.0)])
+    def test_a_window_without_length(self, window):
+        # a line through one point: the parent returned slope 0.063, r2 = 2e-16
+        v = np.exp(-np.linspace(0.0, 1.0, 12))
+        with pytest.raises(ValueError, match="t_a < t_b"):
+            decay_fit(np.full(12, 20.0), v, window)
+
+    def test_a_window_with_one_distinct_time(self):
+        times = np.concatenate([np.full(12, 15.0), [30.0]])
+        with pytest.raises(ValueError, match="two distinct times"):
+            decay_fit(times, np.exp(-0.1 * times), (10.0, 20.0))
+
     def test_too_few_samples(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
