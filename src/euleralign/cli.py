@@ -160,6 +160,9 @@ def _cmd_heat_decay(args) -> int:
     grid = Grid(args.dim, args.n, args.L)
     if not 0.0 < args.alpha < 2.0:  # before DecaySpec, whose s0 range depends on it
         raise ParameterError(f"--alpha must lie in (0, 2), got {args.alpha}")
+    for flag, t in (("--t-a", args.t_a), ("--t-b", args.t_b)):  # before the trace's times
+        if not 0.0 <= t < np.inf:
+            raise ParameterError(f"{flag} must be finite and >= 0, got {t}")
     DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)  # validates s0, s1
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(

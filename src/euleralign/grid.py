@@ -15,10 +15,14 @@ one symbol of the Helmholtz split), the powers ``lambda_symbol``, the 2/3
 rule's ``dealias_mask`` and ``dealias_cutoff``, and the ``plancherel_weights``.
 Only the dyadic multipliers live in ``lp.LPDecomp``.
 
-A ``Grid`` also makes every transform; no other module calls ``numpy.fft``:
-the general pair ``spectral``/``physical``, and ``band_physical``, the faster
-inverse of coefficients that the 2/3 rule has masked.  In 2D each runs the 1D
-passes of ``rfftn`` or ``irfftn`` itself, in their order, so the bits are theirs.
+A ``Grid`` also makes every transform; no other module calls ``numpy.fft``.
+``spectral`` and ``physical`` return a new array and leave their input as it
+was.  ``bind`` is the one way to transform given buffers: it checks them once
+and returns a call that runs the transform into its ``out``.  It also names
+"band_physical", the faster inverse of coefficients that the 2/3 rule has
+masked, which in 2D overwrites the kept columns of its input.  In 2D each
+transform runs the 1D passes of ``rfftn`` or ``irfftn`` itself, in their
+order, so the bits are theirs.
 
 Each pass calls NumPy's pocketfft gufuncs (``rfft_n_even``, ``irfft``, ``fft``,
 ``ifft`` of ``numpy.fft._pocketfft_umath``) directly, with the factors the
@@ -32,13 +36,12 @@ Their module is private, which is accepted because only this module refers to
 it, and because the tests pin the bits of every transform here to the public
 ``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses: a NumPy that moves
 or changes them fails those tests rather than drifting.  The gufuncs take the
-transform's length from their output, so a transform checks once, when it is
-bound to its buffers by ``Grid.bind``, that its input ends in ``shape``
-(samples) or ``spectral_shape`` (coefficients) and its ``out`` in the
-result's last axis, and raises ``GridError`` otherwise.  The public
-transforms check their arguments at each call and run the same pass lists
-(``Grid._passes``); a caller that reuses its buffers, like the plan of
-``model``, binds them once and skips the check.
+transform's length from their output, so ``Grid._passes``, which writes each
+transform's pass list, checks that its input ends in ``shape`` (samples) or
+``spectral_shape`` (coefficients) and its ``out`` in the result's last axis,
+and raises ``GridError`` otherwise.  ``spectral`` and ``physical`` build the
+list at each call; ``bind`` builds it once, so a caller that reuses its
+buffers, like the plan of ``model``, skips the check at each call.
 
 ``two_halves(f)`` runs ``f(0)`` and ``f(1)`` at once: the caller takes one
 half and one daemon helper thread, started on first use and afresh in a
@@ -50,21 +53,21 @@ the size half of the rule, which the plan also reads), where the process may
 use two CPUs or more (``os.sched_getaffinity``, read at import); they are the
 one place that rule is written.
 
-Every pass goes through ``_pass``, which looks its gufunc up on
-``_pocketfft_umath`` at each call, so a counter that replaces that handle
+Every pass runs in the one loop of ``_run_passes``, which looks its gufunc up
+on ``_pocketfft_umath`` at each call, so a counter that replaces that handle
 sees every call: two for a pass that splits.  Each call of a transform asks
 ``splits`` once, for its batch.  The gufuncs release the GIL for a whole
 pass, so a pass of a batch that splits runs as two halves along axis -2: the
 rows in 2D and the fields in 1D for a last-axis pass, and the columns for a
-leading-axis pass, which is given the transposed views ``.mT``.  Each line still meets the
-same gufunc with the same factor, so every transform keeps its bits.  The
-plan of ``model`` runs its pointwise work between the transforms on the same
-helper.  Two halves is the case that was measured; more pieces wait for
-measurements on more CPUs.  With one CPU, below the threshold (split, a 2D
-n=256 step is faster and a 2D n=64 one slower: README, "Numerics") or with
-nothing to split (one 1D field), a pass is one gufunc call.  No setting
-selects the path.  Transforms may be called from several threads, which share
-the helper.
+leading-axis pass, which is given the transposed views ``.mT``.  Each line
+still meets the same gufunc with the same factor, so every transform keeps
+its bits.  The plan of ``model`` runs its pointwise work between the
+transforms on the same helper.  Two halves is the case that was measured;
+more pieces wait for measurements on more CPUs.  With one CPU, below the
+threshold (split, a 2D n=256 step is faster and a 2D n=64 one slower: README,
+"Numerics") or with nothing to split (one 1D field), a pass is one gufunc
+call.  No setting selects the path.  Transforms may be called from several
+threads, which share the helper.
 """
 
 from __future__ import annotations
@@ -167,26 +170,22 @@ def two_halves(f) -> list:
     return found
 
 
-def _pass(gufunc: str, a: np.ndarray, fct, out: np.ndarray, split: bool) -> np.ndarray:
-    """``gufunc(a, fct, out=out)`` along the last axis, the gufunc looked up on
-    ``_pocketfft_umath`` at each call.  With ``split`` it runs by ``two_halves``
-    on the halves along axis -2, each line with the bits of one call, which
-    runs instead where ``a`` has no axis -2 to split or its batch is not
-    ``out``'s.  A leading-axis pass is given the transposed views ``.mT``, so
-    it splits along the columns."""
-    fn = getattr(_pocketfft_umath, gufunc)
-    if split and a.ndim > 1 and a.shape[:-1] == out.shape[:-1] and a.shape[-2] > 1:
-        two_halves(lambda i: fn(half(a, i), fct, out=half(out, i)))
-        return out
-    return fn(a, fct, out=out)
-
-
 def _run_passes(passes: list, size: int, out: np.ndarray) -> np.ndarray:
-    """Run a transform's ``passes`` (``Grid._passes``), split where ``splits``
-    holds for its batch of ``size`` coefficients, and return ``out``."""
+    """Run a transform's ``passes`` (``Grid._passes``) in order and return
+    ``out``.  Each is ``gufunc(a, fct, out=y)`` along the last axis, the gufunc
+    looked up on ``_pocketfft_umath`` at each call.  Where ``splits`` holds for
+    the batch of ``size`` coefficients, a pass runs by ``two_halves`` on the
+    halves along axis -2, each line with the bits of one call, which runs
+    instead where ``a`` has no axis -2 to split or its batch is not ``y``'s.  A
+    leading-axis pass is given the transposed views ``.mT``, so it splits
+    along the columns."""
     split = splits(size)
     for gufunc, a, fct, y in passes:
-        _pass(gufunc, a, fct, y, split)
+        fn = getattr(_pocketfft_umath, gufunc)
+        if split and a.ndim > 1 and a.shape[:-1] == y.shape[:-1] and a.shape[-2] > 1:
+            two_halves(lambda i: fn(half(a, i), fct, out=half(y, i)))
+        else:
+            fn(a, fct, out=y)
     return out
 
 
@@ -245,34 +244,32 @@ class Grid:
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
     def physical(self, coef: np.ndarray) -> np.ndarray:
-        """Grid samples of any half-spectrum coefficients; leading axes are
-        batched.  In 2D ``irfftn``'s passes, so its bits: ``ifft`` along the
-        leading axis into a new array, then ``irfft``."""
+        """Grid samples of any half-spectrum coefficients, in a new array that
+        leaves ``coef`` as it was; leading axes are batched.  In 2D ``irfftn``'s
+        passes, so its bits: ``ifft`` along the leading axis into a new array,
+        then ``irfft``."""
         return _run_passes(*self._passes("physical", coef, None))
 
-    def band_physical(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """``physical`` of coefficients that ``dealias_mask`` has zeroed, bit for
-        bit, into ``out`` if given.  In 2D the leading-axis ``ifft`` runs in
-        place over the last-axis columns k <= ``dealias_cutoff`` that the rule
-        keeps, overwriting them in ``coef``, and ``irfft`` zero-pads the others."""
-        return _run_passes(*self._passes("band_physical", coef, out))
-
-    def spectral(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Half-spectrum coefficients of real grid samples; leading axes are batched.
+    def spectral(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of real grid samples, in a new array that
+        leaves ``values`` as they were; leading axes are batched.
 
         ``rfftn``'s two 1D passes in its order, so its bits: ``rfft`` along the
-        last axis, then in 2D ``fft`` along the leading axis, in place.  The
-        coefficients go to ``out`` if given.
+        last axis, then in 2D ``fft`` along the leading axis, in place.
         """
-        return _run_passes(*self._passes("spectral", values, out))
+        return _run_passes(*self._passes("spectral", values, None))
 
-    def bind(self, transform: str, a: np.ndarray, out: np.ndarray = None):
-        """The transform named ``transform`` ("spectral", "physical" or
-        "band_physical") of ``a`` into ``out``, or into one new array, as a call
-        of no arguments that returns it: for a caller that reuses its buffers,
-        the shapes are checked once, here.  Each call runs the passes of the
-        public transform (``_run_passes``), looking up their gufuncs and
-        asking ``splits`` afresh, so it has the public transform's bits."""
+    def bind(self, transform: str, a: np.ndarray, out: np.ndarray):
+        """The transform named ``transform`` of ``a`` into ``out``, as a call of
+        no arguments that returns ``out``: for a caller that reuses its buffers,
+        the shapes are checked once, here.  "spectral" and "physical" are the
+        public transforms; "band_physical" is ``physical`` of coefficients that
+        ``dealias_mask`` has zeroed, bit for bit, faster: in 2D its
+        leading-axis ``ifft`` runs in place over the last-axis columns k <=
+        ``dealias_cutoff`` that the rule keeps, overwriting them in ``a``, and
+        ``irfft`` zero-pads the others.  Each call runs the transform's passes
+        (``_run_passes``), looking up their gufuncs and asking ``splits``
+        afresh, so it has the bits of the public transform."""
         return functools.partial(_run_passes, *self._passes(transform, a, out))
 
     def _passes(self, transform: str, a: np.ndarray, out: np.ndarray) -> tuple:

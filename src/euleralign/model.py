@@ -343,7 +343,7 @@ class SpectralPlan:
     ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency acts on the stacked
     (sigma, u) array: each operation that is the same for sigma and u runs
     once on all 1 + N fields.  It moves its batches to the grid with the
-    grid's ``band_physical`` and back with its ``spectral``: 4 transform
+    grid's bound "band_physical" and back with its "spectral": 4 transform
     batches, 16 per ``step``, whose first stage checks the input's density on
     samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass
     per axis.  The batches, temporaries, stage inputs and tendencies live in

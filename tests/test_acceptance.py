@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
+"""Acceptance gate: thirteen end-to-end checks, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
@@ -439,4 +439,56 @@ def test_criterion_13_small_data_constant():
         ok,
         f"R_lin={r_lin:.7f} (exact-flow gap {gap:.1e} < 1e-4); (R-R_lin)/eps = {scan} "
         f"(c1 spread {100 * spread:.2f}% <= 1%); statuses {set(statuses)}",
+    )
+
+
+def _difference_ratio(config: SimConfig, a: State, b: State, linear_only: bool = False):
+    """D = X(delta)(T)/X(delta)(0) of delta = B - A, with A and B stepped by
+    ``step`` at ``config.dt`` and delta recorded every ``config.cadence``
+    steps through one ``Recorder``; and the recorder's trace status."""
+    params = config.model_params()
+    recorder = Recorder(a.grid, params)
+    nsteps = round(config.t_end / config.dt)
+    for istep in range(nsteps + 1):
+        if istep:
+            a, b = (step(s, params, config.dt, linear_only) for s in (a, b))
+        if istep % config.cadence == 0:
+            recorder.record(State(b.scalar - a.scalar, b.u - a.u, istep * config.dt))
+    return _x_ratio(recorder.trace), recorder.trace.status
+
+
+def test_criterion_14_continuous_dependence():
+    # the uniqueness half of well-posedness, in its quantitative form: the
+    # difference delta of two solutions obeys X(delta)(t) <= C X(delta)(0).
+    # D does not depend on the perturbation's size eta, so D(eps) is the
+    # tangent flow's constant, R_lin + c1' eps + O(eps^2) about the same
+    # stepper's linear constant R_lin of the perturbation; criterion 13's
+    # set-up and records
+    nsteps = 1632
+    base = SimConfig(n=128, t_end=20.0, dt=20.0 / nsteps, cadence=4, ic="gaussian_bump")
+    noise = initial_state(dataclasses.replace(base, ic="random_smooth", seed=1, amplitude=1.0))
+    zero = State(SpectralField.zeros(noise.grid), SpectralField.zeros(noise.grid, base.dim))
+
+    def perturbed(a: State, eta: float) -> State:
+        return State(a.scalar + eta * noise.scalar, a.u + eta * noise.u)
+
+    r_lin, status = _difference_ratio(base, zero, perturbed(zero, 1e-7), linear_only=True)
+    statuses, d = [status], {}
+    for eps in (1e-3, 1e-2):
+        a = initial_state(dataclasses.replace(base, amplitude=eps))
+        for eta in (1e-7, 1e-5):
+            d[eps, eta], status = _difference_ratio(base, a, perturbed(a, eta))
+            statuses.append(status)
+    eta_gap = max(abs(d[eps, 1e-5] - d[eps, 1e-7]) / d[eps, 1e-7] for eps in (1e-3, 1e-2))
+    c1 = {eps: (d[eps, 1e-7] - r_lin) / eps for eps in (1e-3, 1e-2)}
+    spread = abs(c1[1e-2] - c1[1e-3]) / c1[1e-3]
+    ok = eta_gap <= 1e-5 and spread <= 0.02 and statuses == ["ok"] * 5
+    scan = ", ".join(f"{c:.5f} at {eps:g}" for eps, c in c1.items())
+    _report(
+        14,
+        "continuous dependence",
+        ok,
+        f"R_lin={r_lin:.7f}; D={d[1e-3, 1e-7]:.7f} at eps 1e-3, {d[1e-2, 1e-7]:.7f} at 1e-2 "
+        f"(eta gap {eta_gap:.1e} <= 1e-5); (D-R_lin)/eps = {scan} "
+        f"(c1' spread {100 * spread:.2f}% <= 2%); statuses {set(statuses)}",
     )

@@ -783,6 +783,7 @@ dt = 1e9
     _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
     _BAD_HEAT_DECAY += [("--samples", v) for v in ("0", "5")]
     _BAD_HEAT_DECAY += [("--alpha", v) for v in ("2.0", "0", "-1", "nan")]
+    _BAD_HEAT_DECAY += [(f, v) for f in ("--t-a", "--t-b") for v in ("-1", "nan", "inf")]
 
     @pytest.mark.parametrize(
         "flag, value", _BAD_HEAT_DECAY, ids=[f"{f}={v}" for f, v in _BAD_HEAT_DECAY]
@@ -793,7 +794,9 @@ dt = 1e9
             assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
         message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0",
                    "--samples": "decay_fit needs at least 10 samples",
-                   "--alpha": "--alpha must lie in (0, 2)"}[flag]
+                   "--alpha": "--alpha must lie in (0, 2)",
+                   "--t-a": "--t-a must be finite and >= 0",
+                   "--t-b": "--t-b must be finite and >= 0"}[flag]
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_a, t_b", [("20", "20"), ("30", "10")])

@@ -53,6 +53,18 @@ def assert_real_field(f: SpectralField, rtol: float = 1e-14):
     assert np.max(np.abs(back - f.coef)) <= rtol * np.max(np.abs(f.coef))
 
 
+def _transform(g: Grid, kind: str, a: np.ndarray, given_out: bool) -> np.ndarray:
+    """The transform ``kind`` of ``a``: bound into a new buffer of the result's
+    shape if ``given_out``, else the allocating ``spectral`` or ``physical``."""
+    if not given_out:
+        return getattr(g, kind)(a)
+    forward = kind == "spectral"
+    per_field = g.spectral_shape if forward else g.shape
+    out = np.empty(a.shape[: a.ndim - g.dim] + per_field, complex if forward else float)
+    assert g.bind(kind, a, out)() is out
+    return out
+
+
 # batches that Grid splits over the CPUs: along the fields in 1D, and along
 # the rows and the columns of one field or of many in 2D
 SPLIT_CASES = [(1, 65536, (4,)), (2, 256, (2,)), (2, 256, (9,)), (2, 512, ())]
@@ -135,7 +147,7 @@ class TestGrid:
         values = np.random.default_rng(n).standard_normal((5,) + g.shape)
         coef = g.spectral(values) * g.dealias_mask()
         want = np.fft.irfftn(coef, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward")
-        assert g.band_physical(coef).tobytes() == want.tobytes()
+        assert g.bind("band_physical", coef, np.empty(want.shape))().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize(
@@ -150,24 +162,37 @@ class TestGrid:
     def test_every_transform_has_the_bits_of_rfftn_and_irfftn(self, dim, n, batch, given_out):
         # the transforms call NumPy's pocketfft gufuncs without the numpy.fft
         # wrapper; the public functions pin their bits, so a NumPy that moves or
-        # changes the gufuncs fails here
+        # changes the gufuncs fails here.  Given buffers go through bind, and
+        # its "band_physical" takes the masked coefficients
         g = Grid(dim, n, 2.0 * np.pi)
         if (dim, n, batch) in SPLIT_CASES:
             assert np.prod(batch + g.spectral_shape) >= grid_module._SPLIT_MIN
         axes = tuple(range(-dim, 0))
         values = np.random.default_rng(n + len(batch)).standard_normal(batch + g.shape)
-        out = np.empty(batch + g.spectral_shape, complex) if given_out else None
-        coef = g.spectral(values, out=out)
-        assert out is None or coef is out
+        coef = _transform(g, "spectral", values, given_out)
         assert coef.tobytes() == np.fft.rfftn(values, axes=axes, norm="forward").tobytes()
         want = np.fft.irfftn(coef, s=g.shape, axes=axes, norm="forward")
-        assert g.physical(coef).tobytes() == want.tobytes()
+        assert _transform(g, "physical", coef, given_out).tobytes() == want.tobytes()
         masked = coef * g.dealias_mask()
         want = np.fft.irfftn(masked, s=g.shape, axes=axes, norm="forward")
-        out = np.empty(batch + g.shape) if given_out else None
-        back = g.band_physical(masked, out=out)
-        assert out is None or back is out
-        assert back.tobytes() == want.tobytes()
+        kind = "band_physical" if given_out else "physical"
+        assert _transform(g, kind, masked, given_out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "dim, n, batch", [(1, 64, ()), (1, 64, (3,)), (2, 32, (3,)), (2, 256, (9,))]
+    )
+    def test_the_transforms_leave_their_input_as_it_was(self, dim, n, batch, two_cpus):
+        # spectral and physical return a new array; only a bound
+        # "band_physical" may overwrite its input (at 2D n=256 every pass splits)
+        g = Grid(dim, n, 2.0 * np.pi)
+        values = np.random.default_rng(n).standard_normal(batch + g.shape)
+        before = values.tobytes()
+        coef = g.spectral(values)
+        masked = coef * g.dealias_mask()
+        kept = coef.tobytes(), masked.tobytes()
+        g.physical(coef)
+        g.physical(masked)
+        assert (values.tobytes(), coef.tobytes(), masked.tobytes()) == (before, *kept)
 
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32)])
     def test_in_place_transforms_leave_the_state_untouched(self, dim, n):
@@ -193,16 +218,17 @@ class TestGrid:
         values = np.random.default_rng(n).standard_normal(batch + g.shape)
         coef = np.empty(batch + g.spectral_shape, complex)
         assert g.bind("spectral", values, coef)() is coef
-        assert coef.tobytes() == g.spectral(values, out=np.empty_like(coef)).tobytes()
+        assert coef.tobytes() == g.spectral(values).tobytes()
         masked = coef * g.dealias_mask()
         band, samples = np.empty_like(masked), np.empty(batch + g.shape)
         to_grid = g.bind("band_physical", band, samples)
         for _ in range(2):  # it overwrites its input, which the caller refills
             band[...] = masked
             assert to_grid() is samples
-            want = g.band_physical(masked.copy(), out=np.empty_like(samples))
-            assert samples.tobytes() == want.tobytes()
-        assert g.bind("physical", coef)().tobytes() == g.physical(coef).tobytes()
+            assert samples.tobytes() == g.physical(masked).tobytes()
+        out = np.empty_like(samples)
+        assert g.bind("physical", coef, out)() is out
+        assert out.tobytes() == g.physical(coef).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_buffer_of_another_shape_is_refused_when_bound(self, dim):
@@ -265,11 +291,13 @@ class TestSplitPasses:
         assert proc.returncode == 0, proc.stderr
 
     @staticmethod
-    def _split_pass(monkeypatch, gufunc, a, out, split=True):
-        """A pass of the stand-in ``gufunc``, which ``_pass`` looks up on
-        ``_pocketfft_umath`` as it does the real gufuncs."""
+    def _split_pass(monkeypatch, gufunc, a, out):
+        """A pass of the stand-in ``gufunc``, which ``_run_passes`` looks up on
+        ``_pocketfft_umath`` as it does the real gufuncs, in a batch of
+        ``_SPLIT_MIN`` coefficients: it splits where two CPUs or more are usable."""
+        monkeypatch.setattr(grid_module, "_CPUS", max(grid_module._CPUS, 2))
         monkeypatch.setattr(grid_module, "_pocketfft_umath", types.SimpleNamespace(irfft=gufunc))
-        return grid_module._pass("irfft", a, 1.0, out, split)
+        return grid_module._run_passes([("irfft", a, 1.0, out)], grid_module._SPLIT_MIN, out)
 
     def test_a_pass_splits_in_two_on_any_cpu_count(self, monkeypatch):
         monkeypatch.setattr(grid_module, "_CPUS", 4)
@@ -279,8 +307,7 @@ class TestSplitPasses:
             rows.append(len(a))
 
         a = np.zeros((8, 1))
-        split = grid_module.splits(grid_module._SPLIT_MIN)
-        self._split_pass(monkeypatch, record, a, np.empty_like(a), split)
+        self._split_pass(monkeypatch, record, a, np.empty_like(a))
         assert rows == [4, 4]
 
     def test_the_helper_lives_on_with_more_cpus(self, monkeypatch):
@@ -312,11 +339,11 @@ class TestSplitPasses:
         g = Grid(2, 256, 1.0)
         values = np.random.default_rng(6).standard_normal((9,) + g.shape)
         with pytest.raises(ValueError, match="out has shape"):
-            g.spectral(values, out=np.empty((9, 256, 128), complex))
+            g.bind("spectral", values, np.empty((9, 256, 128), complex))
         with pytest.raises(ValueError):
-            g.spectral(values, out=np.empty((8,) + g.spectral_shape, complex))
+            g.bind("spectral", values, np.empty((8,) + g.spectral_shape, complex))()
         with pytest.raises(TypeError):
-            g.spectral(values, out=np.empty((9,) + g.spectral_shape))
+            g.bind("spectral", values, np.empty((9,) + g.spectral_shape))()
         want = np.fft.rfftn(values, axes=(-2, -1), norm="forward")
         assert g.spectral(values).tobytes() == want.tobytes()
 
@@ -325,10 +352,11 @@ class TestSplitPasses:
         g = Grid(dim, 64, 1.0)
         values = np.ones((3,) + g.shape)
         with pytest.raises(GridError, match="out has shape"):
-            g.spectral(values, out=np.empty((3,) + g.shape[:-1] + (32,), complex))
+            g.bind("spectral", values, np.empty((3,) + g.shape[:-1] + (32,), complex))
         coef = g.spectral(values)
-        with pytest.raises(GridError, match="out has shape"):
-            g.band_physical(coef, out=np.empty((3,) + g.shape[:-1] + (60,)))
+        for transform in ("band_physical", "physical"):
+            with pytest.raises(GridError, match="out has shape"):
+                g.bind(transform, coef, np.empty((3,) + g.shape[:-1] + (60,)))
 
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -336,25 +364,21 @@ class TestSplitPasses:
         # the gufuncs take a transform's length from their output: a wrong
         # input would make a zero-padded or truncated transform, not an error
         g = Grid(dim, 64, 1.0)
-        spectral_out = np.empty((3,) + g.spectral_shape, complex) if given_out else None
-        physical_out = np.empty((3,) + g.shape) if given_out else None
         bad_samples = {1: [(3, 60), (3, 64, 60)], 2: [(3, 64, 60), (3, 48, 64), (1, 1, 64), (64,)]}
         bad_coefs = {1: [(3, 20), (3, 64)], 2: [(3, 64, 20), (3, 48, 33), (1, 1, 33), (33,)]}
         for shape in bad_samples[dim]:
             with pytest.raises(GridError, match="input has shape"):
-                g.spectral(np.ones(shape), out=spectral_out)
+                _transform(g, "spectral", np.ones(shape), given_out)
         for shape in bad_coefs[dim]:
-            with pytest.raises(GridError, match="input has shape"):
-                g.band_physical(np.ones(shape, complex), out=physical_out)
-            if not given_out:  # physical takes no out
+            for kind in ("band_physical", "physical") if given_out else ("physical",):
                 with pytest.raises(GridError, match="input has shape"):
-                    g.physical(np.ones(shape, complex))
+                    _transform(g, kind, np.ones(shape, complex), given_out)
         if dim == 2:  # an out of the right last axis but other rows: numpy refuses it
             with pytest.raises(ValueError):
-                g.spectral(np.ones((3,) + g.shape), out=np.empty((3, 48, 33), complex))
+                g.bind("spectral", np.ones((3,) + g.shape), np.empty((3, 48, 33), complex))()
             coef = np.ones((3,) + g.spectral_shape, complex)
             with pytest.raises(ValueError):
-                g.band_physical(coef, out=np.empty((3, 48, 64)))
+                g.bind("band_physical", coef, np.empty((3, 48, 64)))()
 
     @staticmethod
     def _two_row_pass(first, second):

@@ -360,19 +360,21 @@ def _count_halves(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
-def test_a_split_step_has_the_bits_of_one_cpu(gamma, two_cpus, monkeypatch):
-    # 2D n=256 runs its pointwise phases on two row halves where two CPUs are
-    # usable, and once on the whole with one: each element meets the same
-    # operations either way
-    st = random_state(2, 256, seed=71)
-    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=2)
+@pytest.mark.parametrize("dim, n, dt", [(2, 256, 1e-3), (1, 65536, 1e-5)], ids=["2d", "1d"])
+def test_a_split_step_has_the_bits_of_one_cpu(dim, n, dt, gamma, two_cpus, monkeypatch):
+    # a plan whose state splits (2D n=256, 1D n=65536) runs its pointwise
+    # phases on two halves where two CPUs are usable, and once on the whole
+    # with one: each element meets the same operations either way.  Each dt
+    # lies below its grid's acoustic CFL limit
+    st = random_state(dim, n, seed=71)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
     plan = plan_for(st.grid, p)
     sig, u = st.scalar.coef, st.u.coef
     calls = _count_halves(monkeypatch)
     outs = []
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
-        got = [*plan.step(sig, u, 1e-3), *plan.step(sig, u, 1e-3, linear_only=True)]
+        got = [*plan.step(sig, u, dt), *plan.step(sig, u, dt, linear_only=True)]
         got += [*plan.tendency(sig, u), *plan.tendency(sig, u, linear_only=True)]
         outs.append([a.tobytes() for a in got])
         if cpus > 1:
