@@ -19,6 +19,7 @@ __all__ = [
     "NormSpec",
     "NormTrace",
     "besov_norm",
+    "norm_on_blocks",
     "chemin_lerner",
     "bony_decompose",
     "DataError",
@@ -71,13 +72,6 @@ class NormSpec:
         return cls(part, s=s, r=r, j0=j0)
 
 
-def _combine(weights: np.ndarray, block_norms: np.ndarray, r: float) -> float:
-    vals = weights * block_norms
-    if r == 1:
-        return float(np.add.reduce(vals))
-    return float(np.maximum.reduce(vals)) if vals.size else 0.0
-
-
 def besov_norm(
     f: SpectralField, spec: NormSpec, lp: Optional[LPDecomp] = None
 ) -> float:
@@ -92,19 +86,32 @@ def besov_norm(
 
 
 def besov_norm_from_blocks(js: np.ndarray, block_norms: np.ndarray, spec: NormSpec) -> float:
-    """Same as :func:`besov_norm`, from precomputed per-block L2 norms."""
+    """Same as :func:`besov_norm`, from precomputed per-block L2 norms of the
+    blocks ``js`` (ascending)."""
+    return norm_on_blocks(js, spec)(np.asarray(block_norms, dtype=float))
+
+
+def norm_on_blocks(js: np.ndarray, spec: NormSpec):
+    """``spec``'s norm as a function of the per-block L2 norms of the blocks
+    ``js``, with its weights 2^{j s} made here, once.  ``js`` must ascend, so
+    the blocks on either side of a split at j0 are a prefix and a suffix."""
     js = np.asarray(js, dtype=float)
-    bn = np.asarray(block_norms, dtype=float)
-    if spec.kind == "homogeneous":
-        return _combine(2.0 ** (js * spec.s), bn, spec.r)
-    if spec.kind == "hybrid":
-        low = js <= spec.j0
-        return float(
-            np.add.reduce(2.0 ** (js[low] * spec.s) * bn[low])
-            + np.add.reduce(2.0 ** (js[~low] * spec.s2) * bn[~low])
-        )
-    sel = js <= spec.j0 if spec.kind == "low" else js > spec.j0
-    return _combine(2.0 ** (js[sel] * spec.s), bn[sel], spec.r)
+    if np.any(np.diff(js) <= 0):
+        raise ValueError("block indices must ascend")
+    split = int(np.searchsorted(js, spec.j0, side="right")) if spec.j0 is not None else 0
+    low, high = slice(None, split), slice(split, None)
+    parts = {"homogeneous": [(slice(None), spec.s)], "hybrid": [(low, spec.s), (high, spec.s2)],
+             "low": [(low, spec.s)], "high": [(high, spec.s)]}[spec.kind]
+    parts = [(blocks, 2.0 ** (js[blocks] * s)) for blocks, s in parts]
+
+    def norm(block_norms: np.ndarray) -> float:
+        vals = [w * block_norms[blocks] for blocks, w in parts]
+        if spec.r != 1:
+            return float(np.maximum.reduce(vals[0])) if vals[0].size else 0.0
+        sums = [np.add.reduce(v) for v in vals]
+        return float(sums[0] + sums[1] if len(sums) == 2 else sums[0])
+
+    return norm
 
 
 def chemin_lerner(

@@ -13,16 +13,22 @@ A ``Grid`` builds each Fourier symbol of its lattice once, read-only:
 ``xi_tilde_norm``, derivative symbol ``ixi`` and Riesz symbol ``riesz`` (the
 one symbol of the Helmholtz split), the powers ``lambda_symbol``, the 2/3
 rule's ``dealias_mask`` and ``dealias_cutoff``, and the ``plancherel_weights``.
-Only the dyadic multipliers live in ``lp.LPDecomp``.
+Only the dyadic multipliers live in ``lp.LPDecomp``.  The coefficients that the
+2/3 rule keeps form the band, of ``band_shape``: k = 0..K in 1D, and in 2D the
+columns k_2 = 0..K of the rows k_1 = 0..K, then -K..-1 (K = ``dealias_cutoff``).
+``band`` gathers it from half-spectrum coefficients, and ``unband`` scatters
+it into zeros.
 
 A ``Grid`` also makes every transform; no other module calls ``numpy.fft``.
 ``spectral`` and ``physical`` return a new array and leave their input as it
 was.  ``bind`` is the one way to transform given buffers: it checks them once
 and returns a call that runs the transform into its ``out``.  It also names
-"band_physical", the faster inverse of coefficients that the 2/3 rule has
-masked, which in 2D overwrites the kept columns of its input.  In 2D each
-transform runs the 1D passes of ``rfftn`` or ``irfftn`` itself, in their
-order, so the bits are theirs.
+the band's transforms, "band_spectral" and "band_physical", which run through
+a transform buffer the caller may give: the band is gathered from a forward
+output and, in 2D, scattered into the kept columns of an inverse batch, whose
+other rows are zeroed, unless it already sits there.  In 2D each transform
+runs the 1D passes of ``rfftn`` or ``irfftn`` itself, in their order, so the
+bits are theirs, over the kept columns only for the band.
 
 Each pass calls NumPy's pocketfft gufuncs (``rfft_n_even``, ``irfft``, ``fft``,
 ``ifft`` of ``numpy.fft._pocketfft_umath``) directly, with the factors the
@@ -56,12 +62,13 @@ one place that rule is written.
 Every pass runs in the one loop of ``_run_passes``, which looks its gufunc up
 on ``_pocketfft_umath`` at each call, so a counter that replaces that handle
 sees every call: two for a pass that splits.  Each call of a transform asks
-``splits`` once, for its batch.  The gufuncs release the GIL for a whole
-pass, so a pass of a batch that splits runs as two halves along axis -2: the
-rows in 2D and the fields in 1D for a last-axis pass, and the columns for a
-leading-axis pass, which is given the transposed views ``.mT``.  Each line
-still meets the same gufunc with the same factor, so every transform keeps
-its bits.  The plan of ``model`` runs its pointwise work between the
+``splits`` once, for its batch, counted in half-spectrum coefficients also
+for the band.  The gufuncs release the GIL for a whole pass, so a pass of a
+batch that splits runs as two halves along axis -2: the rows in 2D and the
+fields in 1D for a last-axis pass, and the columns for a leading-axis pass,
+which is given the transposed views ``.mT``; the band's copies run in the
+same halves as the pass they feed or follow.  Each line still meets the same
+gufunc with the same factor, so every transform keeps its bits.  The plan of ``model`` runs its pointwise work between the
 transforms on the same helper.  Two halves is the case that was measured;
 more pieces wait for measurements on more CPUs.  With one CPU, below the
 threshold (split, a 2D n=256 step is faster and a 2D n=64 one slower: README,
@@ -75,6 +82,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import itertools
+import math
 import os
 import queue
 import threading
@@ -171,26 +179,44 @@ def two_halves(f) -> list:
 
 
 def _run_passes(passes: list, size: int, out: np.ndarray) -> np.ndarray:
-    """Run a transform's ``passes`` (``Grid._passes``) in order and return
-    ``out``.  Each is ``gufunc(a, fct, out=y)`` along the last axis, the gufunc
-    looked up on ``_pocketfft_umath`` at each call.  Where ``splits`` holds for
-    the batch of ``size`` coefficients, a pass runs by ``two_halves`` on the
-    halves along axis -2, each line with the bits of one call, which runs
-    instead where ``a`` has no axis -2 to split or its batch is not ``y``'s.  A
-    leading-axis pass is given the transposed views ``.mT``, so it splits
-    along the columns."""
+    """Run a transform's ``passes`` (``Grid._passes``), a list of groups of
+    passes, in order and return ``out``.  Each pass is ``gufunc(a, fct,
+    out=y)`` along the last axis, the gufunc looked up on ``_pocketfft_umath``
+    at each call, or a "copy" of ``a`` into ``y``.  Where ``splits`` holds for
+    the batch of ``size`` coefficients, a group runs by ``two_halves`` on the
+    halves along axis -2, each half running its lines of every pass in turn
+    and each line with the bits of one call; the group runs whole instead
+    where a pass's ``a`` has no axis -2 to split or its batch is not ``y``'s.
+    A leading-axis pass is given the transposed views ``.mT``, so it splits
+    along the columns, and the copies of the band into or out of its buffer
+    join its group, on the same columns."""
     split = splits(size)
-    for gufunc, a, fct, y in passes:
-        fn = getattr(_pocketfft_umath, gufunc)
-        if split and a.ndim > 1 and a.shape[:-1] == y.shape[:-1] and a.shape[-2] > 1:
-            two_halves(lambda i: fn(half(a, i), fct, out=half(y, i)))
+    for group in passes:
+        if split and all(a.ndim > 1 and a.shape[:-1] == y.shape[:-1] and a.shape[-2] > 1 for _, a, _, y in group):
+            two_halves(lambda i: [_gufunc(g)(half(a, i), fct, out=half(y, i)) for g, a, fct, y in group])
         else:
-            fn(a, fct, out=y)
+            for gufunc, a, fct, y in group:
+                _gufunc(gufunc)(a, fct, out=y)
     return out
+
+
+def _gufunc(name: str):
+    """The pass ``name``: "copy", or the pocketfft gufunc, looked up at each call."""
+    return _copy if name == "copy" else getattr(_pocketfft_umath, name)
+
+
+def _copy(a: np.ndarray, fct, out: np.ndarray) -> None:
+    """The pass that moves coefficients between the band and a transform buffer."""
+    np.copyto(out, a)
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are the same elements of the same memory."""
+    return a.shape == b.shape and a.strides == b.strides and a.ctypes.data == b.ctypes.data
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -233,6 +259,41 @@ class Grid:
         """Largest |k| per axis that the 2/3 rule keeps: n // 3."""
         return self.n // 3
 
+    @functools.cached_property
+    def band_shape(self) -> tuple:
+        """Shape of the band, the coefficients that ``dealias_mask`` keeps, with
+        K = ``dealias_cutoff``: k = 0..K in 1D, and in 2D the columns k_2 =
+        0..K of the rows k_1 = 0..K, then -K..-1."""
+        K = self.dealias_cutoff
+        return (2 * K + 1,) * (self.dim - 1) + (K + 1,)
+
+    def _blocks(self, kept: np.ndarray, band: np.ndarray) -> list:
+        """The (rows of ``kept``, the same modes of ``band``) view pairs, where
+        ``kept`` holds the kept columns k_2 <= K, of all n rows in 2D; there
+        they are transposed (``.mT``), so they split along the columns."""
+        if self.dim == 1:
+            return [(kept, band)]
+        K = self.dealias_cutoff
+        rows = [(slice(None, K + 1), slice(None, K + 1)), (slice(-K, None), slice(K + 1, None))]
+        return [(kept[..., r, :].mT, band[..., b, :].mT) for r, b in rows]
+
+    def band(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The band of half-spectrum coefficients ``coef``, copied into ``out``
+        (a new array if None)."""
+        if out is None:
+            out = np.empty(coef.shape[: coef.ndim - self.dim] + self.band_shape, coef.dtype)
+        for kept, b in self._blocks(coef[..., : self.dealias_cutoff + 1], out):
+            b[...] = kept
+        return out
+
+    def unband(self, band: np.ndarray) -> np.ndarray:
+        """The half-spectrum coefficients that hold ``band`` and are zero
+        elsewhere, in a new array."""
+        out = np.zeros(band.shape[: band.ndim - self.dim] + self.spectral_shape, band.dtype)
+        for kept, b in self._blocks(out[..., : self.dealias_cutoff + 1], band):
+            kept[...] = b
+        return out
+
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
 
@@ -259,27 +320,34 @@ class Grid:
         """
         return _run_passes(*self._passes("spectral", values, None))
 
-    def bind(self, transform: str, a: np.ndarray, out: np.ndarray):
+    def bind(self, transform: str, a: np.ndarray, out: np.ndarray, work: np.ndarray = None):
         """The transform named ``transform`` of ``a`` into ``out``, as a call of
         no arguments that returns ``out``: for a caller that reuses its buffers,
         the shapes are checked once, here.  "spectral" and "physical" are the
-        public transforms; "band_physical" is ``physical`` of coefficients that
-        ``dealias_mask`` has zeroed, bit for bit, faster: in 2D its
-        leading-axis ``ifft`` runs in place over the last-axis columns k <=
-        ``dealias_cutoff`` that the rule keeps, overwriting them in ``a``, and
-        ``irfft`` zero-pads the others.  Each call runs the transform's passes
-        (``_run_passes``), looking up their gufuncs and asking ``splits``
-        afresh, so it has the bits of the public transform."""
-        return functools.partial(_run_passes, *self._passes(transform, a, out))
+        public transforms.  "band_spectral" gives the band (``band_shape``) of
+        ``spectral``'s coefficients and "band_physical" the samples of band
+        coefficients, which are ``physical``'s of the half spectrum that holds
+        them and zeros elsewhere, bit for bit.  Each runs through the complex
+        transform buffer ``work`` (a new one if None): the half spectrum for
+        "band_spectral", whose band is gathered from it after the transform
+        unless ``out`` is already that band, a view; and for "band_physical"
+        in 2D the kept columns k_2 <= ``dealias_cutoff`` of all n rows, into
+        which the band is scattered, with the masked rows zeroed, before the
+        leading-axis ``ifft`` runs in place over them.  ``irfft`` zero-pads the
+        other columns, so in 1D it reads the band itself.  Each call runs the
+        transform's passes (``_run_passes``), looking up their gufuncs and
+        asking ``splits`` afresh, so it has the bits of the public transform."""
+        return functools.partial(_run_passes, *self._passes(transform, a, out, work))
 
-    def _passes(self, transform: str, a: np.ndarray, out: np.ndarray) -> tuple:
+    def _passes(self, transform: str, a: np.ndarray, out: np.ndarray, work=None) -> tuple:
         """The passes of ``transform`` from ``a`` into ``out`` in their order, as
-        (gufunc, input, factor, output) tuples, the batch size they split by,
-        and ``out``, made here if None."""
-        if transform not in ("spectral", "physical", "band_physical"):
+        (gufunc or "copy", input, factor, output) tuples, the batch's size in
+        half-spectrum coefficients, by which they split, and ``out``, made
+        here if None."""
+        if transform not in ("spectral", "physical", "band_spectral", "band_physical"):
             raise GridError(f"no transform {transform!r}")
-        forward = transform == "spectral"
-        shape, result = self.shape, self.spectral_shape
+        forward, band = transform.endswith("spectral"), transform.startswith("band")
+        shape, result = self.shape, self.band_shape if band else self.spectral_shape
         if not forward:
             shape, result = result, shape
         # the gufuncs take a transform's length from their output, so an array of
@@ -288,21 +356,36 @@ class Grid:
             raise GridError(f"input has shape {a.shape}, not {shape} per field")
         if out is not None and out.shape[-1] != result[-1]:  # numpy checks a's other axes
             raise GridError(f"out has shape {out.shape}, not {result} per field")
-        passes, size = [], a.size
+        fields, K = a.shape[: a.ndim - self.dim], self.dealias_cutoff
+        kept = self.spectral_shape if forward else self.spectral_shape[:-1] + (K + 1,)
+        if band and (forward or self.dim == 2):  # the transform buffer
+            work = np.empty(fields + kept, complex) if work is None else work
+            if work.shape[-1] != kept[-1]:
+                raise GridError(f"work has shape {work.shape}, not {kept} per field")
+        passes, size = [], math.prod(fields + self.spectral_shape)
         if not forward and self.dim == 2:  # ifft in place over the kept columns, or into rows
-            band = transform == "band_physical"
-            rows = a[..., : self.dealias_cutoff + 1] if band else np.empty(a.shape, complex)
-            passes.append(("ifft", (rows if band else a).mT, 1.0, rows.mT))
+            rows = work if band else np.empty(a.shape, complex)
+            group = (("ifft", (rows if band else a).mT, 1.0, rows.mT),)
+            if band:  # after the band's scatter into the kept columns and zeros in the others
+                zero = work[..., K + 1 : -K, :].mT
+                scatter = [("copy", b, None, k) for k, b in self._blocks(work, a) if not _is_view(k, b)]
+                group = (*scatter, ("copy", np.broadcast_to(0j, zero.shape), None, zero), *group)
+            passes.append(group)
             a = rows
         if out is None:
-            out = np.empty(a.shape[:-1] + result[-1:], complex if forward else float)
+            out = np.empty(fields + result, complex if forward else float)
         if not forward:
-            return passes + [("irfft", a, 1.0, out)], size, out
-        # rfft along the last axis, then in 2D fft along the leading one in place
-        passes.append(("rfft_n_even", a, 1.0 / self.n, out))
+            return passes + [(("irfft", a, 1.0, out),)], size, out
+        # rfft along the last axis, then in 2D fft along the leading one in
+        # place, over the kept columns only for the band, whose gather joins
+        # the last pass's group
+        passes.append((("rfft_n_even", a, 1.0 / self.n, work if band else out),))
+        y = work[..., : K + 1] if band else out
         if self.dim == 2:
-            passes.append(("fft", out.mT, 1.0 / self.n, out.mT))
-        return passes, out.size, out
+            passes.append((("fft", y.mT, 1.0 / self.n, y.mT),))
+        if band:
+            passes[-1] += tuple(("copy", k, None, b) for k, b in self._blocks(y, out) if not _is_view(k, b))
+        return passes, size, out
 
     @functools.lru_cache(maxsize=32)
     def wavenumbers(self):

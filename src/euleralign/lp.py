@@ -88,14 +88,28 @@ class LPDecomp:
         return read_only(np.where(xi > 0, chi_profile(xi * 2.0 ** (-j)), 0.0))
 
     @functools.lru_cache(maxsize=8)
+    def _block_table(self) -> tuple:
+        """The flat indices where phi_j^2 * w != 0 and its values there, for
+        each j in j_range in turn, in two arrays, and each block's slice of
+        them.  The arrays are filled in place, from a first pass that counts
+        the entries: at 2D n=256 joining per-block arrays would hold the
+        table twice, and that transient raised a run's peak RSS."""
+        def weights(j):
+            return (self._phi(j) ** 2 * self.grid.plancherel_weights()).ravel()
+
+        ends = np.cumsum([0] + [np.count_nonzero(weights(j)) for j in self.j_range])
+        idx, w2 = np.empty(ends[-1], np.intp), np.empty(ends[-1])
+        for j, a, b in zip(self.j_range, ends[:-1], ends[1:]):
+            w = weights(j)
+            idx[a:b] = np.flatnonzero(w)
+            w2[a:b] = w[idx[a:b]]
+        return read_only(idx), read_only(w2), [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    @functools.lru_cache(maxsize=8)
     def block_weights(self):
         """Per j in j_range: (flat indices where phi_j^2 * w != 0, its values there)."""
-        out = []
-        for j in self.j_range:
-            w2 = (self._phi(j) ** 2 * self.grid.plancherel_weights()).ravel()
-            idx = np.flatnonzero(w2)
-            out.append((read_only(idx), read_only(w2[idx])))
-        return tuple(out)
+        idx, w2, blocks = self._block_table()
+        return tuple((idx[b], w2[b]) for b in blocks)
 
     def dyadic_block(self, f: SpectralField, j: int) -> SpectralField:
         """Delta_j f = phi(2^{-j} D) f; zero outside [j_min-1, j_max+1]."""
@@ -112,10 +126,10 @@ class LPDecomp:
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of all blocks (vector fields: joint l2 over components)."""
         energy = np.add.reduce(np.abs(f.coef) ** 2, axis=0).ravel()
-        vol = self.grid.volume()
-        return np.sqrt(
-            [np.add.reduce(w2 * energy.take(idx)) * vol for idx, w2 in self.block_weights()]
-        )
+        idx, w2, blocks = self._block_table()
+        vals, vol = energy.take(idx), self.grid.volume()
+        vals *= w2  # one take and one product for all blocks
+        return np.sqrt([np.add.reduce(vals[b]) * vol for b in blocks])
 
     def partition_defect(self) -> float:
         """Max |sum_j phi_j(xi) - 1| over resolved nonzero frequencies."""

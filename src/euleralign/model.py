@@ -259,19 +259,31 @@ class Workspace:
     """The buffers of one plan's ``tendency`` and ``step``, allocated once.
 
     With N = grid.dim, the stacked state x = (sigma, u_1, ..., u_N) has
-    F = 1 + N fields; a "field" is one component's half spectrum (complex) or
-    grid samples (real).  Three arrays hold every buffer, and each slot is a
-    view of one of them, named here once:
+    F = 1 + N fields; a "field" is one component's coefficients (complex) or
+    grid samples (real).  The spectral arithmetic runs on the band
+    (``Grid.band_shape``), the coefficients that the 2/3 rule keeps: there the
+    mask is all ones, so no phase multiplies by it.  Only the transform
+    buffers ``spec`` and ``cols`` keep a half spectrum's lines.  Each slot is
+    a view of one of four arrays, named here once:
 
-    ``batch``    complex, F^2 fields.  ``x`` = (``sig``, ``u``), the stage
-                 input, masked in place, then ``grad``, grad[a, c] = d_a x_c:
+    ``batch``    complex, F^2 band fields.  ``x`` = (``sig``, ``u``), the
+                 stage input, then ``grad``, grad[a, c] = d_a x_c:
                  ``grad_sig`` is grad[:, 0] and ``div_terms`` the d_a u_a.
                  Once they are transformed, ``pair_hat`` (the first two
                  fields) holds (``g_hat``, ``lam_g_hat``) = (g, Lambda^alpha
-                 g); once that is transformed,
-                 the real ``div_u`` and ``adv`` = (u.grad sigma, (u.grad) u)
-                 use the same memory, and then ``prods_hat``, the first
-                 1 + 2N fields, holds the products' spectra.
+                 g), and once that is transformed ``prods_hat``, the first
+                 1 + 2N fields, holds the band of the products' spectra.
+                 In 2D the batch is the top 2K + 1 rows of ``cols``, the
+                 kept columns k_2 <= K of all n rows, F^2 fields: the inverse
+                 transforms move the band's rows k_1 = -K..-1 to the bottom,
+                 zero the rows between and run in place there.  In 1D it is
+                 the prefix k <= K of the lines of ``spec``.
+    ``spec``     complex, 1 + 2N half spectra (1D: F^2, of which the first
+                 1 + 2N are ``spec``): the forward transforms' outputs, whose
+                 band is gathered into ``g_hat`` and ``prods_hat`` (in 1D
+                 they are that band, so nothing is copied).  Between the
+                 transforms the real ``div_u`` and ``adv`` = (u.grad sigma,
+                 (u.grad) u) use its memory.
     ``samples``  real, max(F^2, 2 + 3N) + 2 fields: ``phys``, the batch's
                  samples, which are ``xv`` = (``sv``, ``uv``) and ``gv``
                  (grad's, with ``gv_diag`` its d_a u_a).  The u_a d_a x
@@ -282,34 +294,40 @@ class Workspace:
                  ``pair`` = (``g``, ``lam_g``): h(sigma), then the samples of
                  (g, Lambda^alpha g).  One array, not two, keeps the heap free
                  of a long-lived 1 MB block at 2D n=256.
-    ``k``        complex, 3 x F fields: ``acc``, the RK4 sum, and the stage
-                 tendencies ``ka`` and ``kb``, each with its (sigma, u) parts.
+    ``k``        complex, 4 x F band fields: ``x0`` = (``s0``, ``u0``), the
+                 band of a step's input, then ``acc``, the RK4 sum, and the
+                 stage tendencies ``ka`` and ``kb``, each with its (sigma, u)
+                 parts.
 
     The stage's four transforms are bound to their slots here, once, by
     ``Grid.bind``, so their shapes are checked once: ``to_grid`` (``batch``
-    to ``phys``), ``g_back`` (``g`` to ``g_hat``), ``pair_to_grid``
-    (``pair_hat`` to ``pair``) and ``prods_back`` (``prods`` to
-    ``prods_hat``).  The plan also takes each slot's two halves along axis
-    -N, once, as views (``SpectralPlan._parts``), so that two threads can run
-    pointwise work on them at once.  Like the plan, a workspace is not
-    re-entrant.
+    to ``phys``, through ``cols``), ``g_back`` (``g`` to ``g_hat``, through
+    ``spec``), ``pair_to_grid`` (``pair_hat`` to ``pair``) and
+    ``prods_back`` (``prods`` to ``prods_hat``).  The plan also takes each
+    slot's two halves along axis -N, once, as views
+    (``SpectralPlan._parts``), so that two threads can run pointwise work on
+    them at once.  Like the plan, a workspace is not re-entrant.
     """
 
     def __init__(self, grid: Grid):
-        dim, spectral, shape = grid.dim, grid.spectral_shape, grid.shape
+        dim, spectral, shape, band = grid.dim, grid.spectral_shape, grid.shape, grid.band_shape
         F = 1 + dim
-        self.batch = np.empty((F * F,) + spectral, dtype=complex)
+        # the forward outputs, in 1D the F^2 lines whose prefixes are the batch
+        spec = np.empty((F * F if dim == 1 else 1 + 2 * dim,) + spectral, dtype=complex)
+        # in 2D the inverse batches' kept columns of all rows; the batch is their top rows
+        self.cols = np.empty((F * F,) + spectral[:-1] + band[-1:], complex) if dim == 2 else spec
+        self.batch = self.cols[(..., slice(band[0])) + (slice(None),) * (dim - 1)]
+        self.spec = spec[: 1 + 2 * dim]
         n_phys = max(F * F, 2 + 3 * dim)
         self.samples = np.empty((n_phys + 2,) + shape)
-        self.k = np.empty((3, F) + spectral, dtype=complex)
+        self.k = np.empty((4, F) + band, dtype=complex)
 
         self.x, self.sig, self.u = self.batch[:F], self.batch[:1], self.batch[1:F]
-        self.grad = self.batch[F:].reshape((dim, F) + spectral)
+        self.grad = self.batch[F:].reshape((dim, F) + band)
         self.grad_sig, self.div_terms = self.batch[F::F], self.batch[F + 1 :: F + 1]
         self.pair_hat, self.prods_hat = self.batch[:2], self.batch[: 1 + 2 * dim]
         self.g_hat, self.lam_g_hat = self.pair_hat
-        real = self.batch.reshape(-1).view(np.float64)[: (1 + F) * grid.n**dim]
-        real = real.reshape((1 + F,) + shape)
+        real = spec.reshape(-1).view(np.float64)[: (1 + F) * grid.n**dim].reshape((1 + F,) + shape)
         self.div_u, self.adv = real[0], real[1:]
 
         self.pair = self.samples[n_phys:]
@@ -324,14 +342,15 @@ class Workspace:
         self.terms_s, self.terms_u = self.terms[0], self.terms[1:]
         self.terms_hat, self.gu_hat = self.prods_hat[:F], self.prods_hat[F:]
 
-        self.acc, self.ka, self.kb = self.k
-        self.acc_s, self.ka_s, self.kb_s = self.k[:, :1]
-        self.acc_u, self.ka_u, self.kb_u = self.k[:, 1:]
+        self.x0, self.acc, self.ka, self.kb = self.k
+        self.s0, self.u0 = self.x0[:1], self.x0[1:]
+        self.acc_s, self.ka_s, self.kb_s = self.k[1:, :1]
+        self.acc_u, self.ka_u, self.kb_u = self.k[1:, 1:]
 
-        self.to_grid = grid.bind("band_physical", self.batch, self.phys)
-        self.g_back = grid.bind("spectral", self.g, self.g_hat)
-        self.pair_to_grid = grid.bind("band_physical", self.pair_hat, self.pair)
-        self.prods_back = grid.bind("spectral", self.prods, self.prods_hat)
+        self.to_grid = grid.bind("band_physical", self.batch, self.phys, self.cols)
+        self.g_back = grid.bind("band_spectral", self.g, self.g_hat, self.spec[0])
+        self.pair_to_grid = grid.bind("band_physical", self.pair_hat, self.pair, self.cols[:2])
+        self.prods_back = grid.bind("band_spectral", self.prods, self.prods_hat, self.spec)
 
 
 class SpectralPlan:
@@ -342,29 +361,37 @@ class SpectralPlan:
     zeroed) and ``mask`` (2/3 rule) are the grid's own read-only symbols;
     ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency acts on the stacked
     (sigma, u) array: each operation that is the same for sigma and u runs
-    once on all 1 + N fields.  It moves its batches to the grid with the
-    grid's bound "band_physical" and back with its "spectral": 4 transform
-    batches, 16 per ``step``, whose first stage checks the input's density on
-    samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass
-    per axis.  The batches, temporaries, stage inputs and tendencies live in
-    ``workspace``, allocated on first use and reused by every later
-    ``tendency`` and ``step``, so a step allocates only the arrays it
-    returns.  A plan is therefore not re-entrant: two threads must not run
-    its ``tendency`` or ``step`` at once.  Use ``plan_for``.
+    once on all 1 + N fields.  Its spectral arithmetic runs on the band of
+    the 2/3 rule (``Grid.band_shape``): ``tendency`` and ``step`` gather the
+    band of their half-spectrum inputs into the workspace (``x`` and
+    ``x0``), the stage inputs, tendencies and RK4 sums stay on it, and the
+    results are the band scattered into zeros (``Grid.unband``), so every
+    masked mode of a result is +0 and no phase multiplies by the mask.  The
+    tendency moves its batches to the grid with the grid's bound
+    "band_physical" and back with its "band_spectral": 4 transform batches,
+    16 per ``step``, whose first stage checks the input's density on samples
+    it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass per
+    axis, and the band's scatter or gather.  The batches, temporaries, stage
+    inputs and tendencies live in ``workspace``, allocated on first use and
+    reused by every later ``tendency`` and ``step``, so a step allocates
+    only the arrays it returns.  A plan is therefore not re-entrant: two
+    threads must not run its ``tendency`` or ``step`` at once.  Use
+    ``plan_for``.
 
     Between the transforms the work is pointwise.  ``tendency`` and ``step``
     write it as generators of phases, and each yield of ``_tendency`` names
     the workspace's bound transform that runs next; ``_run`` drives the
     generator to its end with one plain loop, or through ``_halves`` on two
     halves at once where ``grid.splits`` holds for the (sigma, u)
-    coefficients, and runs each named transform in between.  So the stage's
-    transform sequence is written once, in ``_tendency``.  Its ufuncs take
-    ``out`` positionally, which skips NumPy's keyword parsing.  The phases
-    read their symbols from a namespace of the part (``_parts``), where the
-    factors of complex products are complex (``_operand``) below
-    ``grid.is_large`` state coefficients, and -lam and the step's scalars
-    are ``np.complex128``: NumPy would otherwise convert them at every call,
-    with the same bits.
+    coefficients of the half spectrum (not of the band, which at 2D n=256
+    holds fewer than 2**16), and runs each named transform in between.  So
+    the stage's transform sequence is written once, in ``_tendency``.  Its
+    ufuncs take ``out`` positionally, which skips NumPy's keyword parsing.
+    The phases read their symbols' bands from a namespace of the part
+    (``_parts``), where the factors of complex products are complex
+    (``_operand``) below ``grid.is_large`` state coefficients, and -lam and
+    the step's scalars are ``np.complex128``: NumPy would otherwise convert
+    them at every call, with the same bits.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -391,9 +418,9 @@ class SpectralPlan:
         which takes the same part of any array; ``semigroup`` adds the step's
         symbols and scalars."""
         whole = {k: a for k, a in vars(self.workspace).items() if isinstance(a, np.ndarray)}
-        symbols = ("mask", "lam_alpha", "mu_lam_alpha")
-        whole.update({k: self._operand(getattr(self, k)) for k in symbols})
-        whole.update(ixi_col=self.ixi[:, np.newaxis], source=self._source_factor)
+        symbols = ("ixi", "lam_alpha", "mu_lam_alpha")
+        whole.update({k: self._operand(self.grid.band(getattr(self, k))) for k in symbols})
+        whole.update(ixi_col=whole.pop("ixi")[:, np.newaxis], source=self._source_factor)
         cuts = [lambda a: a] + [functools.partial(half, i=i, axis=-self.grid.dim) for i in (0, 1)]
         neg_lam = np.complex128(-self.params.lam)
         return tuple(
@@ -402,18 +429,19 @@ class SpectralPlan:
         )
 
     def _operand(self, a: np.ndarray) -> np.ndarray:
-        """Symbol ``a``, read-only, as a factor of complex arrays: a complex copy
-        where the state is not ``is_large`` (NumPy would cast a real operand
-        at every call), and ``a`` itself above, where copies cost memory."""
+        """Symbol ``a`` on the band, read-only, as a factor of complex arrays: a
+        complex copy where the state is not ``is_large`` (NumPy would cast a
+        real operand at every call), and ``a`` itself above, where copies cost
+        memory."""
         return read_only(a if is_large(self._state_size) else a.astype(complex))
 
     def semigroup(self, dt: float):
-        """(e^{-mu (dt/2) Lambda^alpha}, its square), memoised for the last dt
-        together with the step's dt e_half and 2 e_half, and their halves, as
-        operands (``_operand``), and the scalars dt/2, dt, dt/6 and 2."""
+        """(e^{-mu (dt/2) Lambda^alpha}, its square) on the band, memoised for
+        the last dt together with the step's dt e_half and 2 e_half, and their
+        halves, as operands (``_operand``), and the scalars dt/2, dt, dt/6 and 2."""
         if self._semigroup is None or self._semigroup[0] != dt:
             p = self.params
-            e_half = read_only(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0))
+            e_half = read_only(self.grid.band(heat_multiplier(self.grid, p.alpha, p.mu, dt / 2.0)))
             e_full = read_only(e_half * e_half)
             self._semigroup = dt, (e_half, e_full)
             symbols = dict(e_half=e_half, e_full=e_full, dt_e_half=dt * e_half)
@@ -465,17 +493,17 @@ class SpectralPlan:
 
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
-        with g = h(sigma) = rho - 1.  The inputs are copied into the
-        workspace's stage input, so they may be any arrays; the kernel is the
-        one ``step`` runs (see ``_tendency``).
+        with g = h(sigma) = rho - 1.  The band of the inputs is copied into
+        the workspace's stage input, so they may be any arrays; the kernel is
+        the one ``step`` runs (see ``_tendency``).  The masked modes of the
+        results are +0.
         """
 
-        def phases(v):
-            v.sig[...], v.u[...] = v.cut(sig), v.cut(u)
-            yield from self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only)
-
-        self._run(phases)
-        return self.workspace.kb_s.copy(), self.workspace.kb_u.copy()
+        ws = self.workspace
+        self.grid.band(sig, ws.sig)
+        self.grid.band(u, ws.u)
+        self._run(lambda v: self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only))
+        return self.grid.unband(ws.kb_s), self.grid.unband(ws.kb_u)
 
     def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False):
         """The phases of the tendency of the stage input ``v.x`` into the
@@ -485,17 +513,17 @@ class SpectralPlan:
 
         The nonlinear terms cost four batched transforms: (sigma, u) and their
         gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
-        and the 1 + 2N products back.  The mask, the gradients, the -lam
-        terms, the advection, the source terms and the final sums run once
-        on the stacked (sigma, u) fields, each element with the operations and
-        operation order of the out-of-place formula, so the bits are the same.
+        and the 1 + 2N products back, each from or to the band.  The
+        gradients, the -lam terms, the advection, the source terms and the
+        final sums run once on the stacked (sigma, u) fields, each kept mode
+        with the operations and operation order of the out-of-place formula,
+        so the bits are the same.
         With ``guard`` h(sigma)'s yield carries min h(sigma) of the samples,
         and ``_run`` raises ``VacuumError`` where min rho = 1 + that is below
         ``VACUUM_THRESHOLD`` or NaN; ``linear_only`` makes no transform and so
         checks nothing.
         """
         p, ws = self.params, self.workspace
-        np.multiply(v.x, v.mask, v.x)
         np.multiply(v.ixi_col, v.x, v.grad)
         np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
         k_u[...] = v.grad_sig
@@ -506,7 +534,6 @@ class SpectralPlan:
         h_of_sigma(v.sv, p, out=v.g)
         # h(sigma) back, with its min for the guard
         yield ws.g_back, (np.minimum.reduce(v.g, axis=None) if guard else None)
-        np.multiply(v.g_hat, v.mask, v.g_hat)
         np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
         yield ws.pair_to_grid, None  # (g, Lambda^alpha g) to the grid
         # the batch is dead: its memory holds div u and the advection terms
@@ -521,7 +548,6 @@ class SpectralPlan:
         yield ws.prods_back, None  # the products back
         k += v.terms_hat
         k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
-        np.multiply(k, v.mask, k)
 
     def step(self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False):
         """One integrating-factor RK4 step of the coefficients (sigma, u).
@@ -534,19 +560,21 @@ class SpectralPlan:
         ``workspace``; stage inputs that treat sigma and u alike are formed
         on the stacked array, and the RK4 sums accumulate in place as the
         stages finish, in the formula's operation order, so the bits are
-        those of the out-of-place expression.  Returns the new (sigma, u),
-        the only new memory.
+        those of the out-of-place expression.  It reads the band of its
+        half-spectrum inputs and returns the new (sigma, u), the band of the
+        RK4 sum scattered into zeros: the only new memory.
         """
         self.semigroup(dt)  # the parts' symbols for this dt
         ws = self.workspace
-        s_out, u_out = np.empty(ws.acc_s.shape, complex), np.empty(ws.acc_u.shape, complex)
+        self.grid.band(sig, ws.s0)
+        self.grid.band(u, ws.u0)
 
         def phases(v):
-            s, w = v.cut(sig), v.cut(u)
+            s, w = v.s0, v.u0
             x, xs, xu = v.x, v.sig, v.u  # the stage input, in the batch
             acc, ka, kb = v.acc, v.ka, v.kb  # the RK4 sum, from k1 on, and two stages
             stage = functools.partial(self._tendency, v, linear_only=linear_only)
-            xs[...], xu[...] = s, w
+            x[...] = v.x0
             yield from stage(acc, v.acc_s, v.acc_u, guard=True)  # k1
             # sig + dt/2 k1s, (u + dt/2 k1u) e_half
             np.multiply(v.half_dt, acc, x)
@@ -571,16 +599,12 @@ class SpectralPlan:
             v.acc_u += np.multiply(v.two_e_half, v.ka_u, v.ka_u)
             yield from stage(ka, v.ka_s, v.ka_u)  # k4
             acc += ka
-            s_new, u_new = v.cut(s_out), v.cut(u_out)
-            np.multiply(v.acc_s, v.sixth_dt, s_new)
-            s_new += s
-            s_new *= v.mask
-            np.multiply(v.acc_u, v.sixth_dt, u_new)
-            u_new += np.multiply(w, v.e_full, v.kb_u)
-            u_new *= v.mask
+            acc *= v.sixth_dt
+            v.acc_s += s
+            v.acc_u += np.multiply(w, v.e_full, v.kb_u)
 
         self._run(phases)
-        return s_out, u_out
+        return self.grid.unband(ws.acc_s), self.grid.unband(ws.acc_u)
 
 
 @functools.lru_cache(maxsize=8)

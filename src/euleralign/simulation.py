@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import NormSpec, NormTrace, besov_norm, besov_norm_from_blocks
+from .besov import NormSpec, NormTrace, besov_norm, besov_norm_from_blocks, norm_on_blocks
 from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
@@ -70,8 +70,8 @@ class SimConfig:
             raise ParameterError(f"amplitude must be finite and > 0, got {self.amplitude}")
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
-        if not self.cfl > 0:
-            raise ParameterError(f"cfl must be > 0, got {self.cfl}")
+        if not 0 < self.cfl < np.inf:
+            raise ParameterError(f"cfl must be finite and > 0, got {self.cfl}")
         if self.cadence is not None and self.cadence < 1:
             raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
@@ -261,16 +261,18 @@ class Recorder:
         self.trace = NormTrace(list(self.columns(grid.dim, [name for name, _, _ in norms])))
         self._params = params
         self._lp = LPDecomp.for_grid(grid)
-        self._js = np.array(self._lp.j_range)
+        js = np.array(self._lp.j_range)
         j0 = LinearEnergyParams.from_model(params).j0
         half_n = grid.dim / 2.0
         s_crit = half_n + 1.0 - params.alpha
-        self._norms = [("sigma", NormSpec.hybrid(s_crit, half_n, j0)),
-                       ("u", NormSpec.homogeneous(s_crit))]
-        self._norms += [(target, spec) for _, target, spec in norms]
-        self._int_specs = (NormSpec.hybrid(half_n + 1.0, half_n + 2.0 - params.alpha, j0),
-                           NormSpec.homogeneous(half_n + 1.0))  # of the X3/X4 integrands
-        self._sups = np.zeros((2, len(self._js)))  # X1/X2: sigma and u per-block sups
+        specs = [("sigma", NormSpec.hybrid(s_crit, half_n, j0)), ("u", NormSpec.homogeneous(s_crit))]
+        specs += [(target, spec) for _, target, spec in norms]
+        # each norm as a function of the block norms, its weights made once
+        self._norms = [(target, norm_on_blocks(js, spec)) for target, spec in specs]
+        self._int_norms = [norm_on_blocks(js, spec) for spec in (  # of the X3/X4 integrands
+            NormSpec.hybrid(half_n + 1.0, half_n + 2.0 - params.alpha, j0),
+            NormSpec.homogeneous(half_n + 1.0))]
+        self._sups = np.zeros((2, len(js)))  # X1/X2: sigma and u per-block sups
         self._ints = [0.0, 0.0]  # X3/X4: trapezoid sums
         self._last = None  # (t, X3/X4 integrands) of the last record
 
@@ -292,8 +294,7 @@ class Recorder:
         cell = st.grid.cell_volume()
         moms = [float(np.sum(rho * uv[i]) * cell) for i in range(st.grid.dim)]
         values = (st.t, float(np.min(rho)), float(np.sum(rho) * cell), *moms, sig_mf.l2(), u_mf.l2())
-        values += tuple(besov_norm_from_blocks(self._js, bn_u if target == "u" else bn_sig, spec)
-                        for target, spec in self._norms)
+        values += tuple(norm(bn_u if target == "u" else bn_sig) for target, norm in self._norms)
         return dict(zip(self.trace.columns, values)), (bn_sig, bn_u), uv
 
     def record(self, st: State) -> np.ndarray:
@@ -304,14 +305,13 @@ class Recorder:
         if self._last is not None and not row["min_rho"] >= VACUUM_THRESHOLD:
             raise VacuumError(row["min_rho"])
         self._sups = np.maximum(self._sups, blocks)
-        inst = [besov_norm_from_blocks(self._js, bn, spec) for bn, spec in zip(blocks, self._int_specs)]
+        inst = [norm(bn) for bn, norm in zip(blocks, self._int_norms)]
         if self._last is not None:
             t0, prev = self._last
             self._ints = [acc + 0.5 * (a + b) * (st.t - t0)
                           for acc, a, b in zip(self._ints, prev, inst)]
         self._last = (st.t, inst)
-        sups = [besov_norm_from_blocks(self._js, sup, spec)
-                for sup, (_, spec) in zip(self._sups, self._norms)]
+        sups = [norm(sup) for sup, (_, norm) in zip(self._sups, self._norms)]
         row.update(zip(self.trace.columns[-4:], (*sups, *self._ints)))
         self.trace.append(row)
         return uv

@@ -58,8 +58,9 @@ def _transform(g: Grid, kind: str, a: np.ndarray, given_out: bool) -> np.ndarray
     shape if ``given_out``, else the allocating ``spectral`` or ``physical``."""
     if not given_out:
         return getattr(g, kind)(a)
-    forward = kind == "spectral"
-    per_field = g.spectral_shape if forward else g.shape
+    forward = kind.endswith("spectral")
+    coefs = g.band_shape if kind.startswith("band") else g.spectral_shape
+    per_field = coefs if forward else g.shape
     out = np.empty(a.shape[: a.ndim - g.dim] + per_field, complex if forward else float)
     assert g.bind(kind, a, out)() is out
     return out
@@ -139,15 +140,35 @@ class TestGrid:
         assert g.physical(coef).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 8), (2, 16), (2, 32), (2, 64)])
-    def test_band_limited_inverse_is_irfftn(self, dim, n):
-        # the 2D leading-axis pass runs over the n//3 + 1 kept columns only;
+    def test_band_transforms_are_rfftn_and_irfftn(self, dim, n):
+        # the 2D leading-axis passes run over the n//3 + 1 kept columns only;
         # n = 8 and 16 keep 3 and 6, so the edge column k = n//3 is exercised.
-        # The masked coefficients carry zeros of both signs, as in the tendency.
+        # The masked coefficients of irfftn's input carry zeros of both signs,
+        # as the products of a mask do; the band's inverse has none
         g = Grid(dim, n, 2.0 * np.pi)
+        axes = tuple(range(-dim, 0))
         values = np.random.default_rng(n).standard_normal((5,) + g.shape)
-        coef = g.spectral(values) * g.dealias_mask()
-        want = np.fft.irfftn(coef, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward")
-        assert g.bind("band_physical", coef, np.empty(want.shape))().tobytes() == want.tobytes()
+        coef = np.fft.rfftn(values, axes=axes, norm="forward")
+        band = g.bind("band_spectral", values, np.empty((5,) + g.band_shape, complex))()
+        assert band.shape == (5,) + g.band_shape and band.tobytes() == g.band(coef).tobytes()
+        assert g.bind("band_spectral", values, None)().tobytes() == band.tobytes()
+        masked = coef * g.dealias_mask()
+        assert np.array_equal(g.unband(band), masked)
+        want = np.fft.irfftn(masked, s=g.shape, axes=axes, norm="forward")
+        assert g.bind("band_physical", band, np.empty(want.shape))().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_the_band_is_the_kept_modes_in_order(self, dim):
+        # 1D: k = 0..K; 2D: the columns 0..K of the rows 0..K, then -K..-1
+        g = Grid(dim, 16, 1.0)
+        K = g.dealias_cutoff
+        band = g.band(np.stack(g.wavenumbers()))
+        assert band.shape == (dim,) + g.band_shape
+        assert np.array_equal(band[-1], np.broadcast_to(np.arange(K + 1), g.band_shape))
+        if dim == 2:
+            rows = np.r_[0 : K + 1, -K:0]
+            assert np.array_equal(band[0], np.broadcast_to(rows[:, None], g.band_shape))
+        assert np.array_equal(g.unband(np.ones(g.band_shape)) == 1, g.dealias_mask())
 
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize(
@@ -163,7 +184,7 @@ class TestGrid:
         # the transforms call NumPy's pocketfft gufuncs without the numpy.fft
         # wrapper; the public functions pin their bits, so a NumPy that moves or
         # changes the gufuncs fails here.  Given buffers go through bind, and
-        # its "band_physical" takes the masked coefficients
+        # so do its band transforms, which have the bits on the kept modes
         g = Grid(dim, n, 2.0 * np.pi)
         if (dim, n, batch) in SPLIT_CASES:
             assert np.prod(batch + g.spectral_shape) >= grid_module._SPLIT_MIN
@@ -175,24 +196,31 @@ class TestGrid:
         assert _transform(g, "physical", coef, given_out).tobytes() == want.tobytes()
         masked = coef * g.dealias_mask()
         want = np.fft.irfftn(masked, s=g.shape, axes=axes, norm="forward")
-        kind = "band_physical" if given_out else "physical"
-        assert _transform(g, kind, masked, given_out).tobytes() == want.tobytes()
+        assert _transform(g, "physical", masked, given_out).tobytes() == want.tobytes()
+        if given_out:
+            band = _transform(g, "band_spectral", values, given_out)
+            assert band.tobytes() == g.band(coef).tobytes()
+            assert _transform(g, "band_physical", band, given_out).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "dim, n, batch", [(1, 64, ()), (1, 64, (3,)), (2, 32, (3,)), (2, 256, (9,))]
     )
     def test_the_transforms_leave_their_input_as_it_was(self, dim, n, batch, two_cpus):
-        # spectral and physical return a new array; only a bound
-        # "band_physical" may overwrite its input (at 2D n=256 every pass splits)
+        # spectral and physical return a new array, and the band transforms
+        # write their out and their work only (at 2D n=256 every pass splits)
         g = Grid(dim, n, 2.0 * np.pi)
         values = np.random.default_rng(n).standard_normal(batch + g.shape)
         before = values.tobytes()
         coef = g.spectral(values)
         masked = coef * g.dealias_mask()
-        kept = coef.tobytes(), masked.tobytes()
+        band = g.band(coef)
+        kept = coef.tobytes(), masked.tobytes(), band.tobytes()
         g.physical(coef)
         g.physical(masked)
-        assert (values.tobytes(), coef.tobytes(), masked.tobytes()) == (before, *kept)
+        g.bind("band_physical", band, np.empty(values.shape))()
+        g.bind("band_spectral", values, np.empty_like(band))()
+        after = values.tobytes(), coef.tobytes(), masked.tobytes(), band.tobytes()
+        assert after == (before, *kept)
 
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32)])
     def test_in_place_transforms_leave_the_state_untouched(self, dim, n):
@@ -220,12 +248,19 @@ class TestGrid:
         assert g.bind("spectral", values, coef)() is coef
         assert coef.tobytes() == g.spectral(values).tobytes()
         masked = coef * g.dealias_mask()
-        band, samples = np.empty_like(masked), np.empty(batch + g.shape)
-        to_grid = g.bind("band_physical", band, samples)
-        for _ in range(2):  # it overwrites its input, which the caller refills
-            band[...] = masked
+        band, samples = g.band(coef), np.empty(batch + g.shape)
+        # the kept columns of all rows, which the 2D inverse transforms in place
+        work = np.empty(batch + g.spectral_shape[:-1] + g.band_shape[-1:], complex)
+        to_grid = g.bind("band_physical", band, samples, work)
+        for _ in range(2):  # it zeroes the masked rows of its work at each call
+            work[...] = np.inf
             assert to_grid() is samples
             assert samples.tobytes() == g.physical(masked).tobytes()
+        # a band out that is the prefix view of a 1D work needs no gather
+        work = np.empty(batch + g.spectral_shape, complex)
+        out = work[..., : g.dealias_cutoff + 1] if dim == 1 else np.empty_like(band)
+        assert g.bind("band_spectral", values, out, work)() is out
+        assert out.tobytes() == band.tobytes()
         out = np.empty_like(samples)
         assert g.bind("physical", coef, out)() is out
         assert out.tobytes() == g.physical(coef).tobytes()
@@ -241,8 +276,18 @@ class TestGrid:
         for transform in ("band_physical", "physical"):
             with pytest.raises(GridError, match="input has shape"):
                 g.bind(transform, values, values)
+        with pytest.raises(GridError, match="input has shape"):
+            g.bind("band_physical", coef, values)
+        band = g.band(coef)
         with pytest.raises(GridError, match="out has shape"):
-            g.bind("band_physical", coef, coef.real)
+            g.bind("band_physical", band, band.real)
+        with pytest.raises(GridError, match="out has shape"):
+            g.bind("band_spectral", values, coef)
+        with pytest.raises(GridError, match="work has shape"):
+            g.bind("band_spectral", values, band, band)
+        if dim == 2:  # the kept columns of all rows, not the half spectrum
+            with pytest.raises(GridError, match="work has shape"):
+                g.bind("band_physical", band, values, coef)
         with pytest.raises(GridError, match="no transform 'rfft'"):
             g.bind("rfft", values, coef)
 
@@ -297,7 +342,7 @@ class TestSplitPasses:
         ``_SPLIT_MIN`` coefficients: it splits where two CPUs or more are usable."""
         monkeypatch.setattr(grid_module, "_CPUS", max(grid_module._CPUS, 2))
         monkeypatch.setattr(grid_module, "_pocketfft_umath", types.SimpleNamespace(irfft=gufunc))
-        return grid_module._run_passes([("irfft", a, 1.0, out)], grid_module._SPLIT_MIN, out)
+        return grid_module._run_passes([(("irfft", a, 1.0, out),)], grid_module._SPLIT_MIN, out)
 
     def test_a_pass_splits_in_two_on_any_cpu_count(self, monkeypatch):
         monkeypatch.setattr(grid_module, "_CPUS", 4)
@@ -354,9 +399,9 @@ class TestSplitPasses:
         with pytest.raises(GridError, match="out has shape"):
             g.bind("spectral", values, np.empty((3,) + g.shape[:-1] + (32,), complex))
         coef = g.spectral(values)
-        for transform in ("band_physical", "physical"):
+        for transform, a in (("band_physical", g.band(coef)), ("physical", coef)):
             with pytest.raises(GridError, match="out has shape"):
-                g.bind(transform, coef, np.empty((3,) + g.shape[:-1] + (60,)))
+                g.bind(transform, a, np.empty((3,) + g.shape[:-1] + (60,)))
 
     @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -367,8 +412,9 @@ class TestSplitPasses:
         bad_samples = {1: [(3, 60), (3, 64, 60)], 2: [(3, 64, 60), (3, 48, 64), (1, 1, 64), (64,)]}
         bad_coefs = {1: [(3, 20), (3, 64)], 2: [(3, 64, 20), (3, 48, 33), (1, 1, 33), (33,)]}
         for shape in bad_samples[dim]:
-            with pytest.raises(GridError, match="input has shape"):
-                _transform(g, "spectral", np.ones(shape), given_out)
+            for kind in ("band_spectral", "spectral") if given_out else ("spectral",):
+                with pytest.raises(GridError, match="input has shape"):
+                    _transform(g, kind, np.ones(shape), given_out)
         for shape in bad_coefs[dim]:
             for kind in ("band_physical", "physical") if given_out else ("physical",):
                 with pytest.raises(GridError, match="input has shape"):
@@ -376,9 +422,9 @@ class TestSplitPasses:
         if dim == 2:  # an out of the right last axis but other rows: numpy refuses it
             with pytest.raises(ValueError):
                 g.bind("spectral", np.ones((3,) + g.shape), np.empty((3, 48, 33), complex))()
-            coef = np.ones((3,) + g.spectral_shape, complex)
+            band = np.ones((3,) + g.band_shape, complex)
             with pytest.raises(ValueError):
-                g.bind("band_physical", coef, np.empty((3, 48, 64)))()
+                g.bind("band_physical", band, np.empty((3, 48, 64)))()
 
     @staticmethod
     def _two_row_pass(first, second):

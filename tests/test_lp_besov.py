@@ -11,6 +11,7 @@ from euleralign.besov import (
     besov_norm_from_blocks,
     bony_decompose,
     chemin_lerner,
+    norm_on_blocks,
 )
 from euleralign.grid import Grid, SpectralField
 from euleralign.lp import LPDecomp, chi_profile, phi_profile
@@ -179,6 +180,35 @@ class TestBesovNorm:
         low = besov_norm(f, NormSpec.restricted(0.5, "low", j0))
         high = besov_norm(f, NormSpec.restricted(1.25, "high", j0))
         assert hybrid == pytest.approx(low + high, rel=1e-12)
+
+    @pytest.mark.parametrize("j0", [-5, 0, 3, 9])
+    def test_weights_made_once_give_the_masked_formula(self, j0):
+        # norm_on_blocks slices a prefix and a suffix where the formula masks
+        # js <= j0 and js > j0: the same sums, bit for bit, on either side of
+        # the range too
+        js = np.arange(-2, 8)
+        bn = np.random.default_rng(j0 + 10).random(js.size)
+        low = js <= j0
+
+        def masked(w, sel, r):
+            vals = w[sel] * bn[sel]
+            return float(np.add.reduce(vals)) if r == 1 else float(np.max(vals, initial=0.0))
+
+        specs = {
+            NormSpec.homogeneous(0.7): masked(2.0 ** (js * 0.7), slice(None), 1),
+            NormSpec.homogeneous(0.7, np.inf): masked(2.0 ** (js * 0.7), slice(None), np.inf),
+            NormSpec.restricted(0.4, "low", j0): masked(2.0 ** (js * 0.4), low, 1),
+            NormSpec.restricted(0.4, "high", j0, np.inf): masked(2.0 ** (js * 0.4), ~low, np.inf),
+            NormSpec.hybrid(0.5, 1.25, j0): float(
+                np.add.reduce(2.0 ** (js[low] * 0.5) * bn[low])
+                + np.add.reduce(2.0 ** (js[~low] * 1.25) * bn[~low])
+            ),
+        }
+        for spec, want in specs.items():
+            assert norm_on_blocks(js, spec)(bn) == want
+            assert besov_norm_from_blocks(js, bn, spec) == want
+        with pytest.raises(ValueError, match="ascend"):
+            norm_on_blocks(js[::-1], NormSpec.homogeneous(0.7))
 
     def test_mean_mode_excluded(self):
         g = Grid(1, 64, 2.0 * np.pi)

@@ -72,35 +72,41 @@ def _rfftn(grid: Grid, values):
     return np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
+def _dealias(a, mask):
+    """``a`` on the kept modes, +0 on the masked ones: the plan reads and
+    writes only the band, so its masked zeros carry no sign of a product."""
+    return np.where(mask, a, 0.0)
+
+
 def reference_tendency(plan, sig, u, linear_only):
     """The tendency kernel with out-of-place temporaries and n-d transforms."""
     p, dim, mask, grid = plan.params, plan.grid.dim, plan.mask, plan.grid
-    sig, u = sig * mask, u * mask
+    sig, u = _dealias(sig, mask), _dealias(u, mask)
     grad_sig = plan.ixi * sig
     dsig = -p.lam * np.sum(plan.ixi * u, axis=0, keepdims=True)
     du = -p.lam * grad_sig
     if linear_only:
-        return dsig, du
+        return _dealias(dsig, mask), _dealias(du, mask)
     grad_u = (plan.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
     phys = _irfftn(grid, np.concatenate([sig, u, grad_sig, grad_u]))
     sv, uv = phys[0], phys[1 : 1 + dim]
     gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
     div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
-    g_hat = _rfftn(grid, h_of_sigma(sv, p)) * mask
+    g_hat = _dealias(_rfftn(grid, h_of_sigma(sv, p)), mask)
     gv, lam_g = _irfftn(grid, np.stack([g_hat, plan.lam_alpha * g_hat]))
     n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
     n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
     prods = _rfftn(grid, np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
     dsig = dsig + prods[:1]
     du = du + prods[1 : 1 + dim] - p.mu * plan.lam_alpha * prods[1 + dim :]
-    return dsig * mask, du * mask
+    return _dealias(dsig, mask), _dealias(du, mask)
 
 
 def reference_step(state: State, params: ModelParams, dt: float, linear_only: bool) -> State:
     """The IF-RK4 step with out-of-place stage sums, on ``reference_tendency``."""
     grid = state.grid
     plan = plan_for(grid, params)
-    e_half, e_full = plan.semigroup(dt)
+    e_half, e_full = (grid.unband(e) for e in plan.semigroup(dt))  # the memo holds the band
 
     def tend(s, u):
         return reference_tendency(plan, s, u, linear_only)
@@ -112,7 +118,7 @@ def reference_step(state: State, params: ModelParams, dt: float, linear_only: bo
     k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u)
     s_new = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
     u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
-    s_new, u_new = s_new * plan.mask, u_new * plan.mask
+    s_new, u_new = _dealias(s_new, plan.mask), _dealias(u_new, plan.mask)
     mn = float(np.min(rho_from_sigma(_irfftn(grid, s_new[0]), params)))
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
@@ -240,16 +246,55 @@ def test_kernel_is_bit_identical_to_the_reference(dim, n, gamma, linear_only):
     want = reference_tendency(plan, st.scalar.coef, st.u.coef, linear_only)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     # below 2**16 state coefficients the phases multiply by complex copies of
-    # the symbols, from 2D n=256 on by the real symbols: both sides are pinned
+    # the symbols' bands, from 2D n=256 on by the real bands: both sides are
+    # pinned.  On the band the mask is all ones, so the phases have none
     plan.semigroup(1e-3)
-    symbols = [getattr(plan._parts[0], k) for k in ("mask", "lam_alpha", "e_half", "e_full")]
+    symbols = [getattr(plan._parts[0], k) for k in ("lam_alpha", "e_half", "e_full")]
     large = grid_module.is_large((1 + dim) * st.grid.dealias_mask().size)
     assert large == ((dim, n) == (2, 256))
-    assert [a.dtype.kind for a in symbols] == (["b", "f", "f", "f"] if large else ["c"] * 4)
+    assert [a.dtype.kind for a in symbols] == (["f"] * 3 if large else ["c"] * 3)
+    assert all(a.shape == st.grid.band_shape for a in symbols)
     for _ in range(2 if large else 20):
         st = step(st, p, 1e-3, linear_only)
         ref = reference_step(ref, p, 1e-3, linear_only)
     assert _same_bits(st.scalar.coef, ref.scalar.coef) and _same_bits(st.u.coef, ref.u.coef)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])
+def test_the_stages_live_on_the_band(dim, n):
+    # the stage input, its gradients, the tendencies, the RK4 sum and the
+    # step's input hold the (2K+1, K+1) band in 2D and k = 0..K in 1D
+    grid = Grid(dim, n, 2 * np.pi)
+    K = grid.dealias_cutoff
+    assert grid.band_shape == ((2 * K + 1, K + 1) if dim == 2 else (K + 1,))
+    ws = plan_for(grid, ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)).workspace
+    band = (1 + dim,) + grid.band_shape
+    for name in ("x", "x0", "acc", "ka", "kb"):
+        assert getattr(ws, name).shape == band, name
+    assert ws.grad.shape == (dim,) + band and ws.k.shape == (4,) + band
+    assert ws.prods_hat.shape == (1 + 2 * dim,) + grid.band_shape
+    # no slot keeps a half spectrum of the state: the forward outputs, 1 + 2N
+    # fields, are the one full-layout buffer; in 1D its lines hold the batch
+    full = {k for k, a in vars(ws).items() if isinstance(a, np.ndarray) and a.shape[-1] == n // 2 + 1}
+    assert full == ({"spec"} if dim == 2 else {"spec", "cols"})
+    assert ws.spec.shape[0] == 1 + 2 * dim
+    assert np.shares_memory(ws.batch, ws.spec) == (dim == 1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_masked_modes_of_a_step_are_zero(dim, n, linear_only):
+    # the step writes its band into zeros: every masked mode of its result is
+    # +0, also where the input's masked modes were not 0
+    st = random_state(dim, n, seed=61)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    masked = ~st.grid.dealias_mask()
+    assert np.all(st.scalar.coef[..., masked] != 0)
+    out = step(st, p, 1e-3, linear_only)
+    tend = plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef, linear_only)
+    for coef in (out.scalar.coef, out.u.coef, *tend):
+        zeros = coef[..., masked]
+        assert zeros.tobytes() == np.zeros_like(zeros).tobytes()
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
@@ -419,11 +464,12 @@ def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, two_cpus, monk
 
 
 def test_an_error_in_the_helpers_half_reaches_the_caller(two_cpus, monkeypatch):
-    # an inf in a masked coefficient of the helper's rows (k = -106, past the
-    # cutoff 85) is a NaN after the mask: inf * 0 is invalid
+    # an inf in a kept coefficient of the helper's band rows (k_1 = -56, band
+    # row 115 of 171) is a NaN in the gradient: inf * 0 is invalid.  A masked
+    # coefficient would not do: the plan reads only the band
     st = random_state(2, 256, seed=73)
     sig = st.scalar.coef.copy()
-    sig[0, 150, 3] = np.inf
+    sig[0, 200, 3] = np.inf
     plan = plan_for(st.grid, ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2))
     messages = []
     for cpus in (grid_module._CPUS, 1):

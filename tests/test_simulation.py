@@ -54,6 +54,12 @@ class TestSimConfig:
         with pytest.raises(ParameterError, match="dt must be finite and > 0"):
             SimConfig(dt=dt)
 
+    @pytest.mark.parametrize("cfl", [0.0, -1.0, np.nan, np.inf])
+    def test_cfl_must_be_finite_and_positive(self, cfl):
+        # an infinite cfl made the CFL limit infinite, so no strike ever fired
+        with pytest.raises(ParameterError, match="cfl must be finite and > 0"):
+            SimConfig(cfl=cfl)
+
 
 class TestDecaySpec:
     def test_exponent(self):
