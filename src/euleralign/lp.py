@@ -8,7 +8,7 @@ partition of unity away from the origin.
 
 ``LPDecomp`` builds each block multiplier phi_j and low-pass multiplier chi_j
 once (memoised, read-only, shared by equal decompositions).  The block-norm
-table ``block_weights`` keeps phi_j^2 * w (w: Plancherel weights) where it is
+table ``block_table`` keeps phi_j^2 * w (w: Plancherel weights) where it is
 != 0, not where phi_j is (the square underflows), and keeps no phi_j itself.
 """
 
@@ -88,10 +88,10 @@ class LPDecomp:
         return read_only(np.where(xi > 0, chi_profile(xi * 2.0 ** (-j)), 0.0))
 
     @functools.lru_cache(maxsize=8)
-    def _block_table(self) -> tuple:
+    def block_table(self) -> tuple:
         """The flat indices where phi_j^2 * w != 0 and its values there, for
-        each j in j_range in turn, in two arrays, and each block's slice of
-        them.  The arrays are filled in place, from a first pass that counts
+        each j in j_range in turn, in two read-only arrays, and each block's
+        slice of them.  The arrays are filled in place, from a first pass that counts
         the entries: at 2D n=256 joining per-block arrays would hold the
         table twice, and that transient raised a run's peak RSS."""
         def weights(j):
@@ -103,13 +103,7 @@ class LPDecomp:
             w = weights(j)
             idx[a:b] = np.flatnonzero(w)
             w2[a:b] = w[idx[a:b]]
-        return read_only(idx), read_only(w2), [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-
-    @functools.lru_cache(maxsize=8)
-    def block_weights(self):
-        """Per j in j_range: (flat indices where phi_j^2 * w != 0, its values there)."""
-        idx, w2, blocks = self._block_table()
-        return tuple((idx[b], w2[b]) for b in blocks)
+        return read_only(idx), read_only(w2), tuple(map(slice, ends[:-1], ends[1:]))
 
     def dyadic_block(self, f: SpectralField, j: int) -> SpectralField:
         """Delta_j f = phi(2^{-j} D) f; zero outside [j_min-1, j_max+1]."""
@@ -126,7 +120,7 @@ class LPDecomp:
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of all blocks (vector fields: joint l2 over components)."""
         energy = np.add.reduce(np.abs(f.coef) ** 2, axis=0).ravel()
-        idx, w2, blocks = self._block_table()
+        idx, w2, blocks = self.block_table()
         vals, vol = energy.take(idx), self.grid.volume()
         vals *= w2  # one take and one product for all blocks
         return np.sqrt([np.add.reduce(vals[b]) * vol for b in blocks])

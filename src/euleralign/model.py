@@ -295,9 +295,9 @@ class Workspace:
                  (g, Lambda^alpha g).  One array, not two, keeps the heap free
                  of a long-lived 1 MB block at 2D n=256.
     ``k``        complex, 4 x F band fields: ``x0`` = (``s0``, ``u0``), the
-                 band of a step's input, then ``acc``, the RK4 sum, and the
-                 stage tendencies ``ka`` and ``kb``, each with its (sigma, u)
-                 parts.
+                 band of a step's or a tendency's input, then ``acc``, the
+                 RK4 sum, and the stage tendencies ``ka`` and ``kb``, each
+                 with its (sigma, u) parts.
 
     The stage's four transforms are bound to their slots here, once, by
     ``Grid.bind``, so their shapes are checked once: ``to_grid`` (``batch``
@@ -363,10 +363,10 @@ class SpectralPlan:
     (sigma, u) array: each operation that is the same for sigma and u runs
     once on all 1 + N fields.  Its spectral arithmetic runs on the band of
     the 2/3 rule (``Grid.band_shape``): ``tendency`` and ``step`` gather the
-    band of their half-spectrum inputs into the workspace (``x`` and
-    ``x0``), the stage inputs, tendencies and RK4 sums stay on it, and the
-    results are the band scattered into zeros (``Grid.unband``), so every
-    masked mode of a result is +0 and no phase multiplies by the mask.  The
+    band of their half-spectrum inputs into the workspace's ``x0``, the stage
+    inputs, tendencies and RK4 sums stay on the band, and the results are
+    the band scattered into zeros (``Grid.unband``), so every masked mode of
+    a result is +0 and no phase multiplies by the mask.  The
     tendency moves its batches to the grid with the grid's bound
     "band_physical" and back with its "band_spectral": 4 transform batches,
     16 per ``step``, whose first stage checks the input's density on samples
@@ -494,22 +494,25 @@ class SpectralPlan:
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
         with g = h(sigma) = rho - 1.  The band of the inputs is copied into
-        the workspace's stage input, so they may be any arrays; the kernel is
-        the one ``step`` runs (see ``_tendency``).  The masked modes of the
-        results are +0.
+        the workspace's ``x0``, so they may be any arrays, and the phases copy
+        it into the stage input, as ``step``'s first stage does: a rerun after
+        a half's ``VacuumError`` starts from the input, which the first
+        transform overwrites in the batch.  The kernel is the one ``step``
+        runs (see ``_tendency``).  The masked modes of the results are +0.
         """
 
         ws = self.workspace
-        self.grid.band(sig, ws.sig)
-        self.grid.band(u, ws.u)
-        self._run(lambda v: self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only))
+        self.grid.band(sig, ws.s0)
+        self.grid.band(u, ws.u0)
+        self._run(lambda v: self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only, first=True))
         return self.grid.unband(ws.kb_s), self.grid.unband(ws.kb_u)
 
-    def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False):
+    def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False, first: bool = False):
         """The phases of the tendency of the stage input ``v.x`` into the
         stacked k, with its (sigma, u) parts ``k_s`` and ``k_u``, on part v:
         a generator whose every yield names the transform that runs next, for
-        ``_run`` to run on the whole workspace.
+        ``_run`` to run on the whole workspace.  With ``first`` the stage
+        input is first copied from the input ``v.x0``.
 
         The nonlinear terms cost four batched transforms: (sigma, u) and their
         gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
@@ -524,6 +527,8 @@ class SpectralPlan:
         checks nothing.
         """
         p, ws = self.params, self.workspace
+        if first:
+            v.x[...] = v.x0
         np.multiply(v.ixi_col, v.x, v.grad)
         np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
         k_u[...] = v.grad_sig
@@ -536,7 +541,7 @@ class SpectralPlan:
         yield ws.g_back, (np.minimum.reduce(v.g, axis=None) if guard else None)
         np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
         yield ws.pair_to_grid, None  # (g, Lambda^alpha g) to the grid
-        # the batch is dead: its memory holds div u and the advection terms
+        # div u and the advection terms use spec, dead until the products go back
         np.add.reduce(v.gv_diag, axis=0, initial=0.0, out=v.div_u)  # 0 + d_1 u_1 + ...
         np.add.reduce(np.multiply(v.uv_col, v.gv, v.gv), axis=0, out=v.adv)
         # -(gamma-1) sigma div u and mu u Lambda^alpha g; a - b is a + (-b)
@@ -574,8 +579,7 @@ class SpectralPlan:
             x, xs, xu = v.x, v.sig, v.u  # the stage input, in the batch
             acc, ka, kb = v.acc, v.ka, v.kb  # the RK4 sum, from k1 on, and two stages
             stage = functools.partial(self._tendency, v, linear_only=linear_only)
-            x[...] = v.x0
-            yield from stage(acc, v.acc_s, v.acc_u, guard=True)  # k1
+            yield from stage(acc, v.acc_s, v.acc_u, guard=True, first=True)  # k1
             # sig + dt/2 k1s, (u + dt/2 k1u) e_half
             np.multiply(v.half_dt, acc, x)
             np.add(s, xs, xs)

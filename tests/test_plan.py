@@ -197,12 +197,12 @@ def test_plan_rejects_a_dimension_mismatch():
 def test_lp_multipliers_are_shared_and_read_only():
     lp, twin = (LPDecomp.for_grid(Grid(2, 16, 2 * np.pi)) for _ in range(2))
     assert twin is not lp
-    arrays = [arr for pair in lp.block_weights() for arr in pair]
+    arrays = list(lp.block_table()[:2])
     for j in range(lp.j_min - 1, lp.j_max + 2):
         arrays += [lp.block_multiplier(j), lp.lowpass_multiplier(j)]
         assert twin.block_multiplier(j) is lp.block_multiplier(j)
         assert twin.lowpass_multiplier(j) is lp.lowpass_multiplier(j)
-    assert twin.block_weights() is lp.block_weights()
+    assert twin.block_table() is lp.block_table()
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
@@ -222,10 +222,11 @@ def test_block_norm_table_matches_block_multipliers(dim, n):
     # the table keeps the points where phi_j^2 * w != 0, not phi_j's support:
     # at 2D n=256 the square underflows at some points where phi_j != 0
     underflows = 0
-    for j, (idx, w2) in zip(lp.j_range, lp.block_weights()):
+    idx, w2, blocks = lp.block_table()
+    for j, b in zip(lp.j_range, blocks):
         full = (lp.block_multiplier(j) ** 2 * w).ravel()
         keep = np.flatnonzero(full)
-        assert _same_bits(idx, keep) and _same_bits(w2, full[keep])
+        assert _same_bits(idx[b], keep) and _same_bits(w2[b], full[keep])
         underflows += np.count_nonzero(lp.block_multiplier(j)) - keep.size
     assert (underflows > 0) == (n == 256 and dim == 2)
 
@@ -444,21 +445,41 @@ def _dipped_state(depths) -> State:
 
 
 @pytest.mark.parametrize(
-    "gamma, depths",
-    [(1.0, (0.0, 20.0)), (1.0, (16.0, 20.0)), (1.4, (0.0, 6.0)), (1.4, (4.0, 6.0))],
-    ids=["gamma1-helper", "gamma1-both", "gamma1.4-helper", "gamma1.4-both"],
+    "gamma, depths, call",
+    [
+        (1.0, (0.0, 20.0), "step"),
+        (1.0, (16.0, 20.0), "step"),
+        (1.4, (0.0, 6.0), "step"),
+        (1.4, (4.0, 6.0), "step"),
+        (1.4, (0.0, 6.0), "tendency"),
+        (1.4, (4.0, 6.0), "tendency"),
+    ],
+    ids=[
+        "gamma1-helper",
+        "gamma1-both",
+        "gamma1.4-helper",
+        "gamma1.4-both",
+        "gamma1.4-helper-tendency",
+        "gamma1.4-both-tendency",
+    ],
 )
-def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, two_cpus, monkeypatch):
+def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, call, two_cpus, monkeypatch):
     # the deeper vacuum lies in the helper's rows.  At gamma = 1 the guard
     # combines the halves' minima; at gamma > 1 h(sigma) raises inside a
-    # half, which knows only its own minimum
+    # half, which knows only its own minimum, and the rerun on the whole
+    # workspace must start again from the input, which the halves' first
+    # transform has overwritten in the batch
     st = _dipped_state(depths)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=2)
+    run = {
+        "step": lambda: step(st, p, 1e-3),
+        "tendency": lambda: plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef),
+    }[call]
     found = []
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
         with pytest.raises(VacuumError) as err:
-            step(st, p, 1e-3)
+            run()
         found.append(err.value.min_rho)
     assert found[0] == found[1]
 
