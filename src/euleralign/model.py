@@ -366,15 +366,17 @@ class SpectralPlan:
     band of their half-spectrum inputs into the workspace's ``x0``, the stage
     inputs, tendencies and RK4 sums stay on the band, and the results are
     the band scattered into zeros (``Grid.unband``), so every masked mode of
-    a result is +0 and no phase multiplies by the mask.  The
+    a result is +0 and no phase multiplies by the mask.  A ``step`` call of
+    several steps gathers and scatters once: between its steps the state
+    stays on the band, each step starting from the last one's RK4 sum.  The
     tendency moves its batches to the grid with the grid's bound
     "band_physical" and back with its "band_spectral": 4 transform batches,
-    16 per ``step``, whose first stage checks the input's density on samples
-    it makes anyway.  In 2D each batch is two NumPy calls, one 1D pass per
-    axis, and the band's scatter or gather.  The batches, temporaries, stage
-    inputs and tendencies live in ``workspace``, allocated on first use and
-    reused by every later ``tendency`` and ``step``, so a step allocates
-    only the arrays it returns.  A plan is therefore not re-entrant: two
+    16 per step, whose first stage checks that step's input density on
+    samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D
+    pass per axis, and the band's scatter or gather.  The batches,
+    temporaries, stage inputs and tendencies live in ``workspace``, allocated
+    on first use and reused by every later ``tendency`` and ``step``, so a
+    ``step`` call allocates only the arrays it returns.  A plan is therefore not re-entrant: two
     threads must not run its ``tendency`` or ``step`` at once.  Use
     ``plan_for``.
 
@@ -554,20 +556,25 @@ class SpectralPlan:
         k += v.terms_hat
         k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
 
-    def step(self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False):
-        """One integrating-factor RK4 step of the coefficients (sigma, u).
+    def step(
+        self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False, steps: int = 1
+    ):
+        """``steps`` integrating-factor RK4 steps of the coefficients (sigma, u).
 
         The stiff -mu Lambda^alpha u term is integrated exactly through
         ``semigroup(dt)``, the rest through four stages of the tendency
-        kernel.  The first stage guards the input: it raises ``VacuumError``
-        when the density of the given sigma nears vacuum or is NaN (a
-        ``linear_only`` step checks nothing).  The stages run in
+        kernel.  The first stage of each step guards that step's input: it
+        raises ``VacuumError`` when the density of its sigma nears vacuum or
+        is NaN (a ``linear_only`` step checks nothing).  The stages run in
         ``workspace``; stage inputs that treat sigma and u alike are formed
         on the stacked array, and the RK4 sums accumulate in place as the
         stages finish, in the formula's operation order, so the bits are
-        those of the out-of-place expression.  It reads the band of its
-        half-spectrum inputs and returns the new (sigma, u), the band of the
-        RK4 sum scattered into zeros: the only new memory.
+        those of the out-of-place expression.  It gathers the band of its
+        half-spectrum inputs into ``x0`` once; each step after the first
+        starts from the last one's RK4 sum, copied into ``x0``, so the state
+        stays on the band and each step has the bits of a call of its own.
+        It returns the new (sigma, u), the band of the last RK4 sum scattered
+        into zeros: the only new memory.
         """
         self.semigroup(dt)  # the parts' symbols for this dt
         ws = self.workspace
@@ -607,7 +614,11 @@ class SpectralPlan:
             v.acc_s += s
             v.acc_u += np.multiply(w, v.e_full, v.kb_u)
 
+        # one _run a step: a half's VacuumError reruns that step from x0, its input
         self._run(phases)
+        for _ in range(steps - 1):
+            np.copyto(ws.x0, ws.acc)
+            self._run(phases)
         return self.grid.unband(ws.acc_s), self.grid.unband(ws.acc_u)
 
 

@@ -5,7 +5,9 @@ acting on u is integrated exactly through the fractional heat semigroup, and
 everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
 transformed.  ``step`` runs ``model.SpectralPlan.step`` of the state's
-(grid, params) on its half-spectrum coefficients; like the plan, it is not
+(grid, params) on its half-spectrum coefficients, one or more steps a call;
+``run`` makes one call per record interval, so between records the state
+stays on the plan's 2/3-rule band.  Like the plan, ``step`` is not
 re-entrant: two threads must not step states of one (grid, params) at once.
 """
 
@@ -188,20 +190,26 @@ def step(
     params: ModelParams,
     dt: float,
     linear_only: bool = False,
+    steps: int = 1,
 ) -> State:
-    """One integrating-factor RK4 step: ``SpectralPlan.step`` of
-    ``plan_for(grid, params)`` on the state's coefficients.
+    """``steps`` integrating-factor RK4 steps of size dt in one call:
+    ``SpectralPlan.step`` of ``plan_for(grid, params)`` on the state's
+    coefficients, which keeps the state on the 2/3-rule band between the
+    steps.  The new state is at t + steps * dt, and its coefficients have
+    the bits of ``steps`` calls of one step each.
 
-    It guards its input, not its output: the first stage raises
-    ``VacuumError`` when the given state's density is below
-    ``VACUUM_THRESHOLD`` or NaN, from samples the stage makes anyway.  A
-    ``linear_only`` step makes no transform and checks nothing.
+    Each step guards its input, not its output: its first stage raises
+    ``VacuumError`` when that input's density is below ``VACUUM_THRESHOLD``
+    or NaN, from samples the stage makes anyway.  A ``linear_only`` step
+    makes no transform and checks nothing.
     """
     if not 0 < dt < np.inf:
         raise ParameterError(f"dt must be finite and > 0, got {dt}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ParameterError(f"steps must be an int >= 1, got {steps!r}")
     grid = state.grid
-    sig, u = plan_for(grid, params).step(state.scalar.coef, state.u.coef, dt, linear_only)
-    return State(SpectralField(grid, sig), SpectralField(grid, u), state.t + dt)
+    sig, u = plan_for(grid, params).step(state.scalar.coef, state.u.coef, dt, linear_only, steps)
+    return State(SpectralField(grid, sig), SpectralField(grid, u), state.t + steps * dt)
 
 
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
@@ -320,6 +328,9 @@ class Recorder:
 def run(config: SimConfig, store_states: bool = False):
     """Advance the system to t_end, tracing every record through a ``Recorder``.
 
+    Each record interval of ``cadence`` steps is one ``step`` call of
+    ``steps=cadence``, which keeps the state on the plan's band between
+    records; the record sets the state's t to its step count times dt.
     Returns (trace, states) where ``states`` holds every recorded state when
     ``store_states`` is set, and otherwise only the last recorded one; the
     final state of a completed run is always recorded.  A run that stops
@@ -345,26 +356,25 @@ def run(config: SimConfig, store_states: bool = False):
     cfl_strikes = 0
     try:
         recorder.record(state)  # the initial data as given: step 1 guards it
-        for istep in range(1, nsteps + 1):
-            state = step(state, params, dt)
-            if istep % cadence == 0:
-                state.t = istep * dt
-                limit = cfl_limit(config, recorder.record(state), params)
-                if not store_states:
-                    states.clear()
-                states.append(state)
-                if dt > limit:
-                    cfl_strikes += 1
-                    warnings.warn(
-                        f"CFL violation at t={state.t:.4g}: dt={dt:.3e} > {limit:.3e}",
-                        RuntimeWarning,
-                    )
-                    # a strike at the last record has no later record to clear it
-                    if cfl_strikes >= 3 or istep == nsteps:
-                        recorder.trace.status = "cfl"
-                        break
-                else:
-                    cfl_strikes = 0
+        for istep in range(cadence, nsteps + 1, cadence):
+            state = step(state, params, dt, steps=cadence)
+            state.t = istep * dt
+            limit = cfl_limit(config, recorder.record(state), params)
+            if not store_states:
+                states.clear()
+            states.append(state)
+            if dt > limit:
+                cfl_strikes += 1
+                warnings.warn(
+                    f"CFL violation at t={state.t:.4g}: dt={dt:.3e} > {limit:.3e}",
+                    RuntimeWarning,
+                )
+                # a strike at the last record has no later record to clear it
+                if cfl_strikes >= 3 or istep == nsteps:
+                    recorder.trace.status = "cfl"
+                    break
+            else:
+                cfl_strikes = 0
     except VacuumError:
         recorder.trace.status = "vacuum"
     return recorder.trace, states

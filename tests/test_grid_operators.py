@@ -371,8 +371,7 @@ class TestSplitPasses:
             g.physical(coef)
         # a step shares the one helper between its passes and its phases
         st = State(SpectralField(g, 0.1 * coef[:1]), SpectralField(g, 0.1 * coef[1:3]))
-        for _ in range(3):
-            st = step(st, ModelParams(1.5, 1.0, 1.4, dim=2), 1e-4)
+        step(st, ModelParams(1.5, 1.0, 1.4, dim=2), 1e-4, steps=3)
         assert died == []
         assert grid_module._helper.is_alive()
         assert threading.active_count() <= threads + 1

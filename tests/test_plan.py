@@ -239,8 +239,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 32), (2, 64), (2, 256)])
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
 @pytest.mark.parametrize("linear_only", [False, True])
-def test_kernel_is_bit_identical_to_the_reference(dim, n, gamma, linear_only):
-    st = ref = random_state(dim, n, seed=21)
+def test_kernel_is_bit_identical_to_the_reference(
+    dim, n, gamma, linear_only, two_cpus, monkeypatch
+):
+    st = ref = st0 = random_state(dim, n, seed=21)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
     plan = plan_for(st.grid, p)
     got = plan.tendency(st.scalar.coef, st.u.coef, linear_only)
@@ -255,10 +257,19 @@ def test_kernel_is_bit_identical_to_the_reference(dim, n, gamma, linear_only):
     assert large == ((dim, n) == (2, 256))
     assert [a.dtype.kind for a in symbols] == (["f"] * 3 if large else ["c"] * 3)
     assert all(a.shape == st.grid.band_shape for a in symbols)
-    for _ in range(2 if large else 20):
+    m = 2 if large else 20
+    for _ in range(m):
         st = step(st, p, 1e-3, linear_only)
         ref = reference_step(ref, p, 1e-3, linear_only)
     assert _same_bits(st.scalar.coef, ref.scalar.coef) and _same_bits(st.u.coef, ref.u.coef)
+    # one call of m steps, which keeps the state on the band between them, has
+    # the bits of m single steps, with its phases split (2D n=256) and whole
+    for cpus in (grid_module._CPUS, 1):
+        monkeypatch.setattr(grid_module, "_CPUS", cpus)
+        multi = step(st0, p, 1e-3, linear_only, steps=m)
+        assert _same_bits(multi.scalar.coef, st.scalar.coef)
+        assert _same_bits(multi.u.coef, st.u.coef)
+        assert multi.t == m * 1e-3
 
 
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])
@@ -323,18 +334,25 @@ def test_results_own_their_memory(dim, n):
 
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
-def test_step_allocates_only_its_result(dim, n, gamma):
+def test_step_allocates_only_its_result(dim, n, gamma, monkeypatch):
     # after a warm-up step has built the workspace and the semigroup, the
-    # batches, stages and guard reuse it: the peak is about the new state
+    # batches, stages and guard reuse it: the peak is about the new state,
+    # also for a call of 5 steps, which scatters one result pair, not 5
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
     st = step(random_state(dim, n, seed=41), p, 1e-3)
-    tracemalloc.start()
-    try:
-        st = step(st, p, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * (st.scalar.coef.nbytes + st.u.coef.nbytes)
+    for steps in (1, 5):
+        tracemalloc.start()
+        try:
+            st = step(st, p, 1e-3, steps=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (st.scalar.coef.nbytes + st.u.coef.nbytes)
+    scattered = []
+    unband = Grid.unband
+    monkeypatch.setattr(Grid, "unband", lambda g, band: scattered.append(band) or unband(g, band))
+    step(st, p, 1e-3, steps=5)
+    assert len(scattered) == 2
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
@@ -372,11 +390,12 @@ def _count_transforms(monkeypatch) -> list:
     "dim, n, cpus, per_step", [(1, 64, 1, 16), (2, 32, 1, 32), (2, 256, 1, 32), (2, 256, 2, 56)]
 )
 def test_transform_counts(dim, n, cpus, per_step, monkeypatch):
-    # 4 batches per tendency and 16 per step: the step checks the density on
-    # the samples of its first stage, with no batch of its own.  A 2D batch
-    # is one gufunc call per axis, and a pass split in two halves is two: on
-    # two CPUs, 24 of a 2D n=256 step's 32 passes split (all but h(sigma)'s),
-    # 56 calls in all.  A linear step makes none.
+    # 4 batches per tendency and 16 per step, also in each step of a call of
+    # several: a step checks the density on the samples of its first stage,
+    # with no batch of its own.  A 2D batch is one gufunc call per axis, and
+    # a pass split in two halves is two: on two CPUs, 24 of a 2D n=256
+    # step's 32 passes split (all but h(sigma)'s), 56 calls in all.  A linear
+    # step makes none.
     monkeypatch.setattr(grid_module, "_CPUS", cpus)
     st = random_state(dim, n, seed=51)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
@@ -388,6 +407,9 @@ def test_transform_counts(dim, n, cpus, per_step, monkeypatch):
     calls.clear()
     step(st, p, 1e-3)
     assert len(calls) == per_step
+    calls.clear()
+    step(st, p, 1e-3, steps=3)
+    assert len(calls) == 3 * per_step
     calls.clear()
     step(st, p, 1e-3, linear_only=True)
     assert calls == []
@@ -432,16 +454,18 @@ def test_a_split_step_has_the_bits_of_one_cpu(dim, n, dt, gamma, two_cpus, monke
     assert outs[0] == outs[1]
 
 
-def _dipped_state(depths) -> State:
+def _dipped_state(depths, spread: float = 0.0) -> State:
     """2D n=256 sigma with Gaussian dips of the given depths, centred in the
-    caller's half of the rows (x < L/2) and in the helper's (x >= L/2)."""
+    caller's half of the rows (x < L/2) and in the helper's (x >= L/2), and
+    a velocity that spreads out of each dip at the rate ``spread``."""
     grid = Grid(2, 256, 2 * np.pi)
     x, y = grid.points()
-    sig = sum(
-        -depth * np.exp(-((x - cx) ** 2 + (y - np.pi) ** 2) / 0.09)
-        for depth, cx in zip(depths, (0.5 * np.pi, 1.5 * np.pi))
-    )
-    return State(SpectralField.from_physical(grid, sig), SpectralField.zeros(grid, 2))
+    sig, u = 0.0, 0.0
+    for depth, cx in zip(depths, (0.5 * np.pi, 1.5 * np.pi)):
+        dip = np.exp(-((x - cx) ** 2 + (y - np.pi) ** 2) / 0.09)
+        sig = sig - depth * dip
+        u = u + spread * np.stack([(x - cx) * dip, (y - np.pi) * dip])
+    return State(SpectralField.from_physical(grid, sig), SpectralField.from_physical(grid, u))
 
 
 @pytest.mark.parametrize(
@@ -453,6 +477,8 @@ def _dipped_state(depths) -> State:
         (1.4, (4.0, 6.0), "step"),
         (1.4, (0.0, 6.0), "tendency"),
         (1.4, (4.0, 6.0), "tendency"),
+        (1.4, (0.0, 2.8), "steps"),
+        (1.4, (2.5, 2.8), "steps"),
     ],
     ids=[
         "gamma1-helper",
@@ -461,6 +487,8 @@ def _dipped_state(depths) -> State:
         "gamma1.4-both",
         "gamma1.4-helper-tendency",
         "gamma1.4-both-tendency",
+        "gamma1.4-helper-second-step",
+        "gamma1.4-both-second-step",
     ],
 )
 def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, call, two_cpus, monkeypatch):
@@ -468,20 +496,29 @@ def test_a_split_step_names_the_min_rho_of_one_cpu(gamma, depths, call, two_cpus
     # combines the halves' minima; at gamma > 1 h(sigma) raises inside a
     # half, which knows only its own minimum, and the rerun on the whole
     # workspace must start again from the input, which the halves' first
-    # transform has overwritten in the batch
-    st = _dipped_state(depths)
+    # transform has overwritten in the batch.  With "steps" a velocity
+    # spreads the dips: one step on the state is sound, but the second step
+    # of a call of two meets vacuum, so its rerun must start from that
+    # step's input and name the min rho of the second of two single steps
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=2)
-    run = {
-        "step": lambda: step(st, p, 1e-3),
-        "tendency": lambda: plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef),
+    if call == "steps":
+        st = step(_dipped_state(depths, spread=600.0), p, 1e-3)
+        sound = step(st, p, 1e-3)
+    else:
+        st = _dipped_state(depths)
+    runs = {
+        "step": [lambda: step(st, p, 1e-3)],
+        "tendency": [lambda: plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef)],
+        "steps": [lambda: step(st, p, 1e-3, steps=2), lambda: step(sound, p, 1e-3)],
     }[call]
     found = []
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
-        with pytest.raises(VacuumError) as err:
-            run()
-        found.append(err.value.min_rho)
-    assert found[0] == found[1]
+        for run in runs:
+            with pytest.raises(VacuumError) as err:
+                run()
+            found.append(err.value.min_rho)
+    assert len(set(found)) == 1
 
 
 def test_an_error_in_the_helpers_half_reaches_the_caller(two_cpus, monkeypatch):

@@ -133,17 +133,10 @@ class TestStep:
         p = self._params()
         T = 1.0 / 16.0
 
-        def advance(m):
-            st = st0
-            dt = T / m
-            for _ in range(m):
-                st = step(st, p, dt)
-            return st
-
-        ref = advance(80)
+        ref = step(st0, p, T / 80, steps=80)
 
         def err(m):
-            st = advance(m)
+            st = step(st0, p, T / m, steps=m)
             return np.sqrt(
                 (st.scalar - ref.scalar).l2() ** 2 + (st.u - ref.u).l2() ** 2
             )
@@ -188,6 +181,12 @@ class TestStep:
         st = initial_state(SimConfig(n=64))
         with pytest.raises(ParameterError, match="dt must be finite and > 0"):
             step(st, self._params(), dt)
+
+    @pytest.mark.parametrize("steps", [0, -1, 1.5])
+    def test_bad_steps(self, steps):
+        st = initial_state(SimConfig(n=64))
+        with pytest.raises(ParameterError, match="steps must be an int >= 1"):
+            step(st, self._params(), 0.01, steps=steps)
 
 
 class TestLinearExactFlow:
