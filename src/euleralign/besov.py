@@ -80,15 +80,7 @@ def besov_norm(
         raise DataError("field contains non-finite coefficients")
     if lp is None:
         lp = LPDecomp.for_grid(f.grid)
-    js = np.array(lp.j_range)
-    bn = lp.block_norms(f)
-    return besov_norm_from_blocks(js, bn, spec)
-
-
-def besov_norm_from_blocks(js: np.ndarray, block_norms: np.ndarray, spec: NormSpec) -> float:
-    """Same as :func:`besov_norm`, from precomputed per-block L2 norms of the
-    blocks ``js`` (ascending)."""
-    return norm_on_blocks(js, spec)(np.asarray(block_norms, dtype=float))
+    return norm_on_blocks(lp.j_range, spec)(lp.block_norms(f))
 
 
 def norm_on_blocks(js: np.ndarray, spec: NormSpec):
@@ -137,7 +129,7 @@ def chemin_lerner(
         per_block = np.trapezoid(block_norms, times, axis=0)
     else:
         raise ValueError(f"q must be 1 or inf, got {q}")
-    return besov_norm_from_blocks(js, per_block, spec)
+    return norm_on_blocks(js, spec)(per_block)
 
 
 @dataclass

@@ -11,13 +11,13 @@ their own conjugates.  Physical wavenumbers are xi = 2*pi*k/L.
 A ``Grid`` builds each Fourier symbol of its lattice once, read-only:
 ``wavenumbers``, ``xi_norm``, the Nyquist-zeroed ``xi_tilde`` with its
 ``xi_tilde_norm``, derivative symbol ``ixi`` and Riesz symbol ``riesz`` (the
-one symbol of the Helmholtz split), the powers ``lambda_symbol``, the 2/3
-rule's ``dealias_mask`` and ``dealias_cutoff``, and the ``plancherel_weights``.
-Only the dyadic multipliers live in ``lp.LPDecomp``.  The coefficients that the
-2/3 rule keeps form the band, of ``band_shape``: k = 0..K in 1D, and in 2D the
-columns k_2 = 0..K of the rows k_1 = 0..K, then -K..-1 (K = ``dealias_cutoff``).
-``band`` gathers it from half-spectrum coefficients, and ``unband`` scatters
-it into zeros.
+one symbol of the Helmholtz split), the powers ``lambda_symbol`` and the
+``plancherel_weights``.  Only the dyadic multipliers live in ``lp.LPDecomp``.
+The 2/3 rule is written once, as the band: the coefficients with every
+|k_i| <= K (K = ``dealias_cutoff``), of ``band_shape``: k = 0..K in 1D, and in
+2D the columns k_2 = 0..K of the rows k_1 = 0..K, then -K..-1.  ``band``
+gathers it from half-spectrum coefficients, and ``unband`` scatters it into
+zeros, so ``unband(band(coef))`` is the dealiased ``coef``.
 
 A ``Grid`` also makes every transform; no other module calls ``numpy.fft``.
 ``spectral`` and ``physical`` return a new array and leave their input as it
@@ -227,13 +227,16 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, L)^dim with n points per axis."""
+    """Uniform periodic grid on [0, L)^dim with n points per axis: ``dim``
+    (1 or 2) and ``n`` (a power of two >= 8) are ints, NumPy's included."""
 
     dim: int
     n: int
     L: float
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (self.dim, self.n)):
+            raise GridError(f"dim and n must be ints, got {self.dim!r} and {self.n!r}")
         if self.dim not in (1, 2):
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8 or not _is_power_of_two(self.n):
@@ -261,9 +264,9 @@ class Grid:
 
     @functools.cached_property
     def band_shape(self) -> tuple:
-        """Shape of the band, the coefficients that ``dealias_mask`` keeps, with
-        K = ``dealias_cutoff``: k = 0..K in 1D, and in 2D the columns k_2 =
-        0..K of the rows k_1 = 0..K, then -K..-1."""
+        """Shape of the band, the coefficients that the 2/3 rule keeps, every
+        |k_i| <= K = ``dealias_cutoff``: k = 0..K in 1D, and in 2D the columns
+        k_2 = 0..K of the rows k_1 = 0..K, then -K..-1."""
         K = self.dealias_cutoff
         return (2 * K + 1,) * (self.dim - 1) + (K + 1,)
 
@@ -442,12 +445,6 @@ class Grid:
         nz = xi > 0
         mult[nz] = xi[nz] ** power
         return read_only(mult)
-
-    @functools.lru_cache(maxsize=32)
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where every |k_i| <= ``dealias_cutoff``."""
-        keep = [np.abs(k) <= self.dealias_cutoff for k in self.wavenumbers()]
-        return read_only(np.logical_and.reduce(keep))
 
     @functools.lru_cache(maxsize=32)
     def plancherel_weights(self) -> np.ndarray:

@@ -8,7 +8,10 @@ Per frequency, the compressible pair (sigma_hat, d_hat) obeys
 while each incompressible component decays at the pure rate -mu*|xi|^alpha.
 ``propagate_pair_field`` is the one exact flow of the pair: it applies the
 closed-form exponential e^{Mt} = c0 I + c1 M to every frequency of a field
-at once (``simulation.linear_exact_flow`` adds the incompressible part).
+at once (``simulation.linear_exact_flow`` adds the incompressible part).  Its
+wave coupling is lam |xi_tilde|, the Nyquist-zeroed magnitude that the
+discrete derivatives see, so sigma is frozen on a mode with a Nyquist
+component; the damping is mu |xi|^alpha.
 The regime threshold |xi|^{alpha-1} = 4*lam/mu separates the damped-wave
 (low) and damped/parabolic (high) behavior; the block energies Y_j carry the
 corresponding decay rates.
@@ -190,18 +193,18 @@ def propagate_pair_field(
     d: SpectralField,
     t: float,
     ep: LinearEnergyParams,
-    coupling: np.ndarray | None = None,
 ):
     """Exact linear flow of a (sigma, d) field pair, applied per frequency.
 
-    ``coupling`` overrides the wave-coupling magnitude per mode (default
-    |xi|); the damping always uses mu |xi|^alpha.  The mean mode is invariant.
+    The wave coupling is lam |xi_tilde| (``Grid.xi_tilde_norm``), which the
+    discrete derivatives see; the damping is mu |xi|^alpha.  The mean mode
+    is invariant.
     """
     if not 0 <= t < np.inf:
         raise ParameterError(f"t must be finite and >= 0, got {t}")
     grid = sigma.grid
     xi = grid.xi_norm()
-    a = ep.lam * (xi if coupling is None else coupling)
+    a = ep.lam * grid.xi_tilde_norm()
     b = ep.mu * grid.lambda_symbol(ep.alpha)
     s0, d0 = sigma.coef[0], d.coef[0]
     c0, c1 = _expm_2x2_coeffs(a, b, t)

@@ -5,7 +5,8 @@ density rho that vanishes at the equilibrium rho = 1) and the velocity u;
 ``sigma_from_rho`` and ``rho_from_sigma`` convert samples.  A
 ``SpectralPlan`` per (grid, params) holds the sigma-u tendency and the
 integrating-factor RK4 ``step`` on coefficient arrays, with the buffers they
-share; ``rhs`` goes through the same tendency.  ``rhs_conservative`` takes
+share; ``rhs`` calls the same kernel, ``SpectralPlan.tendency``, which
+includes the stiff term.  ``rhs_conservative`` takes
 (rho, u) through the conservative form; like the quadrature
 ``alignment_direct``, it is an oracle for tests, not a second solver path.
 
@@ -261,10 +262,10 @@ class Workspace:
     With N = grid.dim, the stacked state x = (sigma, u_1, ..., u_N) has
     F = 1 + N fields; a "field" is one component's coefficients (complex) or
     grid samples (real).  The spectral arithmetic runs on the band
-    (``Grid.band_shape``), the coefficients that the 2/3 rule keeps: there the
-    mask is all ones, so no phase multiplies by it.  Only the transform
-    buffers ``spec`` and ``cols`` keep a half spectrum's lines.  Each slot is
-    a view of one of four arrays, named here once:
+    (``Grid.band_shape``), the coefficients that the 2/3 rule keeps, so no
+    phase multiplies by a mask.  Only the transform buffers ``spec`` and
+    ``cols`` keep a half spectrum's lines.  Each slot is a view of one of
+    four arrays, named here once:
 
     ``batch``    complex, F^2 band fields.  ``x`` = (``sig``, ``u``), the
                  stage input, then ``grad``, grad[a, c] = d_a x_c:
@@ -354,31 +355,33 @@ class Workspace:
 
 
 class SpectralPlan:
-    """Multipliers, the sigma-u tendency, the integrating-factor RK4 step and
-    the reusable buffers of one (grid, params).
+    """The sigma-u tendency, the integrating-factor RK4 step and the reusable
+    buffers of one (grid, params).
 
-    ``ixi`` (i*xi per axis, Nyquist zeroed), ``lam_alpha`` (|xi|^alpha, mean
-    zeroed) and ``mask`` (2/3 rule) are the grid's own read-only symbols;
-    ``mu_lam_alpha`` = mu * ``lam_alpha``.  The tendency acts on the stacked
-    (sigma, u) array: each operation that is the same for sigma and u runs
-    once on all 1 + N fields.  Its spectral arithmetic runs on the band of
-    the 2/3 rule (``Grid.band_shape``): ``tendency`` and ``step`` gather the
-    band of their half-spectrum inputs into the workspace's ``x0``, the stage
-    inputs, tendencies and RK4 sums stay on the band, and the results are
-    the band scattered into zeros (``Grid.unband``), so every masked mode of
-    a result is +0 and no phase multiplies by the mask.  A ``step`` call of
-    several steps gathers and scatters once: between its steps the state
-    stays on the band, each step starting from the last one's RK4 sum.  The
-    tendency moves its batches to the grid with the grid's bound
-    "band_physical" and back with its "band_spectral": 4 transform batches,
-    16 per step, whose first stage checks that step's input density on
-    samples it makes anyway.  In 2D each batch is two NumPy calls, one 1D
-    pass per axis, and the band's scatter or gather.  The batches,
-    temporaries, stage inputs and tendencies live in ``workspace``, allocated
-    on first use and reused by every later ``tendency`` and ``step``, so a
-    ``step`` call allocates only the arrays it returns.  A plan is therefore not re-entrant: two
-    threads must not run its ``tendency`` or ``step`` at once.  Use
-    ``plan_for``.
+    The plan keeps no half-spectrum symbol: its phases read the bands of the
+    grid's ``ixi`` (i*xi per axis, Nyquist zeroed) and ``lambda_symbol``
+    (|xi|^alpha, mean zeroed), and mu |xi|^alpha formed on the band
+    (``_parts``).  ``tendency`` is the whole right-hand side, the stiff
+    -mu Lambda^alpha u included, which ``step`` integrates exactly instead.
+    The tendency acts on the stacked (sigma, u) array: each operation that is
+    the same for sigma and u runs once on all 1 + N fields.  Its spectral
+    arithmetic runs on the band of the 2/3 rule (``Grid.band_shape``):
+    ``tendency`` and ``step`` gather the band of their half-spectrum inputs
+    into the workspace's ``x0``, the stage inputs, tendencies and RK4 sums
+    stay on the band, and the results are the band scattered into zeros
+    (``Grid.unband``), so every masked mode of a result is +0 and no phase
+    multiplies by a mask.  A ``step`` call of several steps gathers and
+    scatters once: between its steps the state stays on the band, each step
+    starting from the last one's RK4 sum.  The tendency moves its batches to
+    the grid with the grid's bound "band_physical" and back with its
+    "band_spectral": 4 transform batches, 16 per step, whose first stage
+    checks that step's input density on samples it makes anyway.  In 2D each
+    batch is two NumPy calls, one 1D pass per axis, and the band's scatter
+    or gather.  The batches, temporaries, stage inputs and tendencies live
+    in ``workspace``, allocated on first use and reused by every later
+    ``tendency`` and ``step``, so a ``step`` call allocates only the arrays
+    it returns.  A plan is therefore not re-entrant: two threads must not
+    run its ``tendency`` or ``step`` at once.  Use ``plan_for``.
 
     Between the transforms the work is pointwise.  ``tendency`` and ``step``
     write it as generators of phases, and each yield of ``_tendency`` names
@@ -398,14 +401,10 @@ class SpectralPlan:
 
     def __init__(self, grid: Grid, params: ModelParams):
         self.grid, self.params = grid, params
-        self.ixi = grid.ixi()
-        self.lam_alpha = grid.lambda_symbol(params.alpha)
-        self.mu_lam_alpha = read_only(params.mu * self.lam_alpha)
-        self.mask = grid.dealias_mask()
         # the fields' factors in -(gamma-1) sigma div u and mu u Lambda^alpha g
         source = [-(params.gamma - 1.0)] + [params.mu] * grid.dim
         self._source_factor = read_only(np.array(source).reshape((-1,) + (1,) * grid.dim))
-        self._state_size = (1 + grid.dim) * self.mask.size
+        self._state_size = (1 + grid.dim) * math.prod(grid.spectral_shape)
         # (dt, its pair): a run steps with one dt
         self._semigroup = None
 
@@ -418,13 +417,16 @@ class SpectralPlan:
         """The whole workspace with the symbols, then its two halves along axis
         -N, each a namespace of those names, ``neg_lam`` = -lam and ``cut``,
         which takes the same part of any array; ``semigroup`` adds the step's
-        symbols and scalars."""
+        symbols and scalars.  The symbols are the bands of the grid's ``ixi``
+        (as ``ixi_col``) and ``lambda_symbol(alpha)`` (``lam_alpha``), and
+        ``mu_lam_alpha`` = mu ``lam_alpha``, formed on the band."""
         whole = {k: a for k, a in vars(self.workspace).items() if isinstance(a, np.ndarray)}
-        symbols = ("ixi", "lam_alpha", "mu_lam_alpha")
-        whole.update({k: self._operand(self.grid.band(getattr(self, k))) for k in symbols})
-        whole.update(ixi_col=whole.pop("ixi")[:, np.newaxis], source=self._source_factor)
-        cuts = [lambda a: a] + [functools.partial(half, i=i, axis=-self.grid.dim) for i in (0, 1)]
-        neg_lam = np.complex128(-self.params.lam)
+        grid, p = self.grid, self.params
+        lam = grid.band(grid.lambda_symbol(p.alpha))
+        symbols = dict(ixi_col=grid.band(grid.ixi())[:, np.newaxis], lam_alpha=lam, mu_lam_alpha=p.mu * lam)
+        whole.update({k: self._operand(a) for k, a in symbols.items()}, source=self._source_factor)
+        cuts = [lambda a: a] + [functools.partial(half, i=i, axis=-grid.dim) for i in (0, 1)]
+        neg_lam = np.complex128(-p.lam)
         return tuple(
             types.SimpleNamespace(**{k: c(a) for k, a in whole.items()}, neg_lam=neg_lam, cut=c)
             for c in cuts
@@ -490,24 +492,27 @@ class SpectralPlan:
             yield transform, (None if mn is None else np.minimum(mn, mn_1))
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
-        """Dealiased tendencies of the coefficients (sigma, u), without the
-        stiff -mu Lambda^alpha u term, as two new arrays.
+        """Dealiased tendencies of the coefficients (sigma, u), the stiff
+        -mu Lambda^alpha u term included, as two new arrays.
 
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
+                 - mu Lambda^alpha u
         with g = h(sigma) = rho - 1.  The band of the inputs is copied into
         the workspace's ``x0``, so they may be any arrays, and the phases copy
         it into the stage input, as ``step``'s first stage does: a rerun after
         a half's ``VacuumError`` starts from the input, which the first
         transform overwrites in the batch.  The kernel is the one ``step``
-        runs (see ``_tendency``).  The masked modes of the results are +0.
+        runs (see ``_tendency``), which leaves the stiff term to the
+        semigroup; it is subtracted here, on the band, before the one
+        scatter.  The masked modes of the results are +0.
         """
-
-        ws = self.workspace
-        self.grid.band(sig, ws.s0)
-        self.grid.band(u, ws.u0)
-        self._run(lambda v: self._tendency(v, v.kb, v.kb_s, v.kb_u, linear_only, first=True))
-        return self.grid.unband(ws.kb_s), self.grid.unband(ws.kb_u)
+        v = self._parts[0]  # the whole workspace
+        self.grid.band(sig, v.s0)
+        self.grid.band(u, v.u0)
+        self._run(lambda part: self._tendency(part, part.kb, part.kb_s, part.kb_u, linear_only, first=True))
+        v.kb_u -= np.multiply(v.mu_lam_alpha, v.u0, v.ka_u)
+        return self.grid.unband(v.kb_s), self.grid.unband(v.kb_u)
 
     def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False, first: bool = False):
         """The phases of the tendency of the stage input ``v.x`` into the
@@ -680,14 +685,10 @@ def rhs_conservative(rho: SpectralField, u: SpectralField, params: ModelParams):
 def rhs(state: State, params: ModelParams, linear_only: bool = False):
     """Time derivative of the state: the spectral fields (d sigma/dt, du/dt).
 
-    It goes through ``plan_for(grid, params).tendency``, the kernel the
-    stepper uses: four transform batches (none with ``linear_only``), plus the
-    stiff term -mu Lambda^alpha u.
+    It is ``plan_for(grid, params).tendency``, the kernel the stepper uses,
+    stiff term included: four transform batches (none with ``linear_only``).
     """
-    plan = plan_for(state.grid, params)
-    u = state.u.coef
-    dsig, du = plan.tendency(state.scalar.coef, u, linear_only)
-    du -= plan.mu_lam_alpha * (u * plan.mask)
+    dsig, du = plan_for(state.grid, params).tendency(state.scalar.coef, state.u.coef, linear_only)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
 
 

@@ -1,9 +1,10 @@
 """Fourier multiplier operators on spectral fields.
 
 Each multiplier is a symbol the field's ``Grid`` builds once: ``ixi``,
-``riesz``, ``lambda_symbol`` or ``dealias_mask``.  The Helmholtz split takes
-the one Riesz symbol R = i xi_tilde/|xi_tilde|: d = Lambda^{-1} Div u = R.u,
-its velocity -R d, and the Leray projection u minus that velocity.
+``riesz`` or ``lambda_symbol``.  The Helmholtz split takes the one Riesz
+symbol R = i xi_tilde/|xi_tilde|: d = Lambda^{-1} Div u = R.u, its velocity
+-R d, and the Leray projection u minus that velocity.  ``dealias`` is the
+grid's band, the 2/3 rule's kept modes, scattered back into zeros.
 
 Conventions:
   * the fractional Laplacian is the multiplier |xi|^alpha with the mean mode
@@ -126,8 +127,9 @@ def heat_semigroup(f: SpectralField, alpha: float, mu: float, t: float) -> Spect
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients with any |k_i| > n // 3 (2/3 rule); idempotent."""
-    return SpectralField(f.grid, f.coef * f.grid.dealias_mask())
+    """The 2/3 rule: the modes with every |k_i| <= n // 3 (the grid's band)
+    copied, and +0 on all others, whatever they held; idempotent."""
+    return SpectralField(f.grid, f.grid.unband(f.grid.band(f.coef)))
 
 
 def physical_product(f: SpectralField, g: SpectralField) -> SpectralField:

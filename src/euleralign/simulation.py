@@ -9,6 +9,8 @@ transformed.  ``step`` runs ``model.SpectralPlan.step`` of the state's
 ``run`` makes one call per record interval, so between records the state
 stays on the plan's 2/3-rule band.  Like the plan, ``step`` is not
 re-entrant: two threads must not step states of one (grid, params) at once.
+``linear_exact_flow`` splits u once and hands the compressible pair to
+``linear.propagate_pair_field``, which owns its wave coupling.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import NormSpec, NormTrace, besov_norm, besov_norm_from_blocks, norm_on_blocks
+from .besov import NormSpec, NormTrace, besov_norm, norm_on_blocks
 from .grid import Grid, SpectralField
 from .linear import LinearEnergyParams, propagate_pair_field
 from .lp import LPDecomp
@@ -74,6 +76,10 @@ class SimConfig:
             raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.cfl < np.inf:
             raise ParameterError(f"cfl must be finite and > 0, got {self.cfl}")
+        for name in ("seed", "ic_mode") + (() if self.cadence is None else ("cadence",)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"{name} must be an int, got {v!r}")
         if self.cadence is not None and self.cadence < 1:
             raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if self.ic not in ("gaussian_bump", "random_smooth", "single_mode"):
@@ -216,19 +222,16 @@ def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     """Exact solution of the linearized (constant-coefficient) system.
 
     The velocity splits once through d = Lambda^{-1} Div u: the compressible
-    pair (sigma, d) is propagated by ``propagate_pair_field``, which rejects a
-    negative or non-finite t, and the incompressible part Pu = u - (-R d)
-    decays under the fractional heat semigroup.  The Riesz symbol R is 0 on
-    the mean mode and the heat flow leaves that mode alone, so Pu carries the
-    conserved mean velocity.
+    pair (sigma, d) is propagated by ``propagate_pair_field``, which couples
+    through |xi_tilde| and rejects a negative or non-finite t, and the
+    incompressible part Pu = u - (-R d) decays under the fractional heat
+    semigroup.  The Riesz symbol R is 0 on the mean mode and the heat flow
+    leaves that mode alone, so Pu carries the conserved mean velocity.
     """
     ep = LinearEnergyParams.from_model(params)
     d = lambda_inv_div(state.u)
     pu = state.u - grad_lambda_inv(d)
-    # couple through the Nyquist-zeroed wavenumbers that the discrete
-    # derivatives actually see (sigma is frozen where they vanish)
-    coupling = state.grid.xi_tilde_norm()
-    sig_t, d_t = propagate_pair_field(state.scalar, d, t, ep, coupling=coupling)
+    sig_t, d_t = propagate_pair_field(state.scalar, d, t, ep)
     u_t = grad_lambda_inv(d_t) + heat_semigroup(pu, params.alpha, params.mu, t)
     return State(sig_t, u_t, state.t + t)
 
@@ -440,10 +443,10 @@ def z_norms(state: State, t: float, s: float, s_bar: float, alpha: float, j0: in
     bn_pair = np.sqrt(bn_sig**2 + bn_u**2)
     half_n = state.grid.dim / 2.0
     low = NormSpec.restricted(s_bar + s * alpha, "low", j0)
-    zl = t**s * besov_norm_from_blocks(js, bn_pair, low)
+    zl = t**s * norm_on_blocks(js, low)(bn_pair)
     zh = t**s * (
-        besov_norm_from_blocks(js, bn_sig, NormSpec.restricted(half_n, "high", j0))
-        + besov_norm_from_blocks(js, bn_u, NormSpec.restricted(half_n + 1.0 - alpha, "high", j0))
+        norm_on_blocks(js, NormSpec.restricted(half_n, "high", j0))(bn_sig)
+        + norm_on_blocks(js, NormSpec.restricted(half_n + 1.0 - alpha, "high", j0))(bn_u)
     )
     return zl, zh
 

@@ -41,6 +41,7 @@ from euleralign.simulation import (
     linear_exact_flow,
     run,
     step,
+    z_norms,
 )
 from euleralign.snapshot import read_snapshot, write_snapshot
 
@@ -364,7 +365,10 @@ snapshot = {snap}
 def test_criterion_11_nonlinear_optimal_decay():
     # the abstract's optimal decay law for the nonlinear system: small L1 data
     # decay in L2 like t^{-N/(2 alpha)}, the rate of the linear heat flow that
-    # criterion 05 fits, on its box and at its mu
+    # criterion 05 fits, on its box and at its mu.  The time-weighted norm
+    # z_norms(s=1, s_bar=-1/2, j0=0) stays bounded: its low part
+    # t^s ||.||_{B^{s_bar + s alpha}} levels off (t^{-(s0 + s_bar)/alpha} = t^0
+    # for these L1 data, s0 = N/2), and its high part decays to round-off
     g = Grid(1, 2048, 512.0 * np.pi)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=0.25)
     (x,) = g.points()
@@ -376,18 +380,25 @@ def test_criterion_11_nonlinear_optimal_decay():
     def l2(state):
         return np.hypot(state.scalar.mean_free().l2(), state.u.mean_free().l2())
 
-    values = [l2(st)]
-    for _ in range(steps):
+    values, z = [l2(st)], []
+    for i in range(1, steps + 1):
         st = step(st, p, T / steps)
         values.append(l2(st))
+        if i % 22 == 0:  # 638 = 29 * 22: the last one is at T
+            z.append((times[i], *z_norms(st, times[i], 1.0, -0.5, 1.5, 0)))
     slope, r2 = decay_fit(times, values, (20.0, 200.0), kind="power")
     err = abs(slope + 1.0 / 3.0) / (1.0 / 3.0)
-    ok = err <= 0.01
+    zt, z_low, z_high = np.array(z).T
+    mid = int(np.searchsorted(zt, T / 2))  # the first at t >= T/2
+    drift = abs(z_low[-1] / z_low[mid] - 1.0)
+    ok = err <= 0.01 and drift <= 0.02 and z_low[-1] < 1e-2 and z_high[-1] < 1e-15
     _report(
         11,
         "nonlinear optimal decay",
         ok,
-        f"l2 slope={slope:.5f} vs -1/3 (err {100 * err:.2f}% <= 1%), r2={r2:.5f}",
+        f"l2 slope={slope:.5f} vs -1/3 (err {100 * err:.2f}% <= 1%), r2={r2:.5f}; "
+        f"z low {z_low[mid]:.4e} at t={zt[mid]:.1f}, {z_low[-1]:.4e} at T "
+        f"(drift {100 * drift:.2f}% <= 2%, < 1e-2), z high {z_high[-1]:.2e} at T (< 1e-15)",
     )
 
 

@@ -260,12 +260,33 @@ class TestPairField:
         t = 0.2
         s1, d1 = propagate_pair_field(s, d, t, EP)
         ks = g.wavenumbers()[0]
-        for idx in (1, 5, 40, 64):  # 64 = n/2, the Nyquist mode
+        for idx in (1, 5, 40):
             xi = abs(2.0 * np.pi / g.L * ks[idx])
             m, _ = mode_matrix(xi, EP)
             want = expm(m * t) @ [s.coef[0, idx], d.coef[0, idx]]
             assert s1.coef[0, idx] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             assert d1.coef[0, idx] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+        # at k = n/2 the derivatives see no wavenumber: the coupling is 0, so
+        # sigma is frozen and d decays at the pure heat rate
+        nyq = g.n // 2
+        rate = EP.mu * (2.0 * np.pi / g.L * nyq) ** EP.alpha
+        assert s1.coef[0, nyq] == pytest.approx(s.coef[0, nyq], rel=1e-12, abs=1e-15)
+        assert d1.coef[0, nyq] == pytest.approx(d.coef[0, nyq] * np.exp(-rate * t), rel=1e-12)
+
+    def test_2d_mode_with_a_nyquist_component(self):
+        # at (k_1, k_2) = (-n/2, 3) the derivatives see xi_2 only: the flow is
+        # e^{Mt} with the coupling a = lam |xi_2| and the damping b = mu |xi|^alpha
+        g = Grid(2, 32, 2.0 * np.pi)
+        rng = np.random.default_rng(7)
+        s, d = (SpectralField.from_physical(g, rng.standard_normal(g.shape)) for _ in range(2))
+        t = 0.2
+        s1, d1 = propagate_pair_field(s, d, t, EP)
+        idx = (g.n // 2, 3)
+        assert (g.wavenumbers()[0][idx], g.wavenumbers()[1][idx]) == (-g.n // 2, 3)
+        a, b = EP.lam * 3.0, EP.mu * np.hypot(g.n // 2, 3.0) ** EP.alpha
+        want = expm(np.array([[0.0, -a], [a, -b]]) * t) @ [s.coef[(0, *idx)], d.coef[(0, *idx)]]
+        assert s1.coef[(0, *idx)] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert d1.coef[(0, *idx)] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
     def test_mean_mode_invariant(self):
         # the full complex mean coefficients pass through bit for bit
@@ -284,15 +305,6 @@ class TestPairField:
             e = s1.l2() ** 2 + d1.l2() ** 2
             assert e <= prev * (1.0 + 1e-12)
             prev = e
-
-    def test_coupling_override_freezes_sigma(self):
-        g, s, d = self._pair()
-        s1, d1 = propagate_pair_field(s, d, 0.5, EP, coupling=np.zeros(g.spectral_shape))
-        # zero coupling: sigma unchanged, d decays at the pure rate
-        assert (s1 - s).l2() < 1e-13
-        xi = g.xi_norm()
-        expect = d.coef[0] * np.exp(-np.where(xi > 0, xi, 0.0) ** 1.5 * 0.5)
-        assert np.max(np.abs(d1.coef[0] - expect)) < 1e-13
 
 
 class TestKernelBound:

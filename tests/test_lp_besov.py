@@ -8,7 +8,6 @@ from euleralign.besov import (
     NormSpec,
     NormTrace,
     besov_norm,
-    besov_norm_from_blocks,
     bony_decompose,
     chemin_lerner,
     norm_on_blocks,
@@ -206,7 +205,6 @@ class TestBesovNorm:
         }
         for spec, want in specs.items():
             assert norm_on_blocks(js, spec)(bn) == want
-            assert besov_norm_from_blocks(js, bn, spec) == want
         with pytest.raises(ValueError, match="ascend"):
             norm_on_blocks(js[::-1], NormSpec.homogeneous(0.7))
 

@@ -32,7 +32,7 @@ from euleralign.operators import (
     physical_product,
 )
 from euleralign.simulation import step
-from test_grid_operators import assert_real_field, two_cpus  # noqa: F401 (a fixture)
+from test_grid_operators import assert_real_field, kept_modes, two_cpus  # noqa: F401 (a fixture)
 
 
 def _advection(u: SpectralField, f: SpectralField) -> SpectralField:
@@ -79,26 +79,28 @@ def _dealias(a, mask):
 
 
 def reference_tendency(plan, sig, u, linear_only):
-    """The tendency kernel with out-of-place temporaries and n-d transforms."""
-    p, dim, mask, grid = plan.params, plan.grid.dim, plan.mask, plan.grid
+    """The tendency kernel, without the stiff term, with out-of-place
+    temporaries and n-d transforms, on the grid's half-spectrum symbols."""
+    p, grid = plan.params, plan.grid
+    dim, mask, ixi, lam_alpha = grid.dim, kept_modes(grid), grid.ixi(), grid.lambda_symbol(p.alpha)
     sig, u = _dealias(sig, mask), _dealias(u, mask)
-    grad_sig = plan.ixi * sig
-    dsig = -p.lam * np.sum(plan.ixi * u, axis=0, keepdims=True)
+    grad_sig = ixi * sig
+    dsig = -p.lam * np.sum(ixi * u, axis=0, keepdims=True)
     du = -p.lam * grad_sig
     if linear_only:
         return _dealias(dsig, mask), _dealias(du, mask)
-    grad_u = (plan.ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
+    grad_u = (ixi[:, np.newaxis] * u).reshape((dim * dim,) + u.shape[1:])
     phys = _irfftn(grid, np.concatenate([sig, u, grad_sig, grad_u]))
     sv, uv = phys[0], phys[1 : 1 + dim]
     gs, gu = phys[1 + dim : 1 + 2 * dim], phys[1 + 2 * dim :].reshape((dim, dim) + sv.shape)
     div_u = sum(gu[i, i] for i in range(dim))  # gu[a, i] = d_a u_i
     g_hat = _dealias(_rfftn(grid, h_of_sigma(sv, p)), mask)
-    gv, lam_g = _irfftn(grid, np.stack([g_hat, plan.lam_alpha * g_hat]))
+    gv, lam_g = _irfftn(grid, np.stack([g_hat, lam_alpha * g_hat]))
     n_sig = -np.sum(uv * gs, axis=0) - (p.gamma - 1.0) * sv * div_u
     n_u = -np.sum(uv[:, np.newaxis] * gu, axis=0) + p.mu * uv * lam_g
     prods = _rfftn(grid, np.concatenate([n_sig[np.newaxis], n_u, gv * uv]))
     dsig = dsig + prods[:1]
-    du = du + prods[1 : 1 + dim] - p.mu * plan.lam_alpha * prods[1 + dim :]
+    du = du + prods[1 : 1 + dim] - p.mu * lam_alpha * prods[1 + dim :]
     return _dealias(dsig, mask), _dealias(du, mask)
 
 
@@ -118,7 +120,8 @@ def reference_step(state: State, params: ModelParams, dt: float, linear_only: bo
     k4s, k4u = tend(s0 + dt * k3s, u0 * e_full + dt * e_half * k3u)
     s_new = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
     u_new = u0 * e_full + dt / 6.0 * (e_full * k1u + 2.0 * e_half * (k2u + k3u) + k4u)
-    s_new, u_new = _dealias(s_new, plan.mask), _dealias(u_new, plan.mask)
+    mask = kept_modes(grid)
+    s_new, u_new = _dealias(s_new, mask), _dealias(u_new, mask)
     mn = float(np.min(rho_from_sigma(_irfftn(grid, s_new[0]), params)))
     if not (mn >= VACUUM_THRESHOLD):
         raise VacuumError(mn)
@@ -164,8 +167,10 @@ def test_plan_is_shared_and_read_only():
     plan = plan_for(grid, p)
     # equal (not identical) keys find the same plan
     assert plan_for(Grid(2, 16, 2 * np.pi), ModelParams(1.5, 1.0, 1.0, dim=2)) is plan
-    arrays = [plan.ixi, plan.lam_alpha, plan.mask, *plan.semigroup(0.1)]
-    arrays += [*grid.wavenumbers(), grid.xi_norm(), grid.dealias_mask(), *grid.xi_tilde()]
+    v = plan._parts[0]  # the band operands of the phases
+    arrays = [v.ixi_col, v.lam_alpha, v.mu_lam_alpha, v.source, *plan.semigroup(0.1)]
+    arrays += [v.e_half, v.e_full, v.dt_e_half, v.two_e_half]
+    arrays += [*grid.wavenumbers(), grid.xi_norm(), *grid.xi_tilde()]
     arrays += [grid.xi_tilde_norm(), grid.ixi(), grid.riesz(), grid.lambda_symbol(0.5)]
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -246,16 +251,19 @@ def test_kernel_is_bit_identical_to_the_reference(
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
     plan = plan_for(st.grid, p)
     got = plan.tendency(st.scalar.coef, st.u.coef, linear_only)
-    want = reference_tendency(plan, st.scalar.coef, st.u.coef, linear_only)
-    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    want_s, want_u = reference_tendency(plan, st.scalar.coef, st.u.coef, linear_only)
+    # the tendency includes the stiff term, which the reference leaves to the step
+    want_u = want_u - p.mu * st.grid.lambda_symbol(p.alpha) * dealias(st.u).coef
+    assert _same_bits(got[0], want_s) and _same_bits(got[1], want_u)
     # below 2**16 state coefficients the phases multiply by complex copies of
     # the symbols' bands, from 2D n=256 on by the real bands: both sides are
     # pinned.  On the band the mask is all ones, so the phases have none
     plan.semigroup(1e-3)
-    symbols = [getattr(plan._parts[0], k) for k in ("lam_alpha", "e_half", "e_full")]
-    large = grid_module.is_large((1 + dim) * st.grid.dealias_mask().size)
+    names = ("lam_alpha", "mu_lam_alpha", "e_half", "e_full")
+    symbols = [getattr(plan._parts[0], k) for k in names]
+    large = grid_module.is_large((1 + dim) * np.prod(st.grid.spectral_shape))
     assert large == ((dim, n) == (2, 256))
-    assert [a.dtype.kind for a in symbols] == (["f"] * 3 if large else ["c"] * 3)
+    assert [a.dtype.kind for a in symbols] == (["f"] * 4 if large else ["c"] * 4)
     assert all(a.shape == st.grid.band_shape for a in symbols)
     m = 2 if large else 20
     for _ in range(m):
@@ -291,6 +299,15 @@ def test_the_stages_live_on_the_band(dim, n):
     assert full == ({"spec"} if dim == 2 else {"spec", "cols"})
     assert ws.spec.shape[0] == 1 + 2 * dim
     assert np.shares_memory(ws.batch, ws.spec) == (dim == 1)
+    # every operand of the phases, the symbols' bands included, is on the band,
+    # but for the transform buffers and the real samples (and the samples'
+    # source factors, which broadcast over them)
+    plan = plan_for(grid, ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim))
+    plan.semigroup(1e-3)
+    for name, a in vars(plan._parts[0]).items():
+        if isinstance(a, np.ndarray) and name not in ("spec", "cols", "source"):
+            samples = a.dtype.kind == "f" and a.shape[a.ndim - dim :] == grid.shape
+            assert samples or a.shape[a.ndim - dim :] == grid.band_shape, name
 
 
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])
@@ -300,7 +317,7 @@ def test_masked_modes_of_a_step_are_zero(dim, n, linear_only):
     # +0, also where the input's masked modes were not 0
     st = random_state(dim, n, seed=61)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
-    masked = ~st.grid.dealias_mask()
+    masked = ~kept_modes(st.grid)
     assert np.all(st.scalar.coef[..., masked] != 0)
     out = step(st, p, 1e-3, linear_only)
     tend = plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef, linear_only)
@@ -316,7 +333,9 @@ def test_results_own_their_memory(dim, n):
     a, b = random_state(dim, n, seed=31), random_state(dim, n, seed=32)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
     plan = plan_for(a.grid, p)
-    shared = [plan.ixi, plan.lam_alpha, plan.mask, *plan.semigroup(1e-3)]
+    v = plan._parts[0]  # the band operands of the phases
+    shared = [a.grid.ixi(), a.grid.lambda_symbol(p.alpha), *plan.semigroup(1e-3)]
+    shared += [v.ixi_col, v.lam_alpha, v.mu_lam_alpha, v.e_half, v.e_full]
     inputs = [a.scalar.coef, a.u.coef, b.scalar.coef, b.u.coef]
     first = rhs(a, p)
     kept = [f.coef.copy() for f in first]

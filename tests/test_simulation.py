@@ -48,6 +48,14 @@ class TestSimConfig:
                 SimConfig(amplitude=value)
         with pytest.raises(ParameterError):
             SimConfig(alpha=2.5).model_params()
+        # integer fields take ints, NumPy's too, but no float or bool:
+        # ic_mode = 1.5 would start from a sine that is not periodic on the box
+        for name in ("seed", "ic_mode", "cadence"):
+            for value in (1.5, 2.0, True):
+                with pytest.raises(ParameterError, match=f"{name} must be an int"):
+                    SimConfig(**{name: value})
+        cfg = SimConfig(seed=np.int64(3), ic_mode=np.int32(2), cadence=np.int64(4))
+        assert (cfg.seed, cfg.ic_mode, cfg.cadence) == (3, 2, 4)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_dt_must_be_finite_and_positive(self, dt):
