@@ -15,16 +15,6 @@ from .grid import GridError, SpectralField
 from .lp import LPDecomp
 from .operators import dealias, physical_product
 
-__all__ = [
-    "NormSpec",
-    "NormTrace",
-    "besov_norm",
-    "norm_on_blocks",
-    "chemin_lerner",
-    "bony_decompose",
-    "DataError",
-]
-
 
 class DataError(ValueError):
     """Non-finite or otherwise unusable numerical input."""

@@ -4,12 +4,15 @@ All CSV output is RFC-4180 (CRLF line endings, '.' decimal point) with 17
 significant digits.  Exit codes: 0 success, 2 validation error, 3 vacuum
 abort, 4 CFL abort; an aborted run still writes its partial trace.  With
 ``--output -`` stdout carries the CSV alone; the other lines go to stderr.
+A reader that closes the pipe early ends the CSV there, and the command keeps
+its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -33,8 +36,6 @@ from .simulation import (
     run,
 )
 from .snapshot import SnapshotError, atomic_open, read_snapshot, write_snapshot
-
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,7 +66,15 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
     if path == "-":
-        emit(sys.stdout)
+        try:
+            emit(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: the run keeps its exit code, and
+            # stdout goes to devnull so that the exit flush raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         emit(fh)

@@ -34,8 +34,6 @@ import re
 from .besov import NormSpec
 from .simulation import SimConfig
 
-__all__ = ["ConfigError", "parse_config", "parse_config_file"]
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending key path."""

@@ -91,8 +91,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-__all__ = ["Grid", "SpectralField", "GridError"]
-
 
 class GridError(ValueError):
     """Invalid grid construction or mismatched grids."""

@@ -27,17 +27,6 @@ from .grid import SpectralField
 from .model import ModelParams
 from .operators import ParameterError, lambda_power
 
-__all__ = [
-    "LinearEnergyParams",
-    "mode_matrix",
-    "mode_eigenvalues",
-    "regime_classify",
-    "energy_Yj",
-    "propagate_pair_field",
-    "rate_floor",
-    "kernel_bound_check",
-]
-
 DELTA = 1.0 / 300.0
 
 

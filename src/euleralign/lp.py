@@ -21,8 +21,6 @@ import numpy as np
 
 from .grid import Grid, SpectralField, read_only
 
-__all__ = ["chi_profile", "phi_profile", "LPDecomp"]
-
 _CHI_LO = 0.75
 _CHI_HI = 4.0 / 3.0
 

@@ -38,23 +38,6 @@ from .operators import (
     spectral_derivative,
 )
 
-__all__ = [
-    "ModelParams",
-    "State",
-    "VacuumError",
-    "frac_laplacian_constant",
-    "sigma_from_rho",
-    "rho_from_sigma",
-    "h_of_sigma",
-    "alignment_commutator",
-    "alignment_direct",
-    "rhs_conservative",
-    "SpectralPlan",
-    "plan_for",
-    "rhs",
-    "scaling_check",
-]
-
 VACUUM_THRESHOLD = 1e-6
 
 

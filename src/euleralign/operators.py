@@ -20,19 +20,6 @@ import numpy as np
 
 from .grid import Grid, GridError, SpectralField
 
-__all__ = [
-    "fractional_laplacian",
-    "spectral_derivative",
-    "gradient",
-    "divergence",
-    "leray_project",
-    "lambda_inv_div",
-    "heat_semigroup",
-    "heat_multiplier",
-    "dealias",
-    "ParameterError",
-]
-
 
 class ParameterError(ValueError):
     """Operator parameter outside its admissible range."""

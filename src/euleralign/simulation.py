@@ -28,19 +28,6 @@ from .lp import LPDecomp
 from .model import VACUUM_THRESHOLD, ModelParams, State, VacuumError, plan_for, rho_from_sigma
 from .operators import ParameterError, dealias, grad_lambda_inv, heat_semigroup, lambda_inv_div
 
-__all__ = [
-    "SimConfig",
-    "DecaySpec",
-    "initial_state",
-    "step",
-    "run",
-    "Recorder",
-    "linear_exact_flow",
-    "fractional_heat_trace",
-    "z_norms",
-    "decay_fit",
-]
-
 
 @dataclass
 class SimConfig:
@@ -211,7 +198,7 @@ def step(
     """
     if not 0 < dt < np.inf:
         raise ParameterError(f"dt must be finite and > 0, got {dt}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ParameterError(f"steps must be an int >= 1, got {steps!r}")
     grid = state.grid
     sig, u = plan_for(grid, params).step(state.scalar.coef, state.u.coef, dt, linear_only, steps)

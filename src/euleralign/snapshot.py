@@ -28,8 +28,6 @@ from .grid import Grid, GridError, SpectralField
 from .model import ModelParams, State, VacuumError, h_of_sigma, sigma_from_rho
 from .operators import ParameterError
 
-__all__ = ["SnapshotError", "write_snapshot", "read_snapshot"]
-
 MAGIC = b"EASNAP01"
 VERSION = 1
 _HEADER = struct.Struct("<8sBII6dB")

@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen end-to-end checks, one pass/fail line each.
+"""Acceptance gate: fifteen end-to-end checks, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
@@ -494,6 +494,78 @@ def test_criterion_14_continuous_dependence():
         f"R_lin={r_lin:.7f}; D={d[1e-3, 1e-7]:.7f} at eps 1e-3, {d[1e-2, 1e-7]:.7f} at 1e-2 "
         f"(eta gap {eta_gap:.1e} <= 1e-5); (D-R_lin)/eps = {scan} "
         f"(c1' spread {100 * spread:.2f}% <= 2%); statuses {set(statuses)}",
+    )
+
+
+def _profile_gap(eps: float):
+    """Criterion 15's run pair at amplitude eps.  Returns the mass defects
+    (dM_sigma, dM_u) of the data, the record times, and R(t) = |U - U~| / |U|
+    in L2 on mean-free (sigma, u).  U is stepped from sigma0 = u0 = eps
+    e^{-(x - L/2)^2/2}; U~ is stepped ``linear_only`` from the data plus
+    (dM_sigma, dM_u) times the unit-mass Gaussian.  Each record is one
+    ``step`` call of 11 steps, 58 records to T = 200."""
+    g = Grid(1, 2048, 512.0 * np.pi)
+    p = ModelParams(alpha=1.2, kappa=1.0, gamma=1.0, mu=0.25)
+    (x,) = g.points()
+    gauss = np.exp(-((x - g.L / 2) ** 2) / 2)
+    bump = dealias(SpectralField.from_physical(g, eps * gauss))
+    phi = dealias(SpectralField.from_physical(g, gauss / np.sqrt(2.0 * np.pi)))
+    b = bump.to_physical()[0]  # the samples of sigma0 and of u0
+    rho = rho_from_sigma(b, p)
+    dm = np.array([np.sum(rho - 1.0) - np.sum(b), np.sum(rho * b) - np.sum(b)]) * g.dx
+    st = State(bump, bump.copy())
+    lin = State(bump + dm[0] * phi, bump + dm[1] * phi)
+
+    def l2(sigma, u):
+        return np.hypot(sigma.mean_free().l2(), u.mean_free().l2())
+
+    times, gap = [], []
+    for k in range(59):
+        if k:
+            st = step(st, p, 200.0 / 638, steps=11)
+            lin = step(lin, p, 200.0 / 638, linear_only=True, steps=11)
+        times.append(st.t)
+        gap.append(l2(st.scalar - lin.scalar, st.u - lin.u) / l2(st.scalar, st.u))
+    return dm, np.array(times), np.array(gap)
+
+
+def test_criterion_15_large_time_profile():
+    # the abstract's large-time asymptotic behavior, sharper than criterion
+    # 11's rate: a small solution approaches the linear flow of data that
+    # carry its conserved masses M_rho = int(rho - 1) and M_m = int rho u
+    # (diffusion waves; Liu & Zeng, Mem. AMS 125, 1997).  Neither int sigma
+    # nor int u is conserved; for this Gaussian at gamma = 1 the data's
+    # defects are dM_sigma = eps^2 sqrt(pi)/2 and dM_u = eps^2 sqrt(pi).  R/eps
+    # does not depend on eps (a tangent-flow quantity), and a Duhamel
+    # estimate of the quadratic terms bounds its decay by t^{1 - 2/alpha}.
+    # Criterion 11's grid and box, at alpha = 1.2
+    runs = {eps: _profile_gap(eps) for eps in (1e-3, 1e-2)}
+    t = runs[1e-3][1]
+    closed = np.array([np.sqrt(np.pi) / 2.0, np.sqrt(np.pi)])
+    mass = {eps: dm / eps**2 for eps, (dm, _, _) in runs.items()}
+    mass_err = max(np.max(np.abs(m / closed - 1.0)) for m in mass.values())
+    r = {eps: gap / eps for eps, (_, _, gap) in runs.items()}
+    spread = np.max(np.abs(r[1e-2] / r[1e-3] - 1.0))
+    i20 = int(np.searchsorted(t, 20.0))  # the first record at t >= 20
+    fall = max(ri[-1] / ri[i20] for ri in r.values())
+    slopes = [decay_fit(t, ri, (50.0, 200.0), kind="power")[0] for ri in r.values()]
+    floor = 1.0 - 2.0 / 1.2
+    ok = mass_err <= 0.01 and spread <= 0.01 and fall <= 0.45
+    ok = ok and all(floor <= slope <= -0.40 for slope in slopes)
+
+    def pair(values):
+        return "/".join(f"{v:.5f}" for v in values)
+
+    _report(
+        15,
+        "large-time profile",
+        ok,
+        f"at eps 1e-3/1e-2: dM_sigma/eps^2={pair(m[0] for m in mass.values())} vs "
+        f"sqrt(pi)/2, dM_u/eps^2={pair(m[1] for m in mass.values())} vs sqrt(pi) "
+        f"(err {100 * mass_err:.2f}% <= 1%); R/eps={pair(ri[i20] for ri in r.values())} "
+        f"at t={t[i20]:.2f}, {pair(ri[-1] for ri in r.values())} at T "
+        f"(fall {fall:.3f} <= 0.45, eps spread {100 * spread:.2f}% <= 1%); "
+        f"slope on [50, 200] {pair(slopes)} in [{floor:.3f}, -0.40]",
     )
 
 

@@ -8,11 +8,14 @@ import pathlib
 import re
 import stat
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import euleralign
 from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, SpectralField
@@ -897,6 +900,35 @@ column = l2_u
         assert rows[0][0] == "t" and len(rows) == 27
         assert all(float(cell) == float(cell) for row in rows[1:] for cell in row)
         assert "lambda=1" in captured.err and "decay fit [l2_sigma]" in captured.err
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            ("[time]\nt_end = 0.1\n", 0),
+            # rho <= 0 in the initial data: the first record stops the run
+            ("[model]\ngamma = 2\n\n[time]\nt_end = 0.1\n\n"
+             "[ic]\npreset = random_smooth\namplitude = 2\n", 3),
+        ],
+        ids=["ok", "vacuum"],
+    )
+    def test_run_into_a_closed_pipe_keeps_its_exit_code(self, tmp_path, body, code):
+        # the reader is gone before the CSV is written: the command ends with
+        # its own exit code, and neither the writes nor the interpreter's exit
+        # flush print a traceback
+        cfg = _write_config(tmp_path, "[grid]\nn = 32\n\n" + body)
+        src = str(pathlib.Path(euleralign.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        script = "import sys; from euleralign.cli import main; sys.exit(main(sys.argv[1:]))"
+        with open(tmp_path / "err.txt", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script, "run", "--config", cfg, "--output", "-"],
+                stdout=subprocess.PIPE, stderr=err,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            )
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == code
+        err = (tmp_path / "err.txt").read_text()
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_heat_decay_to_stdout_writes_only_the_csv(self, capsys):
         args = ["heat-decay", "--n", "1024", "--L", str(64 * np.pi), "--t-a", "2.0",

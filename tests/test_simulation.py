@@ -190,7 +190,7 @@ class TestStep:
         with pytest.raises(ParameterError, match="dt must be finite and > 0"):
             step(st, self._params(), dt)
 
-    @pytest.mark.parametrize("steps", [0, -1, 1.5])
+    @pytest.mark.parametrize("steps", [0, -1, 1.5, True])
     def test_bad_steps(self, steps):
         st = initial_state(SimConfig(n=64))
         with pytest.raises(ParameterError, match="steps must be an int >= 1"):
