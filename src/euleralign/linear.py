@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import SpectralField
 from .model import ModelParams
-from .operators import ParameterError, lambda_power
+from .operators import ParameterError, fractional_laplacian
 
 DELTA = 1.0 / 300.0
 
@@ -38,13 +38,16 @@ class LinearEnergyParams:
     lam: float
     mu: float
 
+    def __post_init__(self):
+        if not 1.0 < self.alpha < 2.0:
+            raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
+        for name, value in (("lam", self.lam), ("mu", self.mu)):
+            if not 0 < value < np.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
     @classmethod
     def from_model(cls, params: ModelParams) -> "LinearEnergyParams":
         return cls(alpha=params.alpha, lam=params.lam, mu=params.mu)
-
-    @property
-    def delta(self) -> float:
-        return DELTA
 
     @property
     def mu_bar(self) -> float:
@@ -134,13 +137,13 @@ def energy_Yj(
         Y^2 = ||Lambda^{a-1} s||^2 + 2 (lam/mu)^2 ||d||^2
               - 2 (lam/mu) (d | Lambda^{a-1} s)
     """
-    lam_s = lambda_power(sigma_block, ep.alpha - 1.0)
+    lam_s = fractional_laplacian(sigma_block, ep.alpha - 1.0)
     cross = d_block.inner(lam_s)
     if j <= ep.j0:
         y2 = (
             sigma_block.l2() ** 2
             + d_block.l2() ** 2
-            - ep.delta * (ep.mu / ep.lam) * cross
+            - DELTA * (ep.mu / ep.lam) * cross
         )
     else:
         r = ep.lam / ep.mu

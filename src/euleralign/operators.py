@@ -39,12 +39,7 @@ def fractional_laplacian(f: SpectralField, alpha: float) -> SpectralField:
     """
     if not (0.0 < alpha < 4.0):
         raise ParameterError(f"alpha must lie in (0, 4), got {alpha}")
-    return lambda_power(f, alpha)
-
-
-def lambda_power(f: SpectralField, power: float) -> SpectralField:
-    """|xi|^power multiplier with the mean mode zeroed (any real power)."""
-    return SpectralField(f.grid, f.coef * f.grid.lambda_symbol(power))
+    return SpectralField(f.grid, f.coef * f.grid.lambda_symbol(alpha))
 
 
 def spectral_derivative(f: SpectralField, axis: int = 0) -> SpectralField:

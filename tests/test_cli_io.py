@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 import euleralign
+from euleralign.besov import DataError
 from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
-from euleralign.grid import Grid, SpectralField
+from euleralign.grid import Grid, GridError, SpectralField
 from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, sigma_from_rho
+from euleralign.operators import ParameterError
 from euleralign.simulation import SimConfig, initial_state, run
 from euleralign.snapshot import (
     _HEADER,
@@ -474,6 +476,13 @@ snapshot = {snap}
 
 
 class TestCLI:
+    @pytest.mark.parametrize(
+        "error", [ConfigError, ParameterError, GridError, SnapshotError, DataError]
+    )
+    def test_each_validation_error_is_a_value_error(self, error):
+        # main maps ValueError to exit 2, so each of these does too
+        assert issubclass(error, ValueError)
+
     def test_run_writes_rfc4180_csv(self, tmp_path, capsys):
         snap = str(tmp_path / "final.snap")
         cfg = _write_config(tmp_path, RUN_INI.format(snap=snap))

@@ -27,7 +27,6 @@ from euleralign.operators import (
     gradient,
     heat_semigroup,
     lambda_inv_div,
-    lambda_power,
     leray_project,
     physical_product,
     spectral_derivative,
@@ -331,12 +330,6 @@ from euleralign import cli, grid
 assert grid._CPUS == 1
 sys.exit(cli.main(["run", "--config", sys.argv[1], "--output", sys.argv[2]]))
 """
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Split large passes in two even where this process has one CPU."""
-    monkeypatch.setattr(grid_module, "_CPUS", max(grid_module._CPUS, 2))
 
 
 class TestSplitPasses:
@@ -662,10 +655,10 @@ class TestFractionalLaplacian:
         with pytest.raises(ParameterError):
             fractional_laplacian(f, alpha)
 
-    def test_lambda_power_negative(self):
+    def test_lambda_symbol_takes_a_negative_power(self):
         g = Grid(1, 64, 2.0 * np.pi)
         f = SpectralField.from_physical(g, np.cos(4 * g.axis_points()))
-        out = lambda_power(f, -1.0).to_physical()[0]
+        out = SpectralField(g, f.coef * g.lambda_symbol(-1.0)).to_physical()[0]
         assert np.allclose(out, np.cos(4 * g.axis_points()) / 4.0, atol=1e-13)
 
 

@@ -1,5 +1,7 @@
 """Per-frequency linear analysis: eigenvalues, regimes, block energies, propagators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy.linalg import expm
 
 from euleralign.grid import Grid, SpectralField
 from euleralign.linear import (
+    DELTA,
     LinearEnergyParams,
     _expm_2x2_coeffs,
     energy_Yj,
@@ -21,7 +24,7 @@ from euleralign.linear import (
 )
 from euleralign.lp import LPDecomp
 from euleralign.model import ModelParams
-from euleralign.operators import ParameterError, heat_semigroup, lambda_power
+from euleralign.operators import ParameterError, fractional_laplacian, heat_semigroup
 
 EP = LinearEnergyParams(alpha=1.5, lam=1.0, mu=1.0)
 
@@ -63,6 +66,18 @@ class TestModeAlgebra:
         assert ep.lam == pytest.approx(2.0)
         assert ep.mu == 0.5 and ep.alpha == 1.5
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("alpha", v, "alpha must lie in (1, 2)") for v in (1.0, 2.0, 2.5, np.nan)]
+        + [("lam", v, "lam must be finite and > 0") for v in (0.0, -1.0, np.nan, np.inf)]
+        + [("mu", v, "mu must be finite and > 0") for v in (0.0, -1.0, np.inf)],
+    )
+    def test_rejects_parameters_outside_the_theory(self, name, value, message):
+        # alpha = 1 divides by zero in j0, mu = 0 too, and lam < 0 flips d
+        kwargs = {"alpha": 1.5, "lam": 1.0, "mu": 1.0, name: value}
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            LinearEnergyParams(**kwargs)
+
 
 class TestRegimes:
     def test_threshold_value(self):
@@ -77,8 +92,8 @@ class TestRegimes:
         assert EP.j0 == 4
 
     def test_derived_coefficients(self):
-        assert EP.delta == pytest.approx(1.0 / 300.0)
-        assert EP.mu_bar == pytest.approx(EP.delta / 8.0)
+        assert DELTA == pytest.approx(1.0 / 300.0)
+        assert EP.mu_bar == pytest.approx(DELTA / 8.0)
         assert EP.nu_bar == pytest.approx(0.25)
         assert EP.mu_h == pytest.approx(min(0.25 * 2.0**2.0, 2.0**6.0))
 
@@ -113,7 +128,7 @@ class TestBlockEnergy:
                 if base == 0:
                     continue
                 y = energy_Yj(s, d, j, EP)
-                assert abs(y**2 / base - 1.0) <= 2.0 * EP.delta
+                assert abs(y**2 / base - 1.0) <= 2.0 * DELTA
 
     def test_high_regime_lower_bound(self):
         # Y^2 >= (1/3) ||Lambda^{a-1} s||^2 + (1/2) (lam/mu)^2 ||d||^2
@@ -126,7 +141,7 @@ class TestBlockEnergy:
                 if s.l2() == 0 and d.l2() == 0:
                     continue
                 y = energy_Yj(s, d, j, EP)
-                lam_s = lambda_power(s, EP.alpha - 1.0)
+                lam_s = fractional_laplacian(s, EP.alpha - 1.0)
                 floor = (1.0 / 3.0) * lam_s.l2() ** 2 + 0.5 * r**2 * d.l2() ** 2
                 assert y**2 >= floor - 1e-12 * max(floor, 1.0)
 

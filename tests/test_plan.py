@@ -32,7 +32,7 @@ from euleralign.operators import (
     physical_product,
 )
 from euleralign.simulation import step
-from test_grid_operators import assert_real_field, kept_modes, two_cpus  # noqa: F401 (a fixture)
+from test_grid_operators import assert_real_field, kept_modes
 
 
 def _advection(u: SpectralField, f: SpectralField) -> SpectralField:
