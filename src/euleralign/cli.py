@@ -131,18 +131,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_linear(args) -> int:
-    xis = [float(x) for x in args.xi or ()]
     flags = [("--lambda", args.lam), ("--mu", args.mu), ("--xi-min", args.xi_min),
              ("--xi-max", args.xi_max), ("--xi-count", args.xi_count)]
-    flags += [("--xi", xi) for xi in xis]
+    flags += [("--xi", xi) for xi in args.xi or ()]
     for flag, value in flags:  # before LinearEnergyParams, so the message names the flag
         if not 0 < value < np.inf:
             raise ParameterError(f"{flag} must be finite and > 0, got {value}")
     ep = LinearEnergyParams(alpha=args.alpha, lam=args.lam, mu=args.mu)
-    if not xis:
-        xis = list(
-            np.logspace(np.log10(args.xi_min), np.log10(args.xi_max), args.xi_count)
-        )
+    xis = args.xi or np.logspace(np.log10(args.xi_min), np.log10(args.xi_max), args.xi_count)
     rows = []
     for xi in xis:
         fast, slow = mode_eigenvalues(xi, ep)
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.add_argument("--alpha", type=float, required=True)
     p_lin.add_argument("--lambda", dest="lam", type=float, required=True)
     p_lin.add_argument("--mu", type=float, required=True)
-    p_lin.add_argument("--xi", action="append", help="frequency magnitude (repeatable)")
+    p_lin.add_argument("--xi", type=float, action="append", help="frequency magnitude (repeatable)")
     p_lin.add_argument("--xi-min", type=float, default=2.0**-6)
     p_lin.add_argument("--xi-max", type=float, default=2.0**10)
     p_lin.add_argument("--xi-count", type=int, default=200)

@@ -73,15 +73,19 @@ class LinearEnergyParams:
     def mu_h(self) -> float:
         """High-frequency damping rate min(nu_bar 2^{j0(2-a)}, mu 2^{j0 a})."""
         j0 = self.j0_real
-        return min(
-            self.nu_bar * 2.0 ** (j0 * (2.0 - self.alpha)),
-            self.mu * 2.0 ** (j0 * self.alpha),
-        )
+        return _exp2(min(np.log2(self.nu_bar) + j0 * (2.0 - self.alpha),
+                         np.log2(self.mu) + j0 * self.alpha))
 
     @property
     def xi_threshold(self) -> float:
-        """|xi| at the regime boundary."""
-        return (4.0 * self.lam / self.mu) ** (1.0 / (self.alpha - 1.0))
+        """|xi| at the regime boundary, 2^{j0_real}."""
+        return _exp2(self.j0_real)
+
+
+def _exp2(x: float) -> float:
+    """2^x, and inf where that exceeds the float range (j0 grows without
+    bound as alpha -> 1)."""
+    return float(2.0**x) if x < 1024 else np.inf
 
 
 def mode_matrix(xi: float, ep: LinearEnergyParams):

@@ -5,10 +5,12 @@ acting on u is integrated exactly through the fractional heat semigroup, and
 everything else (acoustic coupling and nonlinearities) is advanced explicitly
 at fourth order.  sigma carries no stiff term, so only the velocity is
 transformed.  ``step`` runs ``model.SpectralPlan.step`` of the state's
-(grid, params) on its half-spectrum coefficients, one or more steps a call;
-``run`` makes one call per record interval, so between records the state
-stays on the plan's 2/3-rule band.  Like the plan, ``step`` is not
-re-entrant: two threads must not step states of one (grid, params) at once.
+(grid, params) on its half-spectrum coefficients, one or more steps a call.
+``trajectory`` steps a state through a schedule of record step counts with
+one call per record interval, so between records the state stays on the
+plan's 2/3-rule band; ``run`` records what it yields.  Like the plan,
+``step`` is not re-entrant: two threads must not step states of one (grid,
+params) at once.
 ``linear_exact_flow`` splits u once and hands the compressible pair to
 ``linear.propagate_pair_field``, which owns its wave coupling.
 """
@@ -205,6 +207,23 @@ def step(
     return State(SpectralField(grid, sig), SpectralField(grid, u), state.t + steps * dt)
 
 
+def trajectory(state: State, params: ModelParams, dt: float, record_steps,
+               linear_only: bool = False):
+    """Yield the state at each step count k of the ascending ``record_steps``.
+
+    Between records it makes one ``step`` call of the steps since the last
+    one and sets t = state.t + k * dt, so each yielded state has the bits of
+    k single steps; a first k = 0 yields ``state`` itself.  A repeated,
+    falling or non-int k is a ``ParameterError`` from ``step``.
+    """
+    t0, done = state.t, 0
+    for i, k in enumerate(record_steps):
+        if i or k:
+            state = step(state, params, dt, linear_only, k - done)
+            state.t, done = t0 + k * dt, k
+        yield state
+
+
 def linear_exact_flow(state: State, params: ModelParams, t: float) -> State:
     """Exact solution of the linearized (constant-coefficient) system.
 
@@ -318,9 +337,9 @@ class Recorder:
 def run(config: SimConfig, store_states: bool = False):
     """Advance the system to t_end, tracing every record through a ``Recorder``.
 
-    Each record interval of ``cadence`` steps is one ``step`` call of
-    ``steps=cadence``, which keeps the state on the plan's band between
-    records; the record sets the state's t to its step count times dt.
+    The records come from ``trajectory`` on the uniform schedule of every
+    ``cadence`` steps: one ``step`` call per record interval, and each
+    record's t is its step count times dt.
     Returns (trace, states) where ``states`` holds every recorded state when
     ``store_states`` is set, and otherwise only the last recorded one; the
     final state of a completed run is always recorded.  A run that stops
@@ -346,9 +365,8 @@ def run(config: SimConfig, store_states: bool = False):
     cfl_strikes = 0
     try:
         recorder.record(state)  # the initial data as given: step 1 guards it
-        for istep in range(cadence, nsteps + 1, cadence):
-            state = step(state, params, dt, steps=cadence)
-            state.t = istep * dt
+        records = range(cadence, nsteps + 1, cadence)
+        for istep, state in zip(records, trajectory(state, params, dt, records)):
             limit = cfl_limit(config, recorder.record(state), params)
             if not store_states:
                 states.clear()

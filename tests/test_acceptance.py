@@ -1,4 +1,4 @@
-"""Acceptance gate: sixteen end-to-end checks, one pass/fail line each.
+"""Acceptance gate: seventeen end-to-end checks, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
@@ -43,6 +43,7 @@ from euleralign.simulation import (
     linear_exact_flow,
     run,
     step,
+    trajectory,
     z_norms,
 )
 from euleralign.snapshot import read_snapshot, write_snapshot
@@ -380,20 +381,15 @@ def test_criterion_11_nonlinear_optimal_decay():
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, mu=0.25)
     (x,) = g.points()
     bump = dealias(SpectralField.from_physical(g, 1e-3 * np.exp(-((x - g.L / 2) ** 2) / 2)))
-    st = State(bump, bump.copy())
     steps, T = 638, 200.0
-    times = np.linspace(0.0, T, steps + 1)
-
-    def l2(state):
-        return np.hypot(state.scalar.mean_free().l2(), state.u.mean_free().l2())
-
-    values, z = [l2(st)], []
-    for i in range(1, steps + 1):
-        st = step(st, p, T / steps)
-        values.append(l2(st))
-        if i % 22 == 0:  # 638 = 29 * 22: the last one is at T
-            z.append((times[i], *z_norms(st, times[i], 1.0, -0.5, 1.5, 0)))
-    slope, r2 = decay_fit(times, values, (20.0, 200.0), kind="power")
+    times, values, z = [], [], []
+    for k, st in enumerate(trajectory(State(bump, bump.copy()), p, T / steps, range(steps + 1))):
+        times.append(st.t)
+        values.append(np.hypot(st.scalar.mean_free().l2(), st.u.mean_free().l2()))
+        if k and k % 22 == 0:  # 638 = 29 * 22: the last one is at T
+            z.append((st.t, *z_norms(st, st.t, 1.0, -0.5, 1.5, 0)))
+    # the window ends at the last record, whose t = 638 * (T / 638) rounds above T
+    slope, r2 = decay_fit(times, values, (20.0, times[-1]), kind="power")
     err = abs(slope + 1.0 / 3.0) / (1.0 / 3.0)
     zt, z_low, z_high = np.array(z).T
     mid = int(np.searchsorted(zt, T / 2))  # the first at t >= T/2
@@ -415,7 +411,7 @@ def _decay_2d(eps: float):
     L2 norms of mean-free (sigma, u), of the compressible pair (sigma, d) with
     d = Lambda^{-1} div u, and of the Leray part Pu (rows: norm).  U starts
     from sigma0 = u10 = u20 = eps e^{-|x - c|^2/8}, c the box centre; each
-    record is one ``step`` call of 3 steps, 40 records to T = 50."""
+    record is 3 steps of ``trajectory``, 40 records to T = 50."""
     g = Grid(2, 128, 64.0 * np.pi)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0, dim=2, mu=1.0)
     x, y = g.points()
@@ -427,13 +423,9 @@ def _decay_2d(eps: float):
         d, pu = lambda_inv_div(state.u).l2(), leray_project(state.u).mean_free().l2()
         return np.hypot(sigma, u), np.hypot(sigma, d), pu
 
-    st, times, values, linear = s0, [], [], []
-    for k in range(41):
-        if k:
-            st = step(st, p, 50.0 / 120, steps=3)
-        times.append(st.t)
-        values.append(norms(st))
-        linear.append(norms(linear_exact_flow(s0, p, st.t)))
+    rows = [(st.t, norms(st), norms(linear_exact_flow(s0, p, st.t)))
+            for st in trajectory(s0, p, 50.0 / 120, range(0, 121, 3))]
+    times, values, linear = zip(*rows)
     return np.array(times), np.array(values).T, np.array(linear).T
 
 
@@ -491,12 +483,7 @@ def test_criterion_13_small_data_constant():
     base = SimConfig(n=128, t_end=20.0, dt=20.0 / nsteps, cadence=cadence, ic="gaussian_bump")
     params, s0 = base.model_params(), initial_state(base)
     stepped, exact = Recorder(s0.grid, params), Recorder(s0.grid, params)
-    stepped.record(s0)
-    exact.record(s0)
-    st = s0
-    for istep in range(cadence, nsteps + 1, cadence):
-        st = step(st, params, base.dt, linear_only=True, steps=cadence)
-        st.t = istep * base.dt
+    for st in trajectory(s0, params, base.dt, range(0, nsteps + 1, cadence), linear_only=True):
         stepped.record(st)
         exact.record(linear_exact_flow(s0, params, st.t))
     r_lin = _x_ratio(stepped.trace)
@@ -521,15 +508,14 @@ def test_criterion_13_small_data_constant():
 
 def _difference_ratio(config: SimConfig, a: State, b: State, linear_only: bool = False):
     """D = X(delta)(T)/X(delta)(0) of delta = B - A, with A and B stepped by
-    one ``step`` call of ``config.cadence`` steps at ``config.dt`` per record,
-    and delta recorded through one ``Recorder``; and the recorder's trace
-    status."""
-    params, cadence = config.model_params(), config.cadence
+    ``trajectory`` at ``config.dt`` with a record every ``config.cadence``
+    steps, and delta recorded through one ``Recorder``; and the recorder's
+    trace status."""
+    params = config.model_params()
+    records = range(0, round(config.t_end / config.dt) + 1, config.cadence)
     recorder = Recorder(a.grid, params)
-    for istep in range(0, round(config.t_end / config.dt) + 1, cadence):
-        if istep:
-            a, b = (step(s, params, config.dt, linear_only, cadence) for s in (a, b))
-        recorder.record(State(b.scalar - a.scalar, b.u - a.u, istep * config.dt))
+    for a, b in zip(*(trajectory(s, params, config.dt, records, linear_only) for s in (a, b))):
+        recorder.record(State(b.scalar - a.scalar, b.u - a.u, b.t))
     return _x_ratio(recorder.trace), recorder.trace.status
 
 
@@ -575,8 +561,8 @@ def _profile_gap(eps: float):
     (dM_sigma, dM_u) of the data, the record times, and R(t) = |U - U~| / |U|
     in L2 on mean-free (sigma, u).  U is stepped from sigma0 = u0 = eps
     e^{-(x - L/2)^2/2}; U~ is stepped ``linear_only`` from the data plus
-    (dM_sigma, dM_u) times the unit-mass Gaussian.  Each record is one
-    ``step`` call of 11 steps, 58 records to T = 200."""
+    (dM_sigma, dM_u) times the unit-mass Gaussian.  Each record is 11 steps
+    of ``trajectory``, 58 records to T = 200."""
     g = Grid(1, 2048, 512.0 * np.pi)
     p = ModelParams(alpha=1.2, kappa=1.0, gamma=1.0, mu=0.25)
     (x,) = g.points()
@@ -586,19 +572,16 @@ def _profile_gap(eps: float):
     b = bump.to_physical()[0]  # the samples of sigma0 and of u0
     rho = rho_from_sigma(b, p)
     dm = np.array([np.sum(rho - 1.0) - np.sum(b), np.sum(rho * b) - np.sum(b)]) * g.dx
-    st = State(bump, bump.copy())
-    lin = State(bump + dm[0] * phi, bump + dm[1] * phi)
+    records, dt = range(0, 639, 11), 200.0 / 638
+    runs = (trajectory(State(bump, bump.copy()), p, dt, records),
+            trajectory(State(bump + dm[0] * phi, bump + dm[1] * phi), p, dt, records, True))
 
     def l2(sigma, u):
         return np.hypot(sigma.mean_free().l2(), u.mean_free().l2())
 
-    times, gap = [], []
-    for k in range(59):
-        if k:
-            st = step(st, p, 200.0 / 638, steps=11)
-            lin = step(lin, p, 200.0 / 638, linear_only=True, steps=11)
-        times.append(st.t)
-        gap.append(l2(st.scalar - lin.scalar, st.u - lin.u) / l2(st.scalar, st.u))
+    rows = [(st.t, l2(st.scalar - lin.scalar, st.u - lin.u) / l2(st.scalar, st.u))
+            for st, lin in zip(*runs)]
+    times, gap = zip(*rows)
     return dm, np.array(times), np.array(gap)
 
 
@@ -621,7 +604,8 @@ def test_criterion_15_large_time_profile():
     spread = np.max(np.abs(r[1e-2] / r[1e-3] - 1.0))
     i20 = int(np.searchsorted(t, 20.0))  # the first record at t >= 20
     fall = max(ri[-1] / ri[i20] for ri in r.values())
-    slopes = [decay_fit(t, ri, (50.0, 200.0), kind="power")[0] for ri in r.values()]
+    # the window ends at the last record, whose t = 638 * (200 / 638) rounds above 200
+    slopes = [decay_fit(t, ri, (50.0, t[-1]), kind="power")[0] for ri in r.values()]
     floor = 1.0 - 2.0 / 1.2
     ok = mass_err <= 0.01 and spread <= 0.01 and fall <= 0.45
     ok = ok and all(floor <= slope <= -0.40 for slope in slopes)
@@ -642,8 +626,8 @@ def test_criterion_15_large_time_profile():
 def _pressureless_drift(kappa: float):
     """The largest relative drift of I2 = int G^2/rho and I4 = int G^4/rho^3,
     G = d_x u - mu Lambda^alpha rho, over 40 records of 1D data rho = 1 + 0.9
-    sin x, u = 3 cos x at gamma = 1, n=128, dt=5e-4, T=2, one ``step`` call
-    of 100 steps per record; and the minimum density of the records."""
+    sin x, u = 3 cos x at gamma = 1, n=128, dt=5e-4, T=2, 100 steps of
+    ``trajectory`` per record; and the minimum density of the records."""
     g, dt, per_record = Grid(1, 128, 2.0 * np.pi), 5e-4, 100
     p = ModelParams(alpha=1.5, kappa=kappa, gamma=1.0)
     x = g.axis_points()
@@ -654,15 +638,10 @@ def _pressureless_drift(kappa: float):
         rho = rho_from_sigma(state.scalar.to_physical()[0], p)
         lam_rho = fractional_laplacian(SpectralField.from_physical(g, rho), p.alpha)
         G = spectral_derivative(state.u).to_physical()[0] - p.mu * lam_rho.to_physical()[0]
-        return np.array([np.sum(G**2 / rho), np.sum(G**4 / rho**3)]) * g.dx, rho.min()
+        return np.sum(G**2 / rho) * g.dx, np.sum(G**4 / rho**3) * g.dx, rho.min()
 
-    i0, min_rho = invariants(st)
-    drift = np.zeros(2)
-    for _ in range(40):
-        st = step(st, p, dt, steps=per_record)
-        i, rho_min = invariants(st)
-        drift, min_rho = np.maximum(drift, np.abs(i / i0 - 1.0)), min(min_rho, rho_min)
-    return drift, min_rho
+    rows = np.array([invariants(s) for s in trajectory(st, p, dt, range(0, 4001, per_record))])
+    return np.max(np.abs(rows[:, :2] / rows[0, :2] - 1.0), axis=0), rows[:, 2].min()
 
 
 def test_criterion_16_pressureless_invariant():
@@ -682,4 +661,75 @@ def test_criterion_16_pressureless_invariant():
         ok,
         f"I2 drift={drift[0]:.2e} I4 drift={drift[1]:.2e} (<= 1e-8) min_rho={min_rho:.4f}; "
         f"drift/kappa I2/I4 = {scan} (spread {100 * spread[0]:.2f}%/{100 * spread[1]:.2f}% <= 5%)",
+    )
+
+
+_PHASES = np.random.default_rng(5).random((2, 341))  # of sigma and u on k = 1..1024//3
+
+
+def _critical_data(n: int, eps: float) -> State:
+    """Criterion 17's 1D data at n: on k = 1..n//3, sigma and u carry the
+    coefficients (eps/2) k^{-s} (1 + log2 k)^{-2} e^{2 pi i phase} at s = 1 and
+    1/2, the phases ``_PHASES`` cut at n//3, so the data at n are a prefix of
+    those at 2n.  Each dyadic block j then carries about j^{-2} of the critical
+    norm, while u is unbounded in the limit n -> inf."""
+    g = Grid(1, n, 2.0 * np.pi)
+    k = np.arange(1, n // 3 + 1)
+    coef = np.zeros((2,) + g.spectral_shape, dtype=complex)
+    coef[:, 1 : n // 3 + 1] = (eps / 2) * k ** -np.array([[1.0], [0.5]]) * (1 + np.log2(k)) ** -2
+    coef[:, 1 : n // 3 + 1] *= np.exp(2j * np.pi * _PHASES[:, : n // 3])
+    return State(SpectralField(g, coef[:1]), SpectralField(g, coef[1:]))
+
+
+def _critical_ratios(n: int, p: ModelParams):
+    """R = X(T)/X(0) at T = 5 of the exact linear flow and of the ``linear_only``
+    run of the eps = 1 data, then of the runs at eps = 1e-3 and 1e-2; and the
+    four trace statuses.  dt = T/N is about dx/4 over 1 + max|u0| of the eps =
+    1e-2 data, and the records are log-spaced: step 0 and the step counts
+    unique(round(geomspace(1, N, 160)))."""
+    s1, T = _critical_data(n, 1.0), 5.0
+    umax = np.max(np.abs(_critical_data(n, 1e-2).u.to_physical()))
+    steps = int(np.ceil(T / (0.25 * s1.grid.dx / (1.0 + umax))))
+    dt, records = T / steps, [0, *np.unique(np.round(np.geomspace(1, steps, 160)).astype(int))]
+    exact, *runs = (Recorder(s1.grid, p) for _ in range(4))
+    for st in trajectory(s1, p, dt, records, linear_only=True):
+        exact.record(linear_exact_flow(s1, p, st.t))
+        runs[0].record(st)
+    for recorder, eps in zip(runs[1:], (1e-3, 1e-2)):
+        for st in trajectory(_critical_data(n, eps), p, dt, records):
+            recorder.record(st)
+    return [_x_ratio(r.trace) for r in (exact, *runs)], [r.trace.status for r in (exact, *runs)]
+
+
+def test_criterion_17_critical_regularity_data():
+    # the theorem needs small data in the critical hybrid norm alone, and no
+    # higher norm.  These data have a critical norm X(0) that converges as n
+    # grows, while u is unbounded in the limit (1D, alpha = 1.5: u's critical
+    # index N/2 + 1 - alpha is 0).  So the first-order constant c1 = (R -
+    # R_lin)/eps of criterion 13 must not depend on n.  On uniform records the
+    # X3/X4 sums overweight the top blocks' initial values, which decay inside
+    # the first interval; log-spaced records resolve that early decay
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.0)
+    rows = [Recorder(Grid(1, n, 2.0 * np.pi), p).row(_critical_data(n, 1.0))[0]
+            for n in (256, 512, 1024)]
+    x0 = [row["sigma_hybrid"] + row["u_crit"] for row in rows]  # X(0) = X1 + X2
+    rise = np.diff(x0)
+    runs = {n: _critical_ratios(n, p) for n in (512, 1024)}
+    c1 = {n: [(r - ratios[1]) / eps for r, eps in zip(ratios[2:], (1e-3, 1e-2))]
+          for n, (ratios, _) in runs.items()}
+    spread = abs(c1[1024][0] / c1[512][0] - 1.0)
+    gap = max(abs(ratios[1] / ratios[0] - 1.0) for ratios, _ in runs.values())
+    statuses = [s for _, run_statuses in runs.values() for s in run_statuses]
+    ok = 0 < rise[1] < rise[0] and spread <= 0.02 and gap <= 0.01 and statuses == ["ok"] * 8
+    scan = "; ".join(
+        f"n={n}: R exact/IF-RK4 {_slashed(ratios[:2])}, c1 at eps 1e-3/1e-2 {_slashed(c1[n])}"
+        for n, (ratios, _) in runs.items()
+    )
+    _report(
+        17,
+        "critical-regularity data",
+        ok,
+        f"X(0)/eps at n=256/512/1024 {_slashed(x0)} (increments {rise[0]:.5f} > {rise[1]:.5f} "
+        f"> 0); {scan}; c1 spread {100 * spread:.2f}% <= 2%, R_lin gap {100 * gap:.2f}% <= 1%; "
+        f"statuses {set(statuses)}",
     )

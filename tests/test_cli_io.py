@@ -792,6 +792,12 @@ dt = 1e9
         out, err = capsys.readouterr()
         assert f"{flag} must be finite and > 0" in err and out == ""
 
+    def test_linear_xi_that_is_no_number_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["linear", "--alpha", "1.5", "--lambda", "1", "--mu", "1", "--xi", "abc"])
+        assert exc.value.code == 2
+        assert "argument --xi: invalid float value: 'abc'" in capsys.readouterr().err
+
     _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
     _BAD_HEAT_DECAY += [("--samples", v) for v in ("0", "5")]
     _BAD_HEAT_DECAY += [("--alpha", v) for v in ("2.0", "0", "-1", "nan")]

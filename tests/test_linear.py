@@ -87,6 +87,15 @@ class TestRegimes:
         assert regime_classify(16.0, EP) == "low"
         assert regime_classify(16.1, EP) == "high"
 
+    def test_threshold_and_rate_past_the_float_range_are_inf(self):
+        # alpha near 1 with a large 4 lam/mu puts j0 at 18609, and 2^{j0} is
+        # past the float range (an overflow warning would fail the test);
+        # regime_classify calls every finite |xi| low
+        ep = LinearEnergyParams(alpha=1.001, lam=100.0, mu=1e-3)
+        assert (ep.j0, ep.xi_threshold, ep.mu_h) == (18609, np.inf, np.inf)
+        assert regime_classify(1e300, ep) == "low"
+        assert (EP.xi_threshold, EP.mu_h) == (16.0, 1.0)
+
     def test_j0(self):
         assert EP.j0_real == pytest.approx(4.0)
         assert EP.j0 == 4

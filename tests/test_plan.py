@@ -31,7 +31,7 @@ from euleralign.operators import (
     gradient,
     physical_product,
 )
-from euleralign.simulation import step
+from euleralign.simulation import step, trajectory
 from test_grid_operators import assert_real_field, kept_modes
 
 
@@ -265,19 +265,25 @@ def test_kernel_is_bit_identical_to_the_reference(
     assert large == ((dim, n) == (2, 256))
     assert [a.dtype.kind for a in symbols] == (["f"] * 4 if large else ["c"] * 4)
     assert all(a.shape == st.grid.band_shape for a in symbols)
-    m = 2 if large else 20
-    for _ in range(m):
-        st = step(st, p, 1e-3, linear_only)
+    records = [0, 2] if large else [0, 1, 3, 4, 9, 20]
+    singles = [st]
+    for _ in range(records[-1]):
+        singles.append(step(singles[-1], p, 1e-3, linear_only))
         ref = reference_step(ref, p, 1e-3, linear_only)
+    st = singles[-1]
     assert _same_bits(st.scalar.coef, ref.scalar.coef) and _same_bits(st.u.coef, ref.u.coef)
-    # one call of m steps, which keeps the state on the band between them, has
-    # the bits of m single steps, with its phases split (2D n=256) and whole
+    # the driver yields its input at k = 0, and at each later record k, at
+    # t = t0 + k dt, the bits of k single steps from one call of the steps
+    # since the last record, which keeps the state on the band between them,
+    # with its phases split (2D n=256) and whole
+    start = State(st0.scalar, st0.u, 0.25)
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
-        multi = step(st0, p, 1e-3, linear_only, steps=m)
-        assert _same_bits(multi.scalar.coef, st.scalar.coef)
-        assert _same_bits(multi.u.coef, st.u.coef)
-        assert multi.t == m * 1e-3
+        got = list(trajectory(start, p, 1e-3, records, linear_only))
+        assert got[0] is start and [s.t for s in got] == [0.25 + k * 1e-3 for k in records]
+        for k, s in zip(records, got):
+            assert _same_bits(s.scalar.coef, singles[k].scalar.coef)
+            assert _same_bits(s.u.coef, singles[k].u.coef)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (2, 256)])

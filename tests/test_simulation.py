@@ -22,6 +22,7 @@ from euleralign.simulation import (
     linear_exact_flow,
     run,
     step,
+    trajectory,
     z_norms,
 )
 from euleralign.snapshot import write_snapshot
@@ -196,6 +197,13 @@ class TestStep:
         with pytest.raises(ParameterError, match="steps must be an int >= 1"):
             step(st, self._params(), 0.01, steps=steps)
 
+    @pytest.mark.parametrize("records", [[0, 3, 3], [0, 5, 2], [0, 3, 0], [0, 0], [0, 1.5]])
+    def test_trajectory_needs_ascending_int_records(self, records):
+        # a repeated, falling or non-int record hands step a count it rejects
+        st = initial_state(SimConfig(n=64))
+        with pytest.raises(ParameterError, match="steps must be an int >= 1"):
+            list(trajectory(st, self._params(), 0.01, records))
+
 
 class TestLinearExactFlow:
     def test_mean_velocity_preserved(self):
@@ -249,15 +257,9 @@ class TestRecorder:
         nsteps = ((nsteps + cadence - 1) // cadence) * cadence  # as run rounds it
         dt = c.t_end / nsteps
         exact, stepped = Recorder(s0.grid, params), Recorder(s0.grid, params)
-        exact.record(s0)
-        stepped.record(s0)
-        state = s0
-        for istep in range(1, nsteps + 1):
-            state = step(state, params, dt, linear_only=True)
-            if istep % cadence == 0:
-                state.t = istep * dt
-                stepped.record(state)
-                exact.record(linear_exact_flow(s0, params, state.t))
+        for state in trajectory(s0, params, dt, range(0, nsteps + 1, cadence), linear_only=True):
+            stepped.record(state)
+            exact.record(linear_exact_flow(s0, params, state.t))
         assert np.array_equal(exact.trace.t, stepped.trace.t)
         assert _x_growth(stepped.trace) == pytest.approx(_x_growth(exact.trace), rel=1e-4)
         assert _x_growth(exact.trace) == pytest.approx(2.80330, abs=1e-5)
