@@ -579,10 +579,9 @@ def _profile_gap(eps: float):
     def l2(sigma, u):
         return np.hypot(sigma.mean_free().l2(), u.mean_free().l2())
 
-    rows = [(st.t, l2(st.scalar - lin.scalar, st.u - lin.u) / l2(st.scalar, st.u))
-            for st, lin in zip(*runs)]
-    times, gap = zip(*rows)
-    return dm, np.array(times), np.array(gap)
+    times, gap = np.array([(st.t, l2(st.scalar - lin.scalar, st.u - lin.u) / l2(st.scalar, st.u))
+                           for st, lin in zip(*runs)]).T
+    return dm, times, gap
 
 
 def test_criterion_15_large_time_profile():

@@ -272,13 +272,17 @@ def test_kernel_is_bit_identical_to_the_reference(
         ref = reference_step(ref, p, 1e-3, linear_only)
     st = singles[-1]
     assert _same_bits(st.scalar.coef, ref.scalar.coef) and _same_bits(st.u.coef, ref.u.coef)
+    # one call of m steps, which keeps the state on the band between them, has
+    # the bits of m single steps, with its phases split (2D n=256) and whole;
     # the driver yields its input at k = 0, and at each later record k, at
     # t = t0 + k dt, the bits of k single steps from one call of the steps
-    # since the last record, which keeps the state on the band between them,
-    # with its phases split (2D n=256) and whole
-    start = State(st0.scalar, st0.u, 0.25)
+    # since the last record
+    m, start = records[-1], State(st0.scalar, st0.u, 0.25)
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
+        multi = step(st0, p, 1e-3, linear_only, steps=m)
+        assert _same_bits(multi.scalar.coef, st.scalar.coef) and _same_bits(multi.u.coef, st.u.coef)
+        assert multi.t == m * 1e-3
         got = list(trajectory(start, p, 1e-3, records, linear_only))
         assert got[0] is start and [s.t for s in got] == [0.25 + k * 1e-3 for k in records]
         for k, s in zip(records, got):

@@ -200,9 +200,8 @@ class TestStep:
     @pytest.mark.parametrize("records", [[0, 3, 3], [0, 5, 2], [0, 3, 0], [0, 0], [0, 1.5]])
     def test_trajectory_needs_ascending_int_records(self, records):
         # a repeated, falling or non-int record hands step a count it rejects
-        st = initial_state(SimConfig(n=64))
         with pytest.raises(ParameterError, match="steps must be an int >= 1"):
-            list(trajectory(st, self._params(), 0.01, records))
+            list(trajectory(initial_state(SimConfig(n=64)), self._params(), 0.01, records))
 
 
 class TestLinearExactFlow:
@@ -252,9 +251,8 @@ class TestRecorder:
         # same record times, give the same growth of the composite norm X
         c = SimConfig(n=128, t_end=20.0, ic="gaussian_bump")
         params, s0 = c.model_params(), initial_state(c)
-        cadence = 4
-        nsteps = int(np.ceil(c.t_end / (c.grid().dx / 4.0)))
-        nsteps = ((nsteps + cadence - 1) // cadence) * cadence  # as run rounds it
+        # dt <= dx/4, with the step count rounded up to a multiple of cadence, as run does
+        cadence, nsteps = 4, 4 * int(np.ceil(c.t_end / c.grid().dx))
         dt = c.t_end / nsteps
         exact, stepped = Recorder(s0.grid, params), Recorder(s0.grid, params)
         for state in trajectory(s0, params, dt, range(0, nsteps + 1, cadence), linear_only=True):
@@ -312,6 +310,13 @@ class TestRun:
         t2, _ = run(c)
         for col in t1.columns:
             assert np.array_equal(t1.column(col), t2.column(col))
+
+    def test_record_cadence_keeps_the_bits_of_single_steps(self):
+        # a record at every step and one per 3 steps make the same 3 steps at
+        # the same dt: one step call per record interval keeps their bits
+        a, b = (run(SimConfig(n=32, t_end=0.2, cadence=c))[1][-1] for c in (1, 3))
+        assert a.t == b.t and a.scalar.coef.tobytes() == b.scalar.coef.tobytes()
+        assert a.u.coef.tobytes() == b.u.coef.tobytes()
 
     def test_run_keeps_only_the_last_state(self):
         c = SimConfig(n=64, t_end=0.25, dt=1.0 / 64.0, ic="single_mode")
