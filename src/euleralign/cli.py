@@ -1,8 +1,9 @@
 """Command-line interface: run / analyze / linear / heat-decay.
 
 All CSV output is RFC-4180 (CRLF line endings, '.' decimal point) with 17
-significant digits.  Exit codes: 0 success, 2 validation error, 3 vacuum
-abort, 4 CFL abort; an aborted run still writes its partial trace.  With
+significant digits.  Exit codes: 0 success, 2 validation error or a path
+that cannot be read or written, 3 vacuum abort, 4 CFL abort; an aborted run
+still writes its partial trace.  With
 ``--output -`` stdout carries the CSV alone; the other lines go to stderr.
 A reader that closes the pipe early ends the CSV there, and the command keeps
 its own exit code.
@@ -165,6 +166,10 @@ def _cmd_heat_decay(args) -> int:
     for flag, t in (("--t-a", args.t_a), ("--t-b", args.t_b)):  # before the trace's times
         if not 0.0 <= t < np.inf:
             raise ParameterError(f"{flag} must be finite and >= 0, got {t}")
+    if args.samples < 10:  # before the trace's times, which NumPy would refuse below 0
+        raise ParameterError(
+            f"--samples must be >= 10 (decay_fit needs at least 10 samples), got {args.samples}"
+        )
     DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)  # validates s0, s1
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
     except VacuumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VACUUM
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

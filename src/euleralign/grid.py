@@ -24,30 +24,24 @@ A ``Grid`` also makes every transform; no other module calls ``numpy.fft``.
 was.  ``bind`` is the one way to transform given buffers: it checks them once
 and returns a call that runs the transform into its ``out``.  It also names
 the band's transforms, "band_spectral" and "band_physical", which run through
-a transform buffer the caller may give: the band is gathered from a forward
-output and, in 2D, scattered into the kept columns of an inverse batch, whose
-other rows are zeroed, unless it already sits there.  In 2D each transform
-runs the 1D passes of ``rfftn`` or ``irfftn`` itself, in their order, so the
-bits are theirs, over the kept columns only for the band.
+a transform buffer the caller may give.  In 2D each transform runs the 1D
+passes of ``rfftn`` or ``irfftn`` itself, in their order, so the bits are
+theirs, over the kept columns only for the band.
 
 Each pass calls NumPy's pocketfft gufuncs (``rfft_n_even``, ``irfft``, ``fft``,
 ``ifft`` of ``numpy.fft._pocketfft_umath``) directly, with the factors the
 public functions pass for ``norm="forward"`` (1/n forward, 1 inverse) and an
 explicit ``out``.  This skips the Python wrapper that ``numpy.fft`` runs on
-every call (dtype resolution, the norm factor, the axis check and an output
-allocation), most of a transform's cost on the small 1D grids of long runs.
-The gufuncs are NumPy's own FFT since 2.0, the release that added them with
-the ``out=`` the in-place passes need and the floor this package declares.
+every call, most of a transform's cost on the small 1D grids of long runs.
+The gufuncs are NumPy's own FFT since 2.0, the floor this package declares.
 Their module is private, which is accepted because only this module refers to
 it, and because the tests pin the bits of every transform here to the public
-``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses: a NumPy that moves
-or changes them fails those tests rather than drifting.  The gufuncs take the
-transform's length from their output, so ``Grid._passes``, which writes each
-transform's pass list, checks that its input ends in ``shape`` (samples) or
-``spectral_shape`` (coefficients) and its ``out`` in the result's last axis,
-and raises ``GridError`` otherwise.  ``spectral`` and ``physical`` build the
-list at each call; ``bind`` builds it once, so a caller that reuses its
-buffers, like the plan of ``model``, skips the check at each call.
+``numpy.fft.rfftn``/``irfftn`` on the shapes the code uses.  The gufuncs take
+the transform's length from their output, so ``Grid._passes``, which writes
+each transform's pass list, checks that its input ends in ``shape`` (samples)
+or ``spectral_shape`` (coefficients) and its ``out`` in the result's last
+axis, and raises ``GridError`` otherwise.  ``spectral`` and ``physical`` build
+the list at each call; ``bind`` builds it once.
 
 ``two_halves(f)`` runs ``f(0)`` and ``f(1)`` at once: the caller takes one
 half and one daemon helper thread, started on first use and afresh in a
@@ -59,19 +53,20 @@ the size half of the rule, which the plan also reads), where the process may
 use two CPUs or more (``os.sched_getaffinity``, read at import); they are the
 one place that rule is written.
 
-Every pass runs in the one loop of ``_run_passes``, which looks its gufunc up
-on ``_pocketfft_umath`` at each call, so a counter that replaces that handle
-sees every call: two for a pass that splits.  Each call of a transform asks
-``splits`` once, for its batch, counted in half-spectrum coefficients also
-for the band.  The gufuncs release the GIL for a whole pass, so a pass of a
-batch that splits runs as two halves along axis -2: the rows in 2D and the
-fields in 1D for a last-axis pass, and the columns for a leading-axis pass,
-which is given the transposed views ``.mT``; the band's copies run in the
-same halves as the pass they feed or follow.  Each line still meets the same
-gufunc with the same factor, so every transform keeps its bits.  The plan of ``model`` runs its pointwise work between the
-transforms on the same helper.  Two halves is the case that was measured;
-more pieces wait for measurements on more CPUs.  With one CPU, below the
-threshold (split, a 2D n=256 step is faster and a 2D n=64 one slower: README,
+Every pass looks its gufunc up on ``_pocketfft_umath`` at each call
+(``_gufunc``), so a counter that replaces that handle sees every call: two for
+a pass that splits.  A transform whose batch can split
+(``is_large``, counted in half-spectrum coefficients also for the band) runs
+through ``_run_passes``, which asks ``splits`` at each call; a bound one whose
+batch never can runs its passes in ``_run_whole`` and asks nothing.  The
+gufuncs release the GIL for a whole pass, so a pass of a batch that splits
+runs as two halves along axis -2: the rows in 2D and the fields in 1D for a
+last-axis pass, and the columns for a leading-axis pass, which is given the
+transposed views ``.mT``; the band's copies run in the same halves as the pass
+they feed or follow.  Each line still meets the same gufunc with the same
+factor, so every transform keeps its bits.  The plan of ``model`` runs its
+pointwise work between the transforms on the same helper.  Two halves is the
+case that was measured.  With one CPU, below the threshold (README,
 "Numerics") or with nothing to split (one 1D field), a pass is one gufunc
 call.  No setting selects the path.  Transforms may be called from several
 threads, which share the helper.
@@ -193,8 +188,15 @@ def _run_passes(passes: list, size: int, out: np.ndarray) -> np.ndarray:
         if split and all(a.ndim > 1 and a.shape[:-1] == y.shape[:-1] and a.shape[-2] > 1 for _, a, _, y in group):
             two_halves(lambda i: [_gufunc(g)(half(a, i), fct, out=half(y, i)) for g, a, fct, y in group])
         else:
-            for gufunc, a, fct, y in group:
-                _gufunc(gufunc)(a, fct, out=y)
+            _run_whole(group, out)
+    return out
+
+
+def _run_whole(passes, out: np.ndarray) -> np.ndarray:
+    """Run ``passes`` in order, each one call, and return ``out``: a group of
+    ``_run_passes`` that does not split, or a bound transform that never can."""
+    for gufunc, a, fct, y in passes:
+        _gufunc(gufunc)(a, fct, out=y)
     return out
 
 
@@ -336,9 +338,13 @@ class Grid:
         which the band is scattered, with the masked rows zeroed, before the
         leading-axis ``ifft`` runs in place over them.  ``irfft`` zero-pads the
         other columns, so in 1D it reads the band itself.  Each call runs the
-        transform's passes (``_run_passes``), looking up their gufuncs and
-        asking ``splits`` afresh, so it has the bits of the public transform."""
-        return functools.partial(_run_passes, *self._passes(transform, a, out, work))
+        transform's passes, looking up their gufuncs afresh, so it has the bits
+        of the public transform: by ``_run_passes``, which asks ``splits``,
+        where the batch ``is_large``, and otherwise by ``_run_whole``."""
+        passes, size, out = self._passes(transform, a, out, work)
+        if is_large(size):
+            return functools.partial(_run_passes, passes, size, out)
+        return functools.partial(_run_whole, [p for group in passes for p in group], out)
 
     def _passes(self, transform: str, a: np.ndarray, out: np.ndarray, work=None) -> tuple:
         """The passes of ``transform`` from ``a`` into ``out`` in their order, as

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass, field
 from typing import Optional
@@ -108,27 +109,31 @@ def sigma_from_rho(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     return params.lam / gm1 * np.expm1(gm1 * np.log(rho))
 
 
-def h_of_sigma(
-    sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """h(sigma) = rho - 1, evaluated in numerically stable form.
+def _h(params: ModelParams):
+    """h(sigma) = rho - 1 in numerically stable form, as a call h(sigma, out)
+    bound to ``params`` that writes every operation into ``out`` (a new array
+    if None; it may be ``sigma``); at gamma > 1, rho <= 0 raises VacuumError."""
+    lam, gm1 = params.lam, params.gamma - 1.0
 
-    Every operation writes into ``out`` when it is given (it may be ``sigma``
-    itself), and otherwise into one new array.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if params.gamma == 1.0:
-        arg = np.divide(sigma, params.lam, out=out)
-        return np.expm1(arg, out=arg)
-    gm1 = params.gamma - 1.0
-    arg = np.multiply(gm1, sigma, out=out)
-    np.divide(arg, params.lam, out=arg)
-    mn = float(np.min(arg))
-    if mn <= -1.0:
-        raise VacuumError(mn + 1.0)
-    np.log1p(arg, out=arg)
-    np.divide(arg, gm1, out=arg)
-    return np.expm1(arg, out=arg)
+    def h(sigma, out):
+        if gm1 == 0.0:  # gamma = 1
+            arg = np.divide(sigma, lam, out)
+            return np.expm1(arg, arg)
+        arg = np.multiply(gm1, sigma, out)
+        np.divide(arg, lam, arg)
+        mn = float(np.min(arg))
+        if mn <= -1.0:
+            raise VacuumError(mn + 1.0)
+        np.log1p(arg, arg)
+        np.divide(arg, gm1, arg)
+        return np.expm1(arg, arg)
+    return h
+
+
+def h_of_sigma(sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """h(sigma) = rho - 1 (``_h``), into ``out`` when it is given (it may be
+    ``sigma`` itself), and otherwise into one new array."""
+    return _h(params)(np.asarray(sigma, dtype=np.float64), out)
 
 
 def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -339,47 +344,34 @@ class Workspace:
 
 class SpectralPlan:
     """The sigma-u tendency, the integrating-factor RK4 step and the reusable
-    buffers of one (grid, params).
+    buffers of one (grid, params).  Use ``plan_for``.
 
-    The plan keeps no half-spectrum symbol: its phases read the bands of the
-    grid's ``ixi`` (i*xi per axis, Nyquist zeroed) and ``lambda_symbol``
-    (|xi|^alpha, mean zeroed), and mu |xi|^alpha formed on the band
-    (``_parts``).  ``tendency`` is the whole right-hand side, the stiff
-    -mu Lambda^alpha u included, which ``step`` integrates exactly instead.
-    The tendency acts on the stacked (sigma, u) array: each operation that is
-    the same for sigma and u runs once on all 1 + N fields.  Its spectral
-    arithmetic runs on the band of the 2/3 rule (``Grid.band_shape``):
-    ``tendency`` and ``step`` gather the band of their half-spectrum inputs
-    into the workspace's ``x0``, the stage inputs, tendencies and RK4 sums
-    stay on the band, and the results are the band scattered into zeros
-    (``Grid.unband``), so every masked mode of a result is +0 and no phase
-    multiplies by a mask.  A ``step`` call of several steps gathers and
-    scatters once: between its steps the state stays on the band, each step
-    starting from the last one's RK4 sum.  The tendency moves its batches to
-    the grid with the grid's bound "band_physical" and back with its
-    "band_spectral": 4 transform batches, 16 per step, whose first stage
-    checks that step's input density on samples it makes anyway.  In 2D each
-    batch is two NumPy calls, one 1D pass per axis, and the band's scatter
-    or gather.  The batches, temporaries, stage inputs and tendencies live
-    in ``workspace``, allocated on first use and reused by every later
-    ``tendency`` and ``step``, so a ``step`` call allocates only the arrays
-    it returns.  A plan is therefore not re-entrant: two threads must not
-    run its ``tendency`` or ``step`` at once.  Use ``plan_for``.
+    ``tendency`` is the whole right-hand side, the stiff -mu Lambda^alpha u
+    included, which ``step`` integrates exactly instead.  Both act on the
+    stacked (sigma, u) array, each operation that is the same for sigma and
+    u once on all 1 + N fields, on the band of the 2/3 rule
+    (``Grid.band_shape``): they gather their inputs' band into the
+    workspace's ``x0`` and scatter their results' band into zeros, so every
+    masked mode of a result is +0 and no phase multiplies by a mask.  The
+    plan keeps no half-spectrum symbol.  A tendency makes 4 bound band
+    transforms, a step 16, whose first stage checks the step's input
+    density on samples it makes anyway.  The buffers live in ``workspace``,
+    so a ``step`` call allocates only the arrays it returns, and a plan is
+    not re-entrant: two threads must not run it at once.
 
-    Between the transforms the work is pointwise.  ``tendency`` and ``step``
-    write it as generators of phases, and each yield of ``_tendency`` names
-    the workspace's bound transform that runs next; ``_run`` drives the
-    generator to its end with one plain loop, or through ``_halves`` on two
-    halves at once where ``grid.splits`` holds for the (sigma, u)
-    coefficients of the half spectrum (not of the band, which at 2D n=256
-    holds fewer than 2**16), and runs each named transform in between.  So
-    the stage's transform sequence is written once, in ``_tendency``.  Its
-    ufuncs take ``out`` positionally, which skips NumPy's keyword parsing.
-    The phases read their symbols' bands from a namespace of the part
-    (``_parts``), where the factors of complex products are complex
-    (``_operand``) below ``grid.is_large`` state coefficients, and -lam and
-    the step's scalars are ``np.complex128``: NumPy would otherwise convert
-    them at every call, with the same bits.
+    Between the transforms the work is pointwise: a program (``_program``)
+    of phases, closures bound once to the arrays of one part of the
+    workspace (``_parts``), each paired with the bound transform that runs
+    after it.  ``_run`` drives the whole workspace's program with one plain
+    loop, or, where ``grid.splits`` holds for the (sigma, u) coefficients of
+    the half spectrum (not of the band, which at 2D n=256 holds fewer than
+    2**16), the two halves' programs at once, phase by phase.  So the
+    stage's transform sequence is written once, in ``_program``.  Its ufuncs
+    take ``out`` positionally, which skips NumPy's keyword parsing.  Below
+    ``grid.is_large`` state coefficients the factors of complex products are
+    complex (``_operand``), and -lam and the step's scalars are
+    ``np.complex128``: NumPy would otherwise convert them at every call,
+    with the same bits.
     """
 
     def __init__(self, grid: Grid, params: ModelParams):
@@ -390,6 +382,7 @@ class SpectralPlan:
         self._state_size = (1 + grid.dim) * math.prod(grid.spectral_shape)
         # (dt, its pair): a run steps with one dt
         self._semigroup = None
+        self._programs = {}  # each part's, by (step, linear_only): see _run
 
     @functools.cached_property
     def workspace(self) -> Workspace:
@@ -441,38 +434,31 @@ class SpectralPlan:
                 vars(v).update({k: v.cut(a) for k, a in symbols.items()}, **scalars)
         return self._semigroup[1]
 
-    def _run(self, phases) -> None:
-        """Drive the generator ``phases(part)`` to its end, and between its yields
-        run the transform each names: a (bound transform of the workspace, min
-        h(sigma) for the guard or None) pair.  Where the (sigma, u)
-        coefficients do not split, this is one plain loop over ``phases`` of
-        the whole workspace; where ``grid.splits`` holds for them, ``_halves``
-        drives ``phases`` on the two halves at once."""
-        whole = not splits(self._state_size)
-        for transform, mn in phases(self._parts[0]) if whole else self._halves(phases):
+    def _run(self, key: tuple, split: bool = True) -> None:
+        """Run the whole workspace's program of ``key`` = (step, linear_only)
+        (``_program``, built on first use), each phase then its transform, or
+        where ``grid.splits`` holds for the (sigma, u) coefficients, phase j of
+        the halves' programs at once by ``two_halves``.  Min rho = 1 + min
+        h(sigma) below ``VACUUM_THRESHOLD`` or NaN raises ``VacuumError``; a
+        half's own, which knows only its min rho, reruns the whole program."""
+        if key not in self._programs:
+            self._programs[key] = tuple(self._program(v, *key) for v in self._parts)
+        whole, *halves = self._programs[key]
+        split = split and splits(self._state_size)
+        for j, (phase, transform) in enumerate(whole):
+            if not split:
+                mn = phase()
+            else:
+                try:
+                    mn, mn_1 = two_halves(lambda i: halves[i][j][0]())
+                except VacuumError:
+                    return self._run(key, split=False)
+                mn = mn if mn is None else np.minimum(mn, mn_1)
             if mn is not None:
                 mn = 1.0 + float(mn)
                 if not (mn >= VACUUM_THRESHOLD):
                     raise VacuumError(mn)
             transform()
-
-    def _halves(self, phases):
-        """The (transform, min h(sigma) of both halves or None) pairs of
-        ``phases`` run on the two halves at once by ``two_halves``.  A
-        ``VacuumError`` in a half, which knows only its own min rho, reruns
-        ``phases`` on the whole workspace, to name the global one."""
-        gens = [phases(v) for v in self._parts[1:]]
-        advance = lambda i: next(gens[i], None)
-        while True:
-            try:
-                named = two_halves(advance)
-            except VacuumError:
-                yield from phases(self._parts[0])
-                return
-            if named[0] is None:
-                return
-            (transform, mn), (_, mn_1) = named
-            yield transform, (None if mn is None else np.minimum(mn, mn_1))
 
     def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
         """Dealiased tendencies of the coefficients (sigma, u), the stiff
@@ -481,68 +467,104 @@ class SpectralPlan:
         sigma' = -lam div u - u.grad sigma - (gamma-1) sigma div u
         u'     = -lam grad sigma - (u.grad) u - mu (Lambda^alpha(g u) - u Lambda^alpha g)
                  - mu Lambda^alpha u
-        with g = h(sigma) = rho - 1.  The band of the inputs is copied into
-        the workspace's ``x0``, so they may be any arrays, and the phases copy
-        it into the stage input, as ``step``'s first stage does: a rerun after
-        a half's ``VacuumError`` starts from the input, which the first
-        transform overwrites in the batch.  The kernel is the one ``step``
-        runs (see ``_tendency``), which leaves the stiff term to the
-        semigroup; it is subtracted here, on the band, before the one
-        scatter.  The masked modes of the results are +0.
+        with g = h(sigma) = rho - 1.  The kernel is the one ``step`` runs
+        (``_program``), which leaves the stiff term to the semigroup; it is
+        subtracted here, on the band, before the one scatter.
         """
         v = self._parts[0]  # the whole workspace
         self.grid.band(sig, v.s0)
         self.grid.band(u, v.u0)
-        self._run(lambda part: self._tendency(part, part.kb, part.kb_s, part.kb_u, linear_only, first=True))
+        self._run((False, bool(linear_only)))
         v.kb_u -= np.multiply(v.mu_lam_alpha, v.u0, v.ka_u)
         return self.grid.unband(v.kb_s), self.grid.unband(v.kb_u)
 
-    def _tendency(self, v, k, k_s, k_u, linear_only: bool, guard: bool = False, first: bool = False):
-        """The phases of the tendency of the stage input ``v.x`` into the
-        stacked k, with its (sigma, u) parts ``k_s`` and ``k_u``, on part v:
-        a generator whose every yield names the transform that runs next, for
-        ``_run`` to run on the whole workspace.  With ``first`` the stage
-        input is first copied from the input ``v.x0``.
-
-        The nonlinear terms cost four batched transforms: (sigma, u) and their
-        gradients to the grid, h(sigma) back, (g, Lambda^alpha g) to the grid,
-        and the 1 + 2N products back, each from or to the band.  The
-        gradients, the -lam terms, the advection, the source terms and the
-        final sums run once on the stacked (sigma, u) fields, each kept mode
-        with the operations and operation order of the out-of-place formula,
-        so the bits are the same.
-        With ``guard`` h(sigma)'s yield carries min h(sigma) of the samples,
-        and ``_run`` raises ``VacuumError`` where min rho = 1 + that is below
-        ``VACUUM_THRESHOLD`` or NaN; ``linear_only`` makes no transform and so
-        checks nothing.
+    def _program(self, v, step: bool, linear_only: bool) -> tuple:
+        """The program of a ``step``, or of a ``tendency`` into ``kb``, on part
+        v: (phase, transform) pairs, each phase a closure bound here, once, to
+        the part's arrays and to h(sigma) (``_h``); it reads the step's dt
+        symbols, which ``semigroup`` replaces, from the part at each call.  The
+        first copies the input ``x0`` into the stage input, which the first
+        transform overwrites, so a rerun starts afresh.  A stage (the tendency
+        of ``x`` into a stacked k) is five phases around four transforms:
+        (x, grad x) to the grid, h(sigma) back, (g, Lambda^alpha g) to the
+        grid and the 1 + 2N products back; ``linear_only`` keeps only the -lam
+        terms.  Each kept mode meets the operations of the out-of-place
+        formula in its order, so the bits are the same.  Phases with no
+        transform between them run as one, the RK4 combinations with the end
+        of one stage and the start of the next: 17 phases a step, 5 a
+        tendency, 1 with ``linear_only``.
         """
-        p, ws = self.params, self.workspace
-        if first:
-            v.x[...] = v.x0
-        np.multiply(v.ixi_col, v.x, v.grad)
-        np.add.reduce(v.div_terms, axis=0, keepdims=True, out=k_s)
-        k_u[...] = v.grad_sig
-        np.multiply(v.neg_lam, k, k)  # -lam (div u, grad sigma)
-        if linear_only:
-            return
-        yield ws.to_grid, None  # (x, grad x) to the grid
-        h_of_sigma(v.sv, p, out=v.g)
-        # h(sigma) back, with its min for the guard
-        yield ws.g_back, (np.minimum.reduce(v.g, axis=None) if guard else None)
-        np.multiply(v.lam_alpha, v.g_hat, v.lam_g_hat)  # (g, Lambda^alpha g)
-        yield ws.pair_to_grid, None  # (g, Lambda^alpha g) to the grid
-        # div u and the advection terms use spec, dead until the products go back
-        np.add.reduce(v.gv_diag, axis=0, initial=0.0, out=v.div_u)  # 0 + d_1 u_1 + ...
-        np.add.reduce(np.multiply(v.uv_col, v.gv, v.gv), axis=0, out=v.adv)
-        # -(gamma-1) sigma div u and mu u Lambda^alpha g; a - b is a + (-b)
-        np.multiply(v.source, v.xv, v.terms)
-        np.multiply(v.terms_s, v.div_u, v.terms_s)
-        np.multiply(v.terms_u, v.lam_g, v.terms_u)
-        np.add(np.negative(v.adv, v.adv), v.terms, v.terms)
-        np.multiply(v.g, v.uv, v.gu)
-        yield ws.prods_back, None  # the products back
-        k += v.terms_hat
-        k_u -= np.multiply(v.mu_lam_alpha, v.gu_hat, v.gu_hat)
+        ws, h = self.workspace, _h(self.params)
+        transforms = to_grid, g_back, pair_to_grid, prods_back = ws.to_grid, ws.g_back, ws.pair_to_grid, ws.prods_back
+        (x, xs, xu, x0, s0, u0, acc, acc_s, acc_u, ka, ka_s, ka_u, kb, kb_s, kb_u, sv, g, g_hat, lam_g_hat, ixi_col,
+         grad, div_terms, grad_sig, neg_lam, lam_alpha, gv_diag, div_u, uv_col, gv, adv, source, xv, uv, lam_g, terms,
+         terms_s, terms_u, gu, terms_hat, gu_hat, mu_lam_alpha) = operator.attrgetter(*(
+            "x sig u x0 s0 u0 acc acc_s acc_u ka ka_s ka_u kb kb_s kb_u sv g g_hat lam_g_hat ixi_col grad div_terms"
+            " grad_sig neg_lam lam_alpha gv_diag div_u uv_col gv adv source xv uv lam_g terms terms_s terms_u gu"
+            " terms_hat gu_hat mu_lam_alpha").split())(v)
+
+        def stage(k, k_s, k_u, guard=False):
+            def start():  # the gradients, then -lam (div u, grad sigma)
+                np.multiply(ixi_col, x, grad)
+                np.add.reduce(div_terms, axis=0, keepdims=True, out=k_s)
+                k_u[...] = grad_sig
+                np.multiply(neg_lam, k, k)
+            def h_phase():  # with its min for the guard
+                h(sv, g)
+                return np.minimum.reduce(g, axis=None) if guard else None
+            def pair():  # (g, Lambda^alpha g)
+                np.multiply(lam_alpha, g_hat, lam_g_hat)
+            def prods():
+                # div u and the advection terms use spec, dead until the products go back
+                np.add.reduce(gv_diag, axis=0, initial=0.0, out=div_u)  # 0 + d_1 u_1 + ...
+                np.add.reduce(np.multiply(uv_col, gv, gv), axis=0, out=adv)
+                # -(gamma-1) sigma div u and mu u Lambda^alpha g; a - b is a + (-b)
+                np.multiply(source, xv, terms)
+                np.multiply(terms_s, div_u, terms_s)
+                np.multiply(terms_u, lam_g, terms_u)
+                np.add(np.negative(adv, adv), terms, terms)
+                np.multiply(g, uv, gu)
+            def end():  # k += the products, k_u -= mu Lambda^alpha(g u)
+                np.add(k, terms_hat, k)
+                np.subtract(k_u, np.multiply(mu_lam_alpha, gu_hat, gu_hat), k_u)
+            return [start] if linear_only else [start, to_grid, h_phase, g_back, pair, pair_to_grid, prods, prods_back, end]
+
+        def k2_input():  # sig + dt/2 k1s, (u + dt/2 k1u) e_half
+            np.multiply(v.half_dt, acc, x)
+            np.add(s0, xs, xs)
+            np.multiply(np.add(u0, xu, xu), v.e_half, xu)
+        def k3_input():  # sig + dt/2 k2s, u e_half + dt/2 k2u
+            np.multiply(v.half_dt, ka, x)
+            np.add(s0, xs, xs)
+            np.add(np.multiply(u0, v.e_half, kb_u), xu, xu)
+            np.multiply(ka_s, v.two, ka_s)
+            np.add(acc_s, ka_s, acc_s)  # k1s + 2 k2s
+            np.multiply(acc_u, v.e_full, acc_u)  # e_full k1u
+        def k4_input():  # sig + dt k3s, u e_full + dt e_half k3u
+            np.add(s0, np.multiply(v.dt, kb_s, xs), xs)
+            np.add(ka_u, kb_u, ka_u)  # k2u + k3u
+            np.multiply(v.dt_e_half, kb_u, kb_u)
+            np.add(np.multiply(u0, v.e_full, xu), kb_u, xu)
+            np.multiply(kb_s, v.two, kb_s)
+            np.add(acc_s, kb_s, acc_s)  # + 2 k3s
+            np.add(acc_u, np.multiply(v.two_e_half, ka_u, ka_u), acc_u)
+        def rk4_sum():
+            np.add(acc, ka, acc)
+            np.multiply(acc, v.sixth_dt, acc)
+            np.add(acc_s, s0, acc_s)
+            np.add(acc_u, np.multiply(u0, v.e_full, kb_u), acc_u)
+
+        # k1 goes into the RK4 sum, k2 and k4 into ka, k3 into kb; the transforms cut the sequence into phases
+        seq = [*stage(acc, acc_s, acc_u, guard=True), k2_input, *stage(ka, ka_s, ka_u), k3_input,
+               *stage(kb, kb_s, kb_u), k4_input, *stage(ka, ka_s, ka_u), rk4_sum] if step else stage(kb, kb_s, kb_u)
+        program, phase = [], [functools.partial(x.__setitem__, ..., x0)]  # x[...] = x0
+        for f in seq:
+            if f in transforms:
+                program.append((_joined(phase), f))
+                phase = []
+            else:
+                phase.append(f)
+        return (*program, (_joined(phase), lambda: None))
 
     def step(
         self, sig: np.ndarray, u: np.ndarray, dt: float, linear_only: bool = False, steps: int = 1
@@ -551,63 +573,33 @@ class SpectralPlan:
 
         The stiff -mu Lambda^alpha u term is integrated exactly through
         ``semigroup(dt)``, the rest through four stages of the tendency
-        kernel.  The first stage of each step guards that step's input: it
-        raises ``VacuumError`` when the density of its sigma nears vacuum or
-        is NaN (a ``linear_only`` step checks nothing).  The stages run in
-        ``workspace``; stage inputs that treat sigma and u alike are formed
-        on the stacked array, and the RK4 sums accumulate in place as the
-        stages finish, in the formula's operation order, so the bits are
-        those of the out-of-place expression.  It gathers the band of its
-        half-spectrum inputs into ``x0`` once; each step after the first
-        starts from the last one's RK4 sum, copied into ``x0``, so the state
-        stays on the band and each step has the bits of a call of its own.
-        It returns the new (sigma, u), the band of the last RK4 sum scattered
-        into zeros: the only new memory.
+        kernel, whose first raises ``VacuumError`` when the density of the
+        step's input nears vacuum or is NaN (a ``linear_only`` step checks
+        nothing).  The RK4 sums follow the formula's operation order, so the
+        bits are those of the out-of-place expression.  Each step after the
+        first starts from the last one's RK4 sum, copied into ``x0``, so each
+        has the bits of a call of its own.  It returns the new (sigma, u),
+        the last RK4 sum scattered into zeros: the only new memory.
         """
         self.semigroup(dt)  # the parts' symbols for this dt
         ws = self.workspace
         self.grid.band(sig, ws.s0)
         self.grid.band(u, ws.u0)
-
-        def phases(v):
-            s, w = v.s0, v.u0
-            x, xs, xu = v.x, v.sig, v.u  # the stage input, in the batch
-            acc, ka, kb = v.acc, v.ka, v.kb  # the RK4 sum, from k1 on, and two stages
-            stage = functools.partial(self._tendency, v, linear_only=linear_only)
-            yield from stage(acc, v.acc_s, v.acc_u, guard=True, first=True)  # k1
-            # sig + dt/2 k1s, (u + dt/2 k1u) e_half
-            np.multiply(v.half_dt, acc, x)
-            np.add(s, xs, xs)
-            np.multiply(np.add(w, xu, xu), v.e_half, xu)
-            yield from stage(ka, v.ka_s, v.ka_u)  # k2
-            # sig + dt/2 k2s, u e_half + dt/2 k2u
-            np.multiply(v.half_dt, ka, x)
-            np.add(s, xs, xs)
-            np.add(np.multiply(w, v.e_half, v.kb_u), xu, xu)
-            v.ka_s *= v.two
-            v.acc_s += v.ka_s  # k1s + 2 k2s
-            v.acc_u *= v.e_full  # e_full k1u
-            yield from stage(kb, v.kb_s, v.kb_u)  # k3
-            # sig + dt k3s, u e_full + dt e_half k3u
-            np.add(s, np.multiply(v.dt, v.kb_s, xs), xs)
-            v.ka_u += v.kb_u  # k2u + k3u
-            np.multiply(v.dt_e_half, v.kb_u, v.kb_u)
-            np.add(np.multiply(w, v.e_full, xu), v.kb_u, xu)
-            v.kb_s *= v.two
-            v.acc_s += v.kb_s  # + 2 k3s
-            v.acc_u += np.multiply(v.two_e_half, v.ka_u, v.ka_u)
-            yield from stage(ka, v.ka_s, v.ka_u)  # k4
-            acc += ka
-            acc *= v.sixth_dt
-            v.acc_s += s
-            v.acc_u += np.multiply(w, v.e_full, v.kb_u)
-
+        key = True, bool(linear_only)
         # one _run a step: a half's VacuumError reruns that step from x0, its input
-        self._run(phases)
+        self._run(key)
         for _ in range(steps - 1):
             np.copyto(ws.x0, ws.acc)
-            self._run(phases)
+            self._run(key)
         return self.grid.unband(ws.acc_s), self.grid.unband(ws.acc_u)
+
+
+def _joined(phases: list):
+    """One phase that runs ``phases`` in turn, or the one phase itself."""
+    def joined():
+        for phase in phases:
+            phase()
+    return phases[0] if len(phases) == 1 else joined
 
 
 @functools.lru_cache(maxsize=8)

@@ -539,6 +539,15 @@ class TestCLI:
         assert main(["run", "--config", str(tmp_path / "nope.ini"), "--output", "-"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_a_directory_as_input_exits_2(self, tmp_path, capsys, command):
+        # IsADirectoryError is an OSError, not a FileNotFoundError: it once
+        # ended in a traceback with exit 1
+        argv = {"run": ["run", "--config", str(tmp_path)], "analyze": ["analyze", str(tmp_path)]}[command]
+        assert main(argv + ["--output", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -799,7 +808,7 @@ dt = 1e9
         assert "argument --xi: invalid float value: 'abc'" in capsys.readouterr().err
 
     _BAD_HEAT_DECAY = [("--mu", "nan")] + [("--width", v) for v in ("0", "-1", "nan", "inf")]
-    _BAD_HEAT_DECAY += [("--samples", v) for v in ("0", "5")]
+    _BAD_HEAT_DECAY += [("--samples", v) for v in ("-5", "0", "5")]
     _BAD_HEAT_DECAY += [("--alpha", v) for v in ("2.0", "0", "-1", "nan")]
     _BAD_HEAT_DECAY += [(f, v) for f in ("--t-a", "--t-b") for v in ("-1", "nan", "inf")]
 
@@ -811,7 +820,7 @@ dt = 1e9
             warnings.simplefilter("error")  # the check comes before any arithmetic
             assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
         message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0",
-                   "--samples": "decay_fit needs at least 10 samples",
+                   "--samples": "--samples must be >= 10 (decay_fit needs at least 10 samples)",
                    "--alpha": "--alpha must lie in (0, 2)",
                    "--t-a": "--t-a must be finite and >= 0",
                    "--t-b": "--t-b must be finite and >= 0"}[flag]

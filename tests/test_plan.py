@@ -483,6 +483,62 @@ def test_a_split_step_has_the_bits_of_one_cpu(dim, n, dt, gamma, two_cpus, monke
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+def test_an_unsplit_step_runs_each_phase_once(dim, n, two_cpus, monkeypatch):
+    # the twin of the count above: a plan whose state never splits runs the
+    # whole workspace's program with no two_halves call, each phase once: 17
+    # a step, 5 a tendency and 1 each with linear_only, with the same bits
+    st = random_state(dim, n, seed=75)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    plan = plan_for(st.grid, p)
+    assert not grid_module.is_large((1 + dim) * np.prod(st.grid.spectral_shape))
+    sig, u = st.scalar.coef, st.u.coef
+    runs = [
+        lambda: plan.step(sig, u, 1e-3),
+        lambda: plan.step(sig, u, 1e-3, linear_only=True),
+        lambda: plan.tendency(sig, u),
+        lambda: plan.tendency(sig, u, linear_only=True),
+    ]
+    want = [[a.tobytes() for a in run()] for run in runs]  # builds the programs
+    ran = []
+
+    def counted(phase):
+        return lambda: ran.append(phase) or phase()
+
+    programs = {
+        key: tuple(tuple((counted(phase), transform) for phase, transform in program) for program in parts)
+        for key, parts in plan._programs.items()
+    }
+    monkeypatch.setattr(plan, "_programs", programs)
+    halves = _count_halves(monkeypatch)
+    counts = []
+    for run, bits in zip(runs, want):
+        ran.clear()
+        assert [a.tobytes() for a in run()] == bits
+        counts.append(len(ran))
+        assert len(set(map(id, ran))) == len(ran)  # each phase once
+    assert counts == [17, 1, 5, 1]
+    assert halves == []
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+def test_a_warm_plan_builds_nothing(dim, n, monkeypatch):
+    # the programs read the step's dt symbols from their part at each call: a
+    # step at another dt reuses the warm plan's program objects, and each step
+    # keeps the bits of the reference
+    st = random_state(dim, n, seed=77)
+    p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
+    plan = plan_for(st.grid, p)
+    step(st, p, 1e-3)  # builds the workspace, the semigroup and the step's programs
+    built = dict(plan._programs)
+    monkeypatch.setattr(model_module.SpectralPlan, "_program", lambda *args: pytest.fail("built a program"))
+    for dt in (1e-3, 2e-3, 1e-3):
+        got, want = step(st, p, dt), reference_step(st, p, dt, False)
+        assert _same_bits(got.scalar.coef, want.scalar.coef) and _same_bits(got.u.coef, want.u.coef)
+    assert plan._programs.keys() == built.keys()
+    assert all(plan._programs[key] is programs for key, programs in built.items())
+
+
 def _dipped_state(depths, spread: float = 0.0) -> State:
     """2D n=256 sigma with Gaussian dips of the given depths, centred in the
     caller's half of the rows (x < L/2) and in the helper's (x >= L/2), and
