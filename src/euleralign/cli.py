@@ -28,13 +28,7 @@ from .linear import (
 )
 from .model import VacuumError
 from .operators import ParameterError
-from .simulation import (
-    DecaySpec,
-    Recorder,
-    decay_fit,
-    fractional_heat_trace,
-    run,
-)
+from .simulation import Recorder, decay_fit, fractional_heat_trace, run
 from .snapshot import SnapshotError, atomic_open, read_snapshot, write_snapshot
 
 EXIT_OK = 0
@@ -161,7 +155,7 @@ def _cmd_linear(args) -> int:
 
 def _cmd_heat_decay(args) -> int:
     grid = Grid(args.dim, args.n, args.L)
-    if not 0.0 < args.alpha < 2.0:  # before DecaySpec, whose s0 range depends on it
+    if not 0.0 < args.alpha < 2.0:  # before the s0 and s1 ranges, which depend on it
         raise ParameterError(f"--alpha must lie in (0, 2), got {args.alpha}")
     for flag, t in (("--t-a", args.t_a), ("--t-b", args.t_b)):  # before the trace's times
         if not 0.0 <= t < np.inf:
@@ -170,7 +164,14 @@ def _cmd_heat_decay(args) -> int:
         raise ParameterError(
             f"--samples must be >= 10 (decay_fit needs at least 10 samples), got {args.samples}"
         )
-    DecaySpec(s0=args.s0, s1=args.s1, alpha=args.alpha, dim=args.dim)  # validates s0, s1
+    # the profile's s0: a Gaussian's flat spectrum acts like the s0 = N/2
+    # envelope, and it reads no --s0
+    half_n = args.dim / 2.0
+    s0 = half_n if args.profile == "gaussian" else args.s0
+    if args.profile == "power" and not args.alpha - half_n - 1.0 < s0 < half_n:
+        raise ParameterError(f"--s0 must lie in (alpha-N/2-1, N/2), got {s0}")
+    if not -s0 <= args.s1 <= half_n + 1.0 - args.alpha:
+        raise ParameterError(f"--s1 must lie in [-s0, N/2+1-alpha] with s0 = {s0}, got {args.s1}")
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(
         grid, args.alpha, args.mu, args.profile, times, s0=args.s0, s1=args.s1,
@@ -185,11 +186,9 @@ def _cmd_heat_decay(args) -> int:
          -args.dim / (2.0 * args.alpha), r2_l2, note]
     )
     exp_b, r2_b = decay_fit(trace.t, trace.column("b_s1"), window)
-    # a Gaussian's flat spectrum acts like the s0 = N/2 envelope
-    s0_eff = args.dim / 2.0 if args.profile == "gaussian" else args.s0
     rows.append(
         [args.alpha, args.s0, args.s1, args.t_a, args.t_b, "b_s1", exp_b,
-         -(args.s1 + s0_eff) / args.alpha, r2_b, note]
+         -(args.s1 + s0) / args.alpha, r2_b, note]
     )
     _write_csv(
         args.output,

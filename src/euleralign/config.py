@@ -141,8 +141,7 @@ def parse_config(text: str) -> SimConfig:
         kwargs["decay_window"] = (window["t_a"], window["t_b"])
 
     try:
-        config = SimConfig(**kwargs)  # validates the grid too
-        config.model_params()  # validate parameter ranges eagerly
+        config = SimConfig(**kwargs)  # validates the grid and the model parameters too
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config

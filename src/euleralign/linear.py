@@ -12,9 +12,11 @@ at once (``simulation.linear_exact_flow`` adds the incompressible part).  Its
 wave coupling is lam |xi_tilde|, the Nyquist-zeroed magnitude that the
 discrete derivatives see, so sigma is frozen on a mode with a Nyquist
 component; the damping is mu |xi|^alpha.
-The regime threshold |xi|^{alpha-1} = 4*lam/mu separates the damped-wave
-(low) and damped/parabolic (high) behavior; the block energies Y_j carry the
-corresponding decay rates.
+The regime threshold |xi|^{alpha-1} = 4*lam/mu, that is log2|xi| = j0_real,
+separates the damped-wave (low) and damped/parabolic (high) behavior; the
+block energies Y_j carry the corresponding decay rates.  ``regime_classify``
+compares log2|xi| with j0_real, so dyadic block 2^j reads "low" exactly when
+j <= j0, the split of ``energy_Yj`` and of the trace's hybrid norm.
 """
 
 from __future__ import annotations
@@ -113,8 +115,12 @@ def mode_eigenvalues(xi: float, ep: LinearEnergyParams):
 
 
 def regime_classify(xi: float, ep: LinearEnergyParams) -> str:
-    """'low' iff |xi|^{alpha-1} <= 4 lam/mu, else 'high'."""
-    return "low" if xi ** (ep.alpha - 1.0) <= 4.0 * ep.lam / ep.mu else "high"
+    """'low' iff log2|xi| <= j0_real (|xi|^{alpha-1} <= 4 lam/mu), else 'high'.
+
+    log2 of a power of two is exact, so 2^j is 'low' iff j <= ``ep.j0``."""
+    if xi <= 0:
+        raise ParameterError(f"|xi| must be > 0, got {xi}")
+    return "low" if np.log2(xi) <= ep.j0_real else "high"
 
 
 def rate_floor(xi: float, ep: LinearEnergyParams) -> float:

@@ -52,8 +52,11 @@ def phi_profile(r) -> np.ndarray:
 class LPDecomp:
     """Dyadic block machinery tied to one grid.
 
-    j_min/j_max bracket the dyadic annuli that intersect the grid's resolved
-    frequencies; blocks outside the range are identically zero.
+    j_min/j_max bracket the dyadic annuli that meet the band the grid's 2/3
+    rule keeps (``Grid.dealias_cutoff`` K, |xi_K| = 2 pi K / L): 2^{j_max} >=
+    |xi_K|, so block j_max + 1, which starts at 1.5 * 2^{j_max}, lies past
+    every band mode, the 2D corner sqrt(2) |xi_K| included.  On band-limited
+    fields the blocks outside the range are identically zero.
     """
 
     grid: Grid
@@ -63,7 +66,7 @@ class LPDecomp:
     @classmethod
     def for_grid(cls, grid: Grid) -> "LPDecomp":
         j_min = int(np.floor(np.log2(2.0 * np.pi / grid.L))) - 1
-        j_max = int(np.ceil(np.log2(np.pi * grid.n / (3.0 * grid.L)))) + 1
+        j_max = int(np.ceil(np.log2(np.pi * grid.dealias_cutoff / grid.L))) + 1
         return cls(grid, j_min, j_max)
 
     @property
@@ -124,10 +127,10 @@ class LPDecomp:
         return np.sqrt([np.add.reduce(vals[b]) * vol for b in blocks])
 
     def partition_defect(self) -> float:
-        """Max |sum_j phi_j(xi) - 1| over resolved nonzero frequencies."""
+        """Max |sum_j phi_j(xi) - 1| over the frequencies 2 pi / L <= |xi| <= |xi_K|."""
         xi = self.grid.xi_norm()
         lo = 2.0 * np.pi / self.grid.L
-        hi = (self.grid.n / 3.0) * (2.0 * np.pi / self.grid.L)
+        hi = self.grid.dealias_cutoff * (2.0 * np.pi / self.grid.L)
         sel = (xi >= lo) & (xi <= hi)
         total = sum(self.block_multiplier(j) for j in self.j_range)
         return float(np.max(np.abs(total[sel] - 1.0)))

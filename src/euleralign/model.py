@@ -112,7 +112,7 @@ def sigma_from_rho(rho: np.ndarray, params: ModelParams) -> np.ndarray:
 def _h(params: ModelParams):
     """h(sigma) = rho - 1 in numerically stable form, as a call h(sigma, out)
     bound to ``params`` that writes every operation into ``out`` (a new array
-    if None; it may be ``sigma``); at gamma > 1, rho <= 0 raises VacuumError."""
+    if None); at gamma > 1, rho <= 0 raises VacuumError."""
     lam, gm1 = params.lam, params.gamma - 1.0
 
     def h(sigma, out):
@@ -130,10 +130,9 @@ def _h(params: ModelParams):
     return h
 
 
-def h_of_sigma(sigma: np.ndarray, params: ModelParams, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """h(sigma) = rho - 1 (``_h``), into ``out`` when it is given (it may be
-    ``sigma`` itself), and otherwise into one new array."""
-    return _h(params)(np.asarray(sigma, dtype=np.float64), out)
+def h_of_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
+    """h(sigma) = rho - 1 (``_h``), as one new array."""
+    return _h(params)(np.asarray(sigma, dtype=np.float64), None)
 
 
 def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -460,7 +459,7 @@ class SpectralPlan:
                     raise VacuumError(mn)
             transform()
 
-    def tendency(self, sig: np.ndarray, u: np.ndarray, linear_only: bool = False):
+    def tendency(self, sig: np.ndarray, u: np.ndarray):
         """Dealiased tendencies of the coefficients (sigma, u), the stiff
         -mu Lambda^alpha u term included, as two new arrays.
 
@@ -474,7 +473,7 @@ class SpectralPlan:
         v = self._parts[0]  # the whole workspace
         self.grid.band(sig, v.s0)
         self.grid.band(u, v.u0)
-        self._run((False, bool(linear_only)))
+        self._run((False, False))
         v.kb_u -= np.multiply(v.mu_lam_alpha, v.u0, v.ka_u)
         return self.grid.unband(v.kb_s), self.grid.unband(v.kb_u)
 
@@ -487,12 +486,12 @@ class SpectralPlan:
         transform overwrites, so a rerun starts afresh.  A stage (the tendency
         of ``x`` into a stacked k) is five phases around four transforms:
         (x, grad x) to the grid, h(sigma) back, (g, Lambda^alpha g) to the
-        grid and the 1 + 2N products back; ``linear_only`` keeps only the -lam
-        terms.  Each kept mode meets the operations of the out-of-place
+        grid and the 1 + 2N products back; a ``linear_only`` step keeps only
+        the -lam terms.  Each kept mode meets the operations of the out-of-place
         formula in its order, so the bits are the same.  Phases with no
         transform between them run as one, the RK4 combinations with the end
         of one stage and the start of the next: 17 phases a step, 5 a
-        tendency, 1 with ``linear_only``.
+        tendency, 1 a ``linear_only`` step.
         """
         ws, h = self.workspace, _h(self.params)
         transforms = to_grid, g_back, pair_to_grid, prods_back = ws.to_grid, ws.g_back, ws.pair_to_grid, ws.prods_back
@@ -657,13 +656,13 @@ def rhs_conservative(rho: SpectralField, u: SpectralField, params: ModelParams):
     return drho, du
 
 
-def rhs(state: State, params: ModelParams, linear_only: bool = False):
+def rhs(state: State, params: ModelParams):
     """Time derivative of the state: the spectral fields (d sigma/dt, du/dt).
 
     It is ``plan_for(grid, params).tendency``, the kernel the stepper uses,
-    stiff term included: four transform batches (none with ``linear_only``).
+    stiff term included: four transform batches.
     """
-    dsig, du = plan_for(state.grid, params).tendency(state.scalar.coef, state.u.coef, linear_only)
+    dsig, du = plan_for(state.grid, params).tendency(state.scalar.coef, state.u.coef)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
 
 

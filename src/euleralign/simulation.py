@@ -93,6 +93,7 @@ class SimConfig:
                 f"decay.column: {self.decay_column!r} is not a trace column "
                 f"(columns: {', '.join(columns)})"
             )
+        self.model_params()  # ModelParams checks the model's parameters
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
@@ -101,35 +102,6 @@ class SimConfig:
         return ModelParams(
             alpha=self.alpha, kappa=self.kappa, gamma=self.gamma, dim=self.dim, mu=self.mu
         )
-
-
-@dataclass(frozen=True)
-class DecaySpec:
-    """Decay-law target (s0, s1) and its rate ``exponent`` = (s0+s1)/alpha.
-
-    It checks the ``--s0``/``--s1`` of ``heat-decay``; the fitted log-log
-    slope of the decaying norm tends to -``exponent``.
-    """
-
-    s0: float
-    s1: float
-    alpha: float
-    dim: int = 1
-
-    def __post_init__(self):
-        half_n = self.dim / 2.0
-        if not (self.alpha - half_n - 1.0 < self.s0 < half_n):
-            raise ParameterError(
-                f"s0 must lie in (alpha-N/2-1, N/2), got {self.s0}"
-            )
-        if not (-self.s0 <= self.s1 <= half_n + 1.0 - self.alpha):
-            raise ParameterError(
-                f"s1 must lie in [-s0, N/2+1-alpha], got {self.s1}"
-            )
-
-    @property
-    def exponent(self) -> float:
-        return (self.s1 + self.s0) / self.alpha
 
 
 # -- initial conditions -----------------------------------------------------

@@ -811,20 +811,41 @@ dt = 1e9
     _BAD_HEAT_DECAY += [("--samples", v) for v in ("-5", "0", "5")]
     _BAD_HEAT_DECAY += [("--alpha", v) for v in ("2.0", "0", "-1", "nan")]
     _BAD_HEAT_DECAY += [(f, v) for f in ("--t-a", "--t-b") for v in ("-1", "nan", "inf")]
+    # at alpha = 3/2 and N = 1 the power profile's s0 lies in (0, 1/2) and s1
+    # in [-s0, 0]; the Gaussian acts as s0 = N/2, so its s1 lies in [-1/2, 0]
+    _BAD_HEAT_DECAY = [(f, v, "gaussian") for f, v in _BAD_HEAT_DECAY]
+    _BAD_HEAT_DECAY += [("--s0", v, "power") for v in ("0.75", "-1", "nan")]  # s0 >= N/2, <= alpha-N/2-1
+    _BAD_HEAT_DECAY += [("--s1", v, "power") for v in ("-0.5", "0.5")]  # s1 < -s0, > N/2+1-alpha
+    _BAD_HEAT_DECAY += [("--s1", "-0.6", "gaussian")]
 
     @pytest.mark.parametrize(
-        "flag, value", _BAD_HEAT_DECAY, ids=[f"{f}={v}" for f, v in _BAD_HEAT_DECAY]
+        "flag, value, profile", _BAD_HEAT_DECAY,
+        ids=[f"{f}={v}" + ("-power" if p == "power" else "") for f, v, p in _BAD_HEAT_DECAY],
     )
-    def test_heat_decay_rejects_a_bad_value(self, capsys, flag, value):
+    def test_heat_decay_rejects_a_bad_value(self, capsys, flag, value, profile):
+        argv = ["heat-decay", "--n", "64", "--profile", profile, flag, value, "--output", "-"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the check comes before any arithmetic
-            assert main(["heat-decay", "--n", "64", flag, value, "--output", "-"]) == 2
+            assert main(argv) == 2
         message = {"--mu": "mu must be > 0", "--width": "width must be finite and > 0",
                    "--samples": "--samples must be >= 10 (decay_fit needs at least 10 samples)",
                    "--alpha": "--alpha must lie in (0, 2)",
                    "--t-a": "--t-a must be finite and >= 0",
-                   "--t-b": "--t-b must be finite and >= 0"}[flag]
+                   "--t-b": "--t-b must be finite and >= 0",
+                   "--s0": "--s0 must lie in (alpha-N/2-1, N/2)",
+                   "--s1": "--s1 must lie in [-s0, N/2+1-alpha]"}[flag]
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--s0", "0.7"), ("--s1", "-0.4")])
+    def test_heat_decay_checks_only_what_its_profile_reads(self, capsys, flag, value):
+        # the Gaussian reads no --s0, and acts as s0 = N/2, so at N = 1 its s1
+        # may go down to -1/2; its b_s1 target is -(s1 + N/2) / alpha
+        argv = ["heat-decay", "--n", "1024", "--L", str(64 * np.pi), "--t-a", "2.0",
+                "--t-b", "10.0", "--samples", "50", flag, value, "--output", "-"]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        s1 = float(value) if flag == "--s1" else 0.0
+        assert float(rows[2][7]) == -(s1 + 0.5) / 1.5
 
     @pytest.mark.parametrize("t_a, t_b", [("20", "20"), ("30", "10")])
     def test_heat_decay_rejects_a_degenerate_window(self, capsys, t_a, t_b):

@@ -100,6 +100,36 @@ class TestRegimes:
         assert EP.j0_real == pytest.approx(4.0)
         assert EP.j0 == 4
 
+    @pytest.mark.parametrize("xi", [0.0, -1.0])
+    def test_regime_needs_a_positive_frequency(self, xi):
+        # log2 would warn and read 0 as "low"; mode_matrix rejects it too
+        with pytest.raises(ParameterError, match=re.escape("|xi| must be > 0")):
+            regime_classify(xi, EP)
+
+    def test_block_past_j0_is_high(self):
+        # block 2^j is "low" exactly when j <= j0, the split of energy_Yj and
+        # of the trace's hybrid norm, also where j0_real lies within rounding
+        # of an integer, as here, and |xi|^{alpha-1} against 4 lam/mu rounds
+        # the other way
+        ep = LinearEnergyParams(alpha=1.037007930978207, lam=0.3673224464899087, mu=1.0)
+        assert ep.j0 == 14
+        assert (regime_classify(2.0**14, ep), regime_classify(2.0**15, ep)) == ("low", "high")
+
+    def test_block_regimes_agree_with_j0(self):
+        # 4 lam/mu = 2^{k (alpha-1)} (1 + 1e-15 N(0, 1)) puts j0_real at k
+        # within rounding, above or below
+        rng = np.random.default_rng(34)
+        m = 20_000
+        alphas, ks = rng.uniform(1.001, 1.999, m), rng.integers(-30, 60, m)
+        ratios = 2.0 ** (ks * (alphas - 1.0)) * (1.0 + 1e-15 * rng.standard_normal(m))
+        bad = []
+        for a, k, r in zip(alphas, ks.tolist(), ratios):
+            ep = LinearEnergyParams(alpha=float(a), lam=float(r) / 4.0, mu=1.0)
+            for j in (k - 1, k, k + 1):
+                if regime_classify(2.0**j, ep) != ("low" if j <= ep.j0 else "high"):
+                    bad.append((a, r, j))
+        assert bad == []
+
     def test_derived_coefficients(self):
         assert DELTA == pytest.approx(1.0 / 300.0)
         assert EP.mu_bar == pytest.approx(DELTA / 8.0)

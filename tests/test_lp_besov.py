@@ -71,6 +71,13 @@ class TestLPDecomp:
         lp = LPDecomp.for_grid(Grid(dim, n, L))
         assert lp.partition_defect() <= 1e-10
 
+    def test_dyadic_range_ends_at_the_band(self):
+        # j_max comes from the 2/3 rule's cutoff K = n // 3: at n = 8, L = 2 pi
+        # (K = 2), block 2's annulus [3, 32/3] lies past the band's corner,
+        # 2 sqrt(2), so the range ends at j = 1
+        assert LPDecomp.for_grid(Grid(2, 8, 2 * np.pi)).j_max == 1
+        assert LPDecomp.for_grid(Grid(1, 256, 2 * np.pi)).j_range == range(-1, 8)
+
     def test_blocks_reconstruct_mean_free_field(self):
         g = Grid(1, 256, 2.0 * np.pi)
         lp = LPDecomp.for_grid(g)

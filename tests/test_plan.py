@@ -48,19 +48,16 @@ def _advection(u: SpectralField, f: SpectralField) -> SpectralField:
     return SpectralField(grid, np.stack(rows))
 
 
-def reference_rhs(state: State, params: ModelParams, linear_only: bool):
+def reference_rhs(state: State, params: ModelParams):
     """The sigma-u tendencies assembled from the composable operators."""
     grid = state.grid
     sig = dealias(state.scalar)
     u = dealias(state.u)
     div_u = divergence(u)
-    dsig = -params.lam * div_u
-    du = -params.lam * gradient(sig) - params.mu * fractional_laplacian(u, params.alpha)
-    if not linear_only:
-        dsig = dsig - _advection(u, sig) - (params.gamma - 1.0) * physical_product(sig, div_u)
-        du = du - _advection(u, u)
-        h = SpectralField.from_physical(grid, h_of_sigma(sig.to_physical()[0], params))
-        du = du - params.mu * alignment_commutator(u, dealias(h), params.alpha)
+    dsig = -params.lam * div_u - _advection(u, sig) - (params.gamma - 1.0) * physical_product(sig, div_u)
+    du = -params.lam * gradient(sig) - params.mu * fractional_laplacian(u, params.alpha) - _advection(u, u)
+    h = SpectralField.from_physical(grid, h_of_sigma(sig.to_physical()[0], params))
+    du = du - params.mu * alignment_commutator(u, dealias(h), params.alpha)
     return dealias(dsig), dealias(du)
 
 
@@ -142,12 +139,11 @@ def rel_err(a: SpectralField, b: SpectralField) -> float:
 
 @pytest.mark.parametrize("dim, n, seed", [(1, 64, 0), (1, 256, 1), (2, 32, 2), (2, 64, 3)])
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
-@pytest.mark.parametrize("linear_only", [False, True])
-def test_fused_rhs_matches_composable_reference(dim, n, seed, gamma, linear_only):
+def test_fused_rhs_matches_composable_reference(dim, n, seed, gamma):
     st = random_state(dim, n, seed)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
-    dsig, du = rhs(st, p, linear_only=linear_only)
-    ref_sig, ref_u = reference_rhs(st, p, linear_only)
+    dsig, du = rhs(st, p)
+    ref_sig, ref_u = reference_rhs(st, p)
     assert rel_err(dsig, ref_sig) <= 1e-12
     assert rel_err(du, ref_u) <= 1e-12
 
@@ -250,8 +246,8 @@ def test_kernel_is_bit_identical_to_the_reference(
     st = ref = st0 = random_state(dim, n, seed=21)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, dim=dim)
     plan = plan_for(st.grid, p)
-    got = plan.tendency(st.scalar.coef, st.u.coef, linear_only)
-    want_s, want_u = reference_tendency(plan, st.scalar.coef, st.u.coef, linear_only)
+    got = plan.tendency(st.scalar.coef, st.u.coef)
+    want_s, want_u = reference_tendency(plan, st.scalar.coef, st.u.coef, False)
     # the tendency includes the stiff term, which the reference leaves to the step
     want_u = want_u - p.mu * st.grid.lambda_symbol(p.alpha) * dealias(st.u).coef
     assert _same_bits(got[0], want_s) and _same_bits(got[1], want_u)
@@ -330,7 +326,7 @@ def test_masked_modes_of_a_step_are_zero(dim, n, linear_only):
     masked = ~kept_modes(st.grid)
     assert np.all(st.scalar.coef[..., masked] != 0)
     out = step(st, p, 1e-3, linear_only)
-    tend = plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef, linear_only)
+    tend = plan_for(st.grid, p).tendency(st.scalar.coef, st.u.coef)
     for coef in (out.scalar.coef, out.u.coef, *tend):
         zeros = coef[..., masked]
         assert zeros.tobytes() == np.zeros_like(zeros).tobytes()
@@ -351,10 +347,9 @@ def test_results_own_their_memory(dim, n):
     kept = [f.coef.copy() for f in first]
     outs = [f.coef for f in first + rhs(b, p)]
     assert all(np.array_equal(f.coef, k) for f, k in zip(first, kept))
-    for linear_only in (False, True):
-        for arr in plan.tendency(a.scalar.coef, a.u.coef, linear_only):
-            assert arr.base is None  # not a view of a batch that it would keep alive
-            outs.append(arr)
+    for arr in plan.tendency(a.scalar.coef, a.u.coef):
+        assert arr.base is None  # not a view of a batch that it would keep alive
+        outs.append(arr)
     for i, arr in enumerate(outs):
         for other in outs[i + 1 :] + shared + inputs:
             assert not np.shares_memory(arr, other)
@@ -472,12 +467,12 @@ def test_a_split_step_has_the_bits_of_one_cpu(dim, n, dt, gamma, two_cpus, monke
     for cpus in (grid_module._CPUS, 1):
         monkeypatch.setattr(grid_module, "_CPUS", cpus)
         got = [*plan.step(sig, u, dt), *plan.step(sig, u, dt, linear_only=True)]
-        got += [*plan.tendency(sig, u), *plan.tendency(sig, u, linear_only=True)]
+        got += plan.tendency(sig, u)
         outs.append([a.tobytes() for a in got])
         if cpus > 1:
             # 17 phases a step, the RK4 sums joined to the stages' ends and
-            # starts, and 5 a tendency; 1 each with linear_only
-            assert len(calls) == 17 + 1 + 5 + 1
+            # starts, 1 a linear_only step and 5 a tendency
+            assert len(calls) == 17 + 1 + 5
             calls.clear()
     assert calls == []
     assert outs[0] == outs[1]
@@ -487,7 +482,7 @@ def test_a_split_step_has_the_bits_of_one_cpu(dim, n, dt, gamma, two_cpus, monke
 def test_an_unsplit_step_runs_each_phase_once(dim, n, two_cpus, monkeypatch):
     # the twin of the count above: a plan whose state never splits runs the
     # whole workspace's program with no two_halves call, each phase once: 17
-    # a step, 5 a tendency and 1 each with linear_only, with the same bits
+    # a step, 1 a linear_only step and 5 a tendency, with the same bits
     st = random_state(dim, n, seed=75)
     p = ModelParams(alpha=1.5, kappa=1.0, gamma=1.4, dim=dim)
     plan = plan_for(st.grid, p)
@@ -497,7 +492,6 @@ def test_an_unsplit_step_runs_each_phase_once(dim, n, two_cpus, monkeypatch):
         lambda: plan.step(sig, u, 1e-3),
         lambda: plan.step(sig, u, 1e-3, linear_only=True),
         lambda: plan.tendency(sig, u),
-        lambda: plan.tendency(sig, u, linear_only=True),
     ]
     want = [[a.tobytes() for a in run()] for run in runs]  # builds the programs
     ran = []
@@ -517,7 +511,7 @@ def test_an_unsplit_step_runs_each_phase_once(dim, n, two_cpus, monkeypatch):
         assert [a.tobytes() for a in run()] == bits
         counts.append(len(ran))
         assert len(set(map(id, ran))) == len(ran)  # each phase once
-    assert counts == [17, 1, 5, 1]
+    assert counts == [17, 1, 5]
     assert halves == []
 
 

@@ -12,7 +12,6 @@ from euleralign.lp import LPDecomp
 from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, VacuumError
 from euleralign.operators import ParameterError, heat_semigroup
 from euleralign.simulation import (
-    DecaySpec,
     Recorder,
     SimConfig,
     decay_fit,
@@ -47,8 +46,6 @@ class TestSimConfig:
                 SimConfig(t_end=value)
             with pytest.raises(ParameterError, match="amplitude"):
                 SimConfig(amplitude=value)
-        with pytest.raises(ParameterError):
-            SimConfig(alpha=2.5).model_params()
         # integer fields take ints, NumPy's too, but no float or bool:
         # ic_mode = 1.5 would start from a sine that is not periodic on the box
         for name in ("seed", "ic_mode", "cadence"):
@@ -57,6 +54,12 @@ class TestSimConfig:
                     SimConfig(**{name: value})
         cfg = SimConfig(seed=np.int64(3), ic_mode=np.int32(2), cadence=np.int64(4))
         assert (cfg.seed, cfg.ic_mode, cfg.cadence) == (3, 2, 4)
+
+    @pytest.mark.parametrize("name, value", [("alpha", 2.5), ("kappa", -1.0), ("gamma", 0.5), ("mu", -1.0)])
+    def test_model_parameters_are_checked_at_construction(self, name, value):
+        # not first inside run, and the message names the parameter
+        with pytest.raises(ParameterError, match=f"^{name} must"):
+            SimConfig(**{name: value})
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_dt_must_be_finite_and_positive(self, dt):
@@ -68,22 +71,6 @@ class TestSimConfig:
         # an infinite cfl made the CFL limit infinite, so no strike ever fired
         with pytest.raises(ParameterError, match="cfl must be finite and > 0"):
             SimConfig(cfl=cfl)
-
-
-class TestDecaySpec:
-    def test_exponent(self):
-        d = DecaySpec(s0=0.25, s1=0.0, alpha=1.5)
-        assert d.exponent == pytest.approx(0.25 / 1.5)
-
-    def test_invariants(self):
-        with pytest.raises(ParameterError):
-            DecaySpec(s0=0.75, s1=0.0, alpha=1.5, dim=1)  # s0 >= N/2
-        with pytest.raises(ParameterError):
-            DecaySpec(s0=-1.0, s1=0.0, alpha=1.5, dim=1)  # s0 <= alpha-N/2-1
-        with pytest.raises(ParameterError):
-            DecaySpec(s0=0.25, s1=-0.5, alpha=1.5, dim=1)  # s1 < -s0
-        with pytest.raises(ParameterError):
-            DecaySpec(s0=0.25, s1=0.5, alpha=1.5, dim=1)  # s1 > N/2+1-alpha
 
 
 class TestInitialState:
