@@ -2,8 +2,10 @@
 
 All CSV output is RFC-4180 (CRLF line endings, '.' decimal point) with 17
 significant digits.  Exit codes: 0 success, 2 validation error or a path
-that cannot be read or written, 3 vacuum abort, 4 CFL abort; an aborted run
-still writes its partial trace.  With
+that cannot be read or written, 3 a run's vacuum abort, 4 a run's CFL abort;
+an aborted run still writes its partial trace.  Exit 3 comes only from a
+run's trace status: a snapshot whose density is not > 0 (the check of
+``model.h_of_sigma``) is a validation error.  With
 ``--output -`` stdout carries the CSV alone; the other lines go to stderr.
 A reader that closes the pipe early ends the CSV there, and the command keeps
 its own exit code.
@@ -26,7 +28,6 @@ from .linear import (
     rate_floor,
     regime_classify,
 )
-from .model import VacuumError
 from .operators import ParameterError
 from .simulation import Recorder, decay_fit, fractional_heat_trace, run
 from .snapshot import SnapshotError, atomic_open, read_snapshot, write_snapshot
@@ -174,7 +175,7 @@ def _cmd_heat_decay(args) -> int:
         raise ParameterError(f"--s1 must lie in [-s0, N/2+1-alpha] with s0 = {s0}, got {args.s1}")
     times = np.linspace(args.t_a, args.t_b, args.samples)
     trace = fractional_heat_trace(
-        grid, args.alpha, args.mu, args.profile, times, s0=args.s0, s1=args.s1,
+        grid, args.alpha, args.mu, args.profile, times, s0=s0, s1=args.s1,
         width=args.width,
     )
     note = "periodic-box surrogate; window must end before the lowest-mode timescale"
@@ -182,12 +183,12 @@ def _cmd_heat_decay(args) -> int:
     window = (args.t_a, args.t_b)
     exp_l2, r2_l2 = decay_fit(trace.t, trace.column("l2"), window)
     rows.append(
-        [args.alpha, args.s0, args.s1, args.t_a, args.t_b, "l2", exp_l2,
+        [args.alpha, s0, args.s1, args.t_a, args.t_b, "l2", exp_l2,
          -args.dim / (2.0 * args.alpha), r2_l2, note]
     )
     exp_b, r2_b = decay_fit(trace.t, trace.column("b_s1"), window)
     rows.append(
-        [args.alpha, args.s0, args.s1, args.t_a, args.t_b, "b_s1", exp_b,
+        [args.alpha, s0, args.s1, args.t_a, args.t_b, "b_s1", exp_b,
          -(args.s1 + s0) / args.alpha, r2_b, note]
     )
     _write_csv(
@@ -250,9 +251,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VacuumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VACUUM
     except (OSError, ValueError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

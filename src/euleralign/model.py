@@ -131,8 +131,16 @@ def _h(params: ModelParams):
 
 
 def h_of_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:
-    """h(sigma) = rho - 1 (``_h``), as one new array."""
-    return _h(params)(np.asarray(sigma, dtype=np.float64), None)
+    """h(sigma) = rho - 1 (``_h``), as one new array.  It owns the rule rho > 0
+    for every sigma the program reads or records: min rho = 1 + min h not > 0
+    raises ``VacuumError``, which covers a NaN and, at gamma = 1, a rho that
+    underflows to 0.  Steps and later records keep their own, stricter guard
+    (``VACUUM_THRESHOLD``)."""
+    h = _h(params)(np.asarray(sigma, dtype=np.float64), None)
+    mn = 1.0 + float(np.min(h))
+    if not mn > 0:
+        raise VacuumError(mn)
+    return h
 
 
 def rho_from_sigma(sigma: np.ndarray, params: ModelParams) -> np.ndarray:

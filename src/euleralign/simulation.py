@@ -316,13 +316,14 @@ def run(config: SimConfig, store_states: bool = False):
     ``store_states`` is set, and otherwise only the last recorded one; the
     final state of a completed run is always recorded.  A run that stops
     early keeps the records so far and sets ``trace.status``: "vacuum" when
-    the density guard trips (initial data with rho <= 0 somewhere stop it at
-    its first record, with no row), "cfl" after three consecutive records
-    whose dt exceeds ``cfl_limit``, or at once when the final record's dt
-    exceeds it.  Each ``step`` guards the state it is given, and each
-    record after the first checks the ``min_rho`` of its row before keeping
-    it, so no kept state past the initial data has a density below
-    ``VACUUM_THRESHOLD`` or NaN, and the final state is checked too.
+    the density guard trips (initial data whose density is not > 0
+    everywhere, by ``h_of_sigma``'s check at any gamma, stop it at its first
+    record, with no row), "cfl" after three consecutive records whose dt
+    exceeds ``cfl_limit``, or at once when the final record's dt exceeds it.
+    Each ``step`` guards the state it is given, and each record after the
+    first checks the ``min_rho`` of its row before keeping it, so no kept
+    state past the initial data has a density below ``VACUUM_THRESHOLD`` or
+    NaN, and the final state is checked too.
     """
     params = config.model_params()
     state = initial_state(config)

@@ -88,7 +88,8 @@ def read_snapshot(path: str):
     """Read a snapshot as (state, params); a rho file becomes a sigma state.
     The header's grid and model parameters must be valid, the file must hold
     exactly the field data they declare, t and every field sample must be
-    finite, and either file's density > 0."""
+    finite, and the sigma the file yields, for either field code, must pass
+    ``h_of_sigma``'s check of rho > 0 (a SnapshotError naming the file)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -121,8 +122,7 @@ def read_snapshot(path: str):
     try:  # rho <= 0 is bad input data, not a run that reached vacuum
         if code == _RHO:
             scalar = sigma_from_rho(scalar, params)
-        else:
-            h_of_sigma(scalar, params)  # raises where rho <= 0
+        h_of_sigma(scalar, params)  # raises where rho is not > 0, for either code
     except VacuumError as exc:
         raise SnapshotError(f"{path}: rho must be > 0, min rho = {exc.min_rho:.6e}") from None
     state = State(

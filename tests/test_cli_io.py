@@ -333,28 +333,36 @@ class TestSnapshot:
             assert main(["analyze", snap, "--output", out]) == 0
         assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
 
-    @pytest.mark.parametrize("code", ["rho", "sigma"])
-    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys, code):
-        path = tmp_path / "bad.snap"
-        if code == "rho":
-            self._legacy_rho_file(path)
-            data = bytearray(path.read_bytes())
-            data[_HEADER.size + 8 * 3 : _HEADER.size + 8 * 4] = struct.pack("<d", -1.0)
-            path.write_bytes(bytes(data))
-        else:
+    @pytest.mark.parametrize(
+        "field, gamma, value",
+        [
+            ("rho", 1.4, -1.0),
             # at gamma = 2, rho = 1 + sigma / lam: sigma = -2 is rho < 0, not a vacuum abort
-            g = Grid(1, 32, 2.0 * np.pi)
-            p = ModelParams(alpha=1.5, kappa=1.0, gamma=2.0)
-            sig = np.full(g.shape, -2.0)
-            sig[0] = 0.0
-            st = State(SpectralField.from_physical(g, sig), SpectralField.zeros(g))
-            write_snapshot(str(path), st, p)
+            ("sigma", 2.0, -2.0),
+            # at gamma = 1, rho = e^{sigma / lam}: e^{-1000} underflows to 0
+            ("sigma", 1.0, -1000.0),
+            ("rho", 1.0, 1e-320),
+            # rho > 0, but its sigma rounds to the vacuum sigma = -lam
+            ("rho", 2.0, 1e-20),
+        ],
+        ids=["rho", "sigma", "sigma_underflow_gamma1", "rho_subnormal_gamma1", "rho_tiny_gamma2"],
+    )
+    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys, field, gamma, value):
+        # the density of the sigma the file yields is checked, for either field code
+        g = Grid(1, 32, 2 * np.pi)
+        p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, mu=1.0)
+        scalar = np.full(g.n, 1.0 if field == "rho" else 0.0)
+        scalar[3] = value
+        code = 0 if field == "rho" else 1
+        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, 1.25, p.alpha, p.kappa, p.gamma, p.mu, code)
+        path = tmp_path / "bad.snap"
+        path.write_bytes(header + np.concatenate([scalar, np.zeros(g.n)]).astype("<f8").tobytes())
         with pytest.raises(SnapshotError, match="rho must be > 0"):
             read_snapshot(str(path))
         out = tmp_path / "bad.csv"
         assert main(["analyze", str(path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        assert f"{path}: rho must be > 0" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -660,19 +668,20 @@ class TestCLI:
         "body, initial_row",
         [
             # rho ~ e^{-30} in the troughs: step 1 refuses the initial data
-            ("[time]\nt_end = 5.0\ndt = 0.05\ncfl = 1e9\n\n"
+            ("[grid]\nn = 64\n\n[time]\nt_end = 5.0\ndt = 0.05\ncfl = 1e9\n\n"
              "[ic]\npreset = single_mode\namplitude = 30.0\n", True),
             # rho <= 0 in the initial data: the first record stops the run
-            ("[model]\ngamma = 2\n\n[time]\nt_end = 0.1\n\n"
+            ("[grid]\nn = 64\n\n[model]\ngamma = 2\n\n[time]\nt_end = 0.1\n\n"
              "[ic]\npreset = random_smooth\namplitude = 2\n", False),
+            # at gamma = 1, rho = e^{sigma/lam} underflows to 0: the same
+            ("[grid]\nn = 32\n\n[time]\nt_end = 0.01\ndt = 0.0001\n\n"
+             "[ic]\npreset = random_smooth\namplitude = 800\n", False),
         ],
-        ids=["single_mode", "no_initial_density"],
+        ids=["single_mode", "no_initial_density", "gamma1_underflow"],
     )
     def test_vacuum_exits_3_with_partial_trace(self, tmp_path, capsys, body, initial_row):
         snap = tmp_path / "final.snap"
-        cfg = _write_config(
-            tmp_path, f"[grid]\nn = 64\n\n{body}\n[output]\nsnapshot = {snap}\n"
-        )
+        cfg = _write_config(tmp_path, f"{body}\n[output]\nsnapshot = {snap}\n")
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg, "--output", out]) == 3
         assert "vacuum abort: partial trace written" in capsys.readouterr().err
@@ -846,6 +855,7 @@ dt = 1e9
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         s1 = float(value) if flag == "--s1" else 0.0
         assert float(rows[2][7]) == -(s1 + 0.5) / 1.5
+        assert [row[1] for row in rows[1:]] == ["0.5", "0.5"]  # the s0 = N/2 it used
 
     @pytest.mark.parametrize("t_a, t_b", [("20", "20"), ("30", "10")])
     def test_heat_decay_rejects_a_degenerate_window(self, capsys, t_a, t_b):

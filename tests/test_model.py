@@ -125,6 +125,15 @@ class TestConversions:
         with pytest.raises(VacuumError):
             h_of_sigma(np.array([-10.0 * p.lam]), p)
 
+    @pytest.mark.parametrize("convert", [h_of_sigma, rho_from_sigma])
+    @pytest.mark.parametrize("value", [-1000.0, np.nan], ids=["underflow", "nan"])
+    def test_no_density_raises_at_gamma_1(self, convert, value):
+        # rho = e^{sigma/lam} has no domain check of its own: e^{-1000}
+        # underflows to 0 and a NaN has no density, so both are vacuum
+        p = ModelParams(alpha=1.5, kappa=2.0, gamma=1.0, mu=1.0)
+        with pytest.raises(VacuumError):
+            convert(np.array([0.0, value * p.lam]), p)
+
     def test_state_representation_round_trip(self):
         # a state holds sigma; its density comes back from the samples
         g = Grid(1, 64, 2 * np.pi)
