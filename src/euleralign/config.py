@@ -10,7 +10,9 @@ Sections and keys:
     [decay]  t_a, t_b, column, kind
 
 ``_KEYS`` maps each key to its ``SimConfig`` field; a key that is absent
-takes that field's default, and ``SimConfig`` checks the values.  Every
+takes that field's default, and ``SimConfig`` checks the values.  The
+[decay] ``column`` and ``kind`` describe a fit that runs only over a window,
+so either of them without ``t_a`` and ``t_b`` is refused.  Every
 number must be finite; ``inf`` is accepted only as a norm entry's ``r``.
 Values are read verbatim (no ``%`` interpolation).
 
@@ -139,6 +141,9 @@ def parse_config(text: str) -> SimConfig:
         if len(window) == 1:
             raise ConfigError("decay.t_a and decay.t_b must be given together")
         kwargs["decay_window"] = (window["t_a"], window["t_b"])
+    for key in ("column", "kind"):  # they set a fit that only a window runs
+        if f"decay_{key}" in kwargs and not window:
+            raise ConfigError(f"decay.{key} needs the fit window decay.t_a and decay.t_b")
 
     try:
         config = SimConfig(**kwargs)  # validates the grid and the model parameters too

@@ -214,38 +214,3 @@ def propagate_pair_field(
     d1 = np.where(xi == 0, d0, c1 * a * s0 + (c0 - c1 * b) * d0)
     return SpectralField(grid, s1[np.newaxis]), SpectralField(grid, d1[np.newaxis])
 
-
-# -- kernel bound (time-weighted heat kernel integral) ----------------------
-
-
-def kernel_bound_check(
-    alpha: float, c: float, j: int, s: float, t_grid
-) -> float:
-    """sup over t_grid of 2^{j alpha} * int_0^t e^{-c 2^{j a}(t-tau)} t^s tau^{-s} dtau.
-
-    The tau^{-s} endpoint is integrable for s < 1; adaptive quadrature with an
-    explicit endpoint declaration handles it.
-    """
-    from scipy.integrate import quad  # here, so runs never load SciPy
-
-    if not (0.0 <= s < 1.0):
-        raise ParameterError(f"s must lie in [0, 1), got {s}")
-    if c <= 0:
-        raise ParameterError(f"c must be > 0, got {c}")
-    rate = c * 2.0 ** (j * alpha)
-    best = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        if t <= 0:
-            continue
-        if s == 0.0:
-            integral = (1.0 - np.exp(-rate * t)) / rate
-        else:
-            val, _ = quad(
-                lambda tau: np.exp(-rate * (t - tau)) * tau ** (-s),
-                0.0,
-                t,
-                limit=200,
-            )
-            integral = t**s * val
-        best = max(best, integral * 2.0 ** (j * alpha))
-    return float(best)

@@ -2,13 +2,12 @@
 
 A state holds the acoustic variable sigma (a monotone function of the
 density rho that vanishes at the equilibrium rho = 1) and the velocity u;
-``sigma_from_rho`` and ``rho_from_sigma`` convert samples.  A
-``SpectralPlan`` per (grid, params) holds the sigma-u tendency and the
-integrating-factor RK4 ``step`` on coefficient arrays, with the buffers they
-share; ``rhs`` calls the same kernel, ``SpectralPlan.tendency``, which
-includes the stiff term.  ``rhs_conservative`` takes
-(rho, u) through the conservative form; like the quadrature
-``alignment_direct``, it is an oracle for tests, not a second solver path.
+``rho_from_sigma`` converts samples.  A ``SpectralPlan`` per (grid, params)
+holds the sigma-u tendency and the integrating-factor RK4 ``step`` on
+coefficient arrays, with the buffers they share; ``rhs`` calls the same
+kernel, ``SpectralPlan.tendency``, which includes the stiff term.  The
+quadrature ``alignment_direct`` is an oracle for the tests and the benchmark,
+not a second solver path.
 
 The alignment force uses the commutator form -mu * rho * (Lambda^alpha(rho u)
 - u Lambda^alpha rho), with Lambda^alpha realized by its Fourier symbol.  The
@@ -28,16 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, GridError, SpectralField, half, is_large, read_only, splits, two_halves
-from .operators import (
-    ParameterError,
-    dealias,
-    divergence,
-    fractional_laplacian,
-    gradient,
-    heat_multiplier,
-    physical_product,
-    spectral_derivative,
-)
+# dealias is not called here: perfbench/test_harness.py reads model.dealias to
+# check that its tracer restores the names a module imported
+from .operators import ParameterError, dealias, fractional_laplacian, heat_multiplier, physical_product
 
 VACUUM_THRESHOLD = 1e-6
 
@@ -95,18 +87,6 @@ class ModelParams:
 
 
 # -- state conversions ------------------------------------------------------
-
-
-def sigma_from_rho(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """sigma = lam/(gamma-1) (rho^{gamma-1} - 1), or lam ln rho at gamma=1 (lam = sqrt(kappa))."""
-    rho = np.asarray(rho, dtype=np.float64)
-    mn = float(np.min(rho))
-    if mn <= 0:
-        raise VacuumError(mn)
-    if params.gamma == 1.0:
-        return params.lam * np.log(rho)
-    gm1 = params.gamma - 1.0
-    return params.lam / gm1 * np.expm1(gm1 * np.log(rho))
 
 
 def _h(params: ModelParams):
@@ -187,17 +167,36 @@ def _periodized_kernel(z: np.ndarray, alpha: float, L: float) -> np.ndarray:
     For z in (0, L) the image sum is a pair of Hurwitz zeta values:
     sum_m |z + mL|^{-1-a} = L^{-1-a} [zeta(1+a, z/L) + zeta(1+a, 1 - z/L)].
     """
-    from scipy.special import zeta as hurwitz_zeta  # here, so runs never load SciPy
-
     c = frac_laplacian_constant(alpha, 1)
     frac = np.mod(z / L, 1.0)
     s = 1.0 + alpha
     out = np.zeros_like(frac)
     interior = (frac > 0) & (frac < 1)
     out[interior] = (
-        c / L**s * (hurwitz_zeta(s, frac[interior]) + hurwitz_zeta(s, 1.0 - frac[interior]))
+        c / L**s * (_hurwitz_zeta(s, frac[interior]) + _hurwitz_zeta(s, 1.0 - frac[interior]))
     )
     return out
+
+
+# B_{2j} / (2j)!, j = 1..7: the Euler-Maclaurin tail's Bernoulli coefficients
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600)
+
+
+def _hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta sum_{k >= 0} (k + q)^{-s} for s > 1 and q in (0, 1], by
+    Euler-Maclaurin summation (Johansson, Numer. Algorithms 69 (2015)): 10
+    terms, then the tail from a = q + 10, a^{1-s}/(s-1) + a^{-s}/2 plus 7
+    Bernoulli terms.  For s < 3 the remainder is below 1e-16 of the sum."""
+    a = q + 10.0
+    total = a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
+    term = s * a ** (-s - 1.0)  # s (s+1) ... (s+2j-2) a^{-s-2j+1}, from j = 1
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b * term
+        term *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
+    for k in range(10):
+        total += (q + k) ** -s
+    return total
 
 
 def alignment_direct(
@@ -622,48 +621,6 @@ def plan_for(grid: Grid, params: ModelParams) -> SpectralPlan:
     return SpectralPlan(grid, params)
 
 
-def rhs_conservative(rho: SpectralField, u: SpectralField, params: ModelParams):
-    """Tendencies of (rho, u) from the conservative form (test oracle).
-
-    Mass and momentum tendencies integrate to zero: the flux and pressure
-    terms are exact spectral divergences/gradients and the alignment force is
-    discretely antisymmetric.
-    """
-    grid = rho.grid
-    rho = dealias(rho)
-    u = dealias(u)
-    rv = rho.to_physical()[0]
-    mn = float(np.min(rv))
-    if mn <= 0:
-        raise VacuumError(mn)
-    uv = u.to_physical()
-
-    # continuity: d rho/dt = -Div(rho u)
-    flux = SpectralField.from_physical(grid, rv * uv)
-    drho = -1.0 * divergence(flux)
-
-    # momentum: d(rho u)/dt = -Div(rho u x u) - grad P + D
-    dm = np.zeros((grid.dim,) + grid.shape)
-    for i in range(grid.dim):
-        for ax in range(grid.dim):
-            fij = SpectralField.from_physical(grid, rv * uv[i] * uv[ax])
-            dm[i] -= spectral_derivative(fij, ax).to_physical()[0]
-    pressure = SpectralField.from_physical(grid, params.kappa * rv**params.gamma)
-    dm -= gradient(pressure).to_physical()
-    # D = -mu rho (Lambda^alpha q - u Lambda^alpha rho) with q the flux: the
-    # same product q in both terms makes the momentum integral of D cancel
-    lam_q = fractional_laplacian(flux, params.alpha).to_physical()
-    lam_rho = fractional_laplacian(rho, params.alpha).to_physical()[0]
-    dm -= params.mu * (rv * lam_q - flux.to_physical() * lam_rho)
-    dmom = SpectralField.from_physical(grid, dm)
-
-    # du/dt = (d(rho u)/dt - u * d rho/dt) / rho, pointwise
-    drho_phys = drho.to_physical()[0]
-    du_vals = (dmom.to_physical() - uv * drho_phys) / rv
-    du = SpectralField.from_physical(grid, du_vals)
-    return drho, du
-
-
 def rhs(state: State, params: ModelParams):
     """Time derivative of the state: the spectral fields (d sigma/dt, du/dt).
 
@@ -672,47 +629,3 @@ def rhs(state: State, params: ModelParams):
     """
     dsig, du = plan_for(state.grid, params).tendency(state.scalar.coef, state.u.coef)
     return SpectralField(state.grid, dsig), SpectralField(state.grid, du)
-
-
-# -- scaling equivariance check --------------------------------------------
-
-
-def scaling_check(state: State, params: ModelParams, scale: float) -> float:
-    """Relative residual of the system's scaling equivariance.
-
-    Rescaling x -> scale*x, t -> scale^alpha * t maps the box length to
-    L/scale while the sampled arrays are unchanged; the velocity and sigma
-    (which scales with the sound speed) pick up scale^{alpha-1} and the
-    pressure coefficient scale^{2(alpha-1)}.  The returned value is
-    ||rhs(scaled) - scaled rhs|| / ||scaled rhs|| in L2 over both tendency
-    components.
-    """
-    if scale <= 0 or np.log2(scale) != round(np.log2(scale)):
-        raise ParameterError(f"scale must be a positive power of two, got {scale}")
-    lam_s = float(scale)
-    a = params.alpha
-
-    g2 = Grid(state.grid.dim, state.grid.n, state.grid.L / lam_s)
-    scaled_scalar = SpectralField(g2, state.scalar.coef * lam_s ** (a - 1.0))
-    scaled_u = SpectralField(g2, state.u.coef * lam_s ** (a - 1.0))
-    scaled_params = ModelParams(
-        alpha=a,
-        kappa=params.kappa * lam_s ** (2.0 * a - 2.0),
-        gamma=params.gamma,
-        dim=params.dim,
-        mu=params.mu,
-    )
-    scaled_state = State(scaled_scalar, scaled_u, state.t)
-
-    ds_s, du_s = rhs(scaled_state, scaled_params)
-    ds, du = rhs(state, params)
-
-    # d/dt picks up scale^alpha on top of the fields' own scale^{alpha-1}
-    ref_s = SpectralField(g2, ds.coef * lam_s ** (2.0 * a - 1.0))
-    ref_u = SpectralField(g2, du.coef * lam_s ** (2.0 * a - 1.0))
-
-    num = np.sqrt((ds_s - ref_s).l2() ** 2 + (du_s - ref_u).l2() ** 2)
-    den = np.sqrt(ref_s.l2() ** 2 + ref_u.l2() ** 2)
-    if den == 0.0:
-        return 0.0
-    return float(num / den)

@@ -7,8 +7,7 @@ Layout (little-endian):
     u32       dim
     u32       n (points per axis)
     f64 x 6   L, t, alpha, kappa, gamma, mu
-    u8        scalar field code: 1 = sigma, always written; 0 = rho, written
-              by older versions and converted to sigma on reading
+    u8        scalar field code: 1 = sigma; any other code is refused
     f64[...]  scalar field, row-major physical values
     f64[...]  velocity components, each row-major
 
@@ -25,13 +24,13 @@ import struct
 import numpy as np
 
 from .grid import Grid, GridError, SpectralField
-from .model import ModelParams, State, VacuumError, h_of_sigma, sigma_from_rho
+from .model import ModelParams, State, VacuumError, h_of_sigma
 from .operators import ParameterError
 
 MAGIC = b"EASNAP01"
 VERSION = 1
 _HEADER = struct.Struct("<8sBII6dB")
-_RHO, _SIGMA = 0, 1  # scalar field codes; _RHO is only read
+_SIGMA = 1  # the scalar field code
 
 
 class SnapshotError(ValueError):
@@ -85,11 +84,11 @@ def write_snapshot(path: str, state: State, params: ModelParams) -> None:
 
 
 def read_snapshot(path: str):
-    """Read a snapshot as (state, params); a rho file becomes a sigma state.
-    The header's grid and model parameters must be valid, the file must hold
+    """Read a snapshot as (state, params).  The field code must be sigma's,
+    the header's grid and model parameters must be valid, the file must hold
     exactly the field data they declare, t and every field sample must be
-    finite, and the sigma the file yields, for either field code, must pass
-    ``h_of_sigma``'s check of rho > 0 (a SnapshotError naming the file)."""
+    finite, and sigma must pass ``h_of_sigma``'s check of rho > 0 (a
+    SnapshotError naming the file)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -99,7 +98,7 @@ def read_snapshot(path: str):
             raise SnapshotError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"{path}: unsupported version {version}")
-        if code not in (_RHO, _SIGMA):
+        if code != _SIGMA:
             raise SnapshotError(f"{path}: unknown scalar field code {code}")
         try:
             grid = Grid(dim, n, L)
@@ -120,9 +119,7 @@ def read_snapshot(path: str):
     scalar = body[:count].reshape(grid.shape)
     u = body[count:].reshape((dim,) + grid.shape)
     try:  # rho <= 0 is bad input data, not a run that reached vacuum
-        if code == _RHO:
-            scalar = sigma_from_rho(scalar, params)
-        h_of_sigma(scalar, params)  # raises where rho is not > 0, for either code
+        h_of_sigma(scalar, params)
     except VacuumError as exc:
         raise SnapshotError(f"{path}: rho must be > 0, min rho = {exc.min_rho:.6e}") from None
     state = State(

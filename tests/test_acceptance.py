@@ -18,14 +18,13 @@ from euleralign.linear import (
     DELTA,
     LinearEnergyParams,
     energy_Yj,
-    kernel_bound_check,
     mode_eigenvalues,
     propagate_pair_field,
     rate_floor,
     regime_classify,
 )
 from euleralign.lp import LPDecomp
-from euleralign.model import ModelParams, State, alignment_direct, rho_from_sigma, sigma_from_rho
+from euleralign.model import ModelParams, State, alignment_direct, rho_from_sigma
 from euleralign.operators import (
     dealias,
     fractional_laplacian,
@@ -47,6 +46,7 @@ from euleralign.simulation import (
     z_norms,
 )
 from euleralign.snapshot import read_snapshot, write_snapshot
+from oracles import kernel_bound_check, sigma_from_rho
 
 
 def _slashed(values) -> str:

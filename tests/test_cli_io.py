@@ -20,7 +20,7 @@ from euleralign.besov import DataError
 from euleralign.cli import main
 from euleralign.config import _KEYS, ConfigError, parse_config
 from euleralign.grid import Grid, GridError, SpectralField
-from euleralign.model import VACUUM_THRESHOLD, ModelParams, State, sigma_from_rho
+from euleralign.model import VACUUM_THRESHOLD, ModelParams, State
 from euleralign.operators import ParameterError
 from euleralign.simulation import SimConfig, initial_state, run
 from euleralign.snapshot import (
@@ -196,8 +196,10 @@ kind = power
             parse_config("[decay]\nt_a = 5.0\n")
         with pytest.raises(ConfigError, match="decay"):
             parse_config("[decay]\nt_a = 5.0\nt_b = 1.0\n")
-        with pytest.raises(ConfigError, match="kind"):
-            parse_config("[decay]\nkind = linear\n")
+        # a valid kind without the window sets a fit that never runs
+        for text in ("[decay]\nkind = linear\n", "[decay]\nkind = exp\n"):
+            with pytest.raises(ConfigError, match="kind"):
+                parse_config(text)
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -309,52 +311,24 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(str(path))
 
-    def _legacy_rho_file(self, path, code=0):
-        """A file as older versions wrote it for a density-velocity state."""
-        st, p = self._state()
-        g = st.grid
-        rho = 1.0 + 0.2 * np.cos(g.axis_points())
-        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, st.t, p.alpha, p.kappa, p.gamma, p.mu, code)
-        body = np.concatenate([rho, st.u.to_physical()[0]]).astype("<f8").tobytes()
-        path.write_bytes(header + body)
-        return rho, st, p
-
-    def test_legacy_rho_file_reads_as_sigma(self, tmp_path):
-        rho, st, p = self._legacy_rho_file(tmp_path / "rho.snap")
-        back, _ = read_snapshot(str(tmp_path / "rho.snap"))
-        assert np.array_equal(back.scalar.to_physical()[0], sigma_from_rho(rho, p))
-        assert np.array_equal(back.u.to_physical(), st.u.to_physical())
-
-        # cli analyze sees the same state as in a sigma file
-        sig = SpectralField.from_physical(st.grid, sigma_from_rho(rho, p))
-        write_snapshot(str(tmp_path / "sigma.snap"), State(sig, st.u, st.t), p)
-        for name in ("rho", "sigma"):
-            snap, out = str(tmp_path / f"{name}.snap"), str(tmp_path / f"{name}.csv")
-            assert main(["analyze", snap, "--output", out]) == 0
-        assert (tmp_path / "rho.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
-
     @pytest.mark.parametrize(
-        "field, gamma, value",
+        "gamma, value",
         [
-            ("rho", 1.4, -1.0),
             # at gamma = 2, rho = 1 + sigma / lam: sigma = -2 is rho < 0, not a vacuum abort
-            ("sigma", 2.0, -2.0),
+            (2.0, -2.0),
+            # and sigma = -lam is the vacuum rho = 0 itself
+            (2.0, -np.sqrt(2.0)),
             # at gamma = 1, rho = e^{sigma / lam}: e^{-1000} underflows to 0
-            ("sigma", 1.0, -1000.0),
-            ("rho", 1.0, 1e-320),
-            # rho > 0, but its sigma rounds to the vacuum sigma = -lam
-            ("rho", 2.0, 1e-20),
+            (1.0, -1000.0),
         ],
-        ids=["rho", "sigma", "sigma_underflow_gamma1", "rho_subnormal_gamma1", "rho_tiny_gamma2"],
+        ids=["sigma", "sigma_vacuum_gamma2", "sigma_underflow_gamma1"],
     )
-    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys, field, gamma, value):
-        # the density of the sigma the file yields is checked, for either field code
+    def test_non_positive_rho_is_a_validation_error(self, tmp_path, capsys, gamma, value):
         g = Grid(1, 32, 2 * np.pi)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, mu=1.0)
-        scalar = np.full(g.n, 1.0 if field == "rho" else 0.0)
+        scalar = np.zeros(g.n)
         scalar[3] = value
-        code = 0 if field == "rho" else 1
-        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, 1.25, p.alpha, p.kappa, p.gamma, p.mu, code)
+        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, 1.25, p.alpha, p.kappa, p.gamma, p.mu, 1)
         path = tmp_path / "bad.snap"
         path.write_bytes(header + np.concatenate([scalar, np.zeros(g.n)]).astype("<f8").tobytes())
         with pytest.raises(SnapshotError, match="rho must be > 0"):
@@ -370,26 +344,24 @@ class TestSnapshot:
         [
             ("sigma", 1.0, np.nan),
             ("sigma", 2.0, np.nan),
-            ("rho", 1.0, np.nan),
             ("u", 1.0, np.nan),
             ("t", 1.0, np.nan),
             ("sigma", 1.0, np.inf),
         ],
-        ids=["sigma_nan_gamma1", "sigma_nan_gamma2", "rho_nan", "u_nan", "t_nan", "sigma_inf"],
+        ids=["sigma_nan_gamma1", "sigma_nan_gamma2", "u_nan", "t_nan", "sigma_inf"],
     )
     def test_non_finite_value_is_a_validation_error(self, tmp_path, capsys, field, gamma, value):
         # a non-finite sample is bad input, not data for a row of nan
         g = Grid(1, 32, 2 * np.pi)
         p = ModelParams(alpha=1.5, kappa=1.0, gamma=gamma, mu=1.0)
         x = g.axis_points()
-        scalar = 1.0 + 0.2 * np.cos(x) if field == "rho" else 0.01 * np.cos(x)
+        scalar = 0.01 * np.cos(x)
         u, t = 0.02 * np.sin(x), 1.25
         if field == "t":
             t = value
         else:
             (u if field == "u" else scalar)[3] = value
-        code = 0 if field == "rho" else 1
-        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, t, p.alpha, p.kappa, p.gamma, p.mu, code)
+        header = _HEADER.pack(MAGIC, 1, 1, g.n, g.L, t, p.alpha, p.kappa, p.gamma, p.mu, 1)
         path = tmp_path / "bad.snap"
         path.write_bytes(header + np.concatenate([scalar, u]).astype("<f8").tobytes())
         with pytest.raises(SnapshotError, match="must be finite"):
@@ -424,10 +396,22 @@ class TestSnapshot:
         assert str(path) in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_unknown_scalar_code(self, tmp_path):
-        self._legacy_rho_file(tmp_path / "bad.snap", code=2)
-        with pytest.raises(SnapshotError, match="code 2"):
-            read_snapshot(str(tmp_path / "bad.snap"))
+    # code 0 once marked a density file; sigma (code 1) is the only field
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_unknown_scalar_code(self, tmp_path, capsys, code):
+        st, p = self._state()
+        path = tmp_path / "bad.snap"
+        write_snapshot(str(path), st, p)
+        data = bytearray(path.read_bytes())
+        data[_HEADER.size - 1] = code
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match=f"unknown scalar field code {code}"):
+            read_snapshot(str(path))
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unknown scalar field code {code}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_field_data_past_the_declared_body(self, tmp_path, capsys):
         # bytes appended to a valid file, and a 2D file whose header is edited
@@ -564,6 +548,9 @@ class TestCLI:
             ("ic", "mode", "0"),
             ("ic", "mode", "12"),  # above n/3 = 10: dealiased to a zero field
             ("ic", "mode", "100"),  # aliased onto mode 4
+            # a fit setting without the window t_a, t_b: no fit would run
+            ("decay", "kind", "exp"),
+            ("decay", "column", "l2_u"),
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, section, key, value):

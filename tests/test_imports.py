@@ -3,7 +3,8 @@ a private one, no module imports another's private names, no module lists its
 names in ``__all__``, and the package's ``__init__`` imports the modules and
 re-exports no name.  ``Grid`` owns the transforms: no other module refers to
 ``numpy.fft``, which includes NumPy's private ``numpy.fft._pocketfft_umath``
-that ``Grid`` calls directly."""
+that ``Grid`` calls directly.  NumPy is the only run-time dependency: no
+module imports SciPy, not even in a function body."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,20 @@ def test_only_the_grid_calls_numpy_fft():
         if any(map(_refers_to_numpy_fft, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     ]
     assert users == ["grid.py"]
+
+
+def test_no_module_imports_scipy():
+    hits = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert hits == []
 
 
 def test_no_module_assigns_all():

@@ -15,7 +15,6 @@ from euleralign.linear import (
     LinearEnergyParams,
     _expm_2x2_coeffs,
     energy_Yj,
-    kernel_bound_check,
     mode_eigenvalues,
     mode_matrix,
     propagate_pair_field,
@@ -25,6 +24,7 @@ from euleralign.linear import (
 from euleralign.lp import LPDecomp
 from euleralign.model import ModelParams
 from euleralign.operators import ParameterError, fractional_laplacian, heat_semigroup
+from oracles import kernel_bound_check
 
 EP = LinearEnergyParams(alpha=1.5, lam=1.0, mu=1.0)
 

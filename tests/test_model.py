@@ -2,24 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from euleralign.grid import Grid, GridError, SpectralField
 from euleralign.model import (
     ModelParams,
     State,
     VacuumError,
+    _hurwitz_zeta,
     alignment_commutator,
     alignment_direct,
     frac_laplacian_constant,
     h_of_sigma,
     rho_from_sigma,
     rhs,
-    rhs_conservative,
-    scaling_check,
-    sigma_from_rho,
 )
 from euleralign.operators import ParameterError, dealias, fractional_laplacian
 from euleralign.simulation import Recorder
+from oracles import rhs_conservative, scaling_check, sigma_from_rho
 
 
 class TestConstantsAndParams:
@@ -261,6 +261,14 @@ class TestAlignmentDirect:
         u = dealias(SpectralField.from_physical(g, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x)))
         out = alignment_direct(rho, u, alpha, refine=4).to_physical()[0]
         np.testing.assert_allclose(out[::16], expect, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.8, 1.99])
+    def test_hurwitz_zeta_matches_scipy(self, alpha):
+        # the kernel's image sums need zeta(1 + alpha, q) for q in (0, 1),
+        # up to the two ends, where one term dominates
+        q = np.concatenate([np.random.default_rng(5).random(10_000), [1e-9, 0.5, 1.0 - 1e-9]])
+        ref = zeta(1.0 + alpha, q)
+        assert np.max(np.abs(_hurwitz_zeta(1.0 + alpha, q) - ref) / ref) <= 4e-15
 
     def test_guards(self):
         g = Grid(1, 1024, 2 * np.pi)

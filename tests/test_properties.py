@@ -20,12 +20,11 @@ from euleralign.model import (
     State,
     alignment_commutator,
     rhs,
-    rhs_conservative,
-    sigma_from_rho,
 )
 from euleralign.operators import dealias, leray_project
 from euleralign.simulation import step
 from euleralign.snapshot import read_snapshot, write_snapshot
+from oracles import rhs_conservative, sigma_from_rho
 
 K = 3  # the highest mode on each axis, well inside the 2/3 rule at n = 32
 N = 32
