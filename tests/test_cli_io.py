@@ -196,9 +196,11 @@ kind = power
             parse_config("[decay]\nt_a = 5.0\n")
         with pytest.raises(ConfigError, match="decay"):
             parse_config("[decay]\nt_a = 5.0\nt_b = 1.0\n")
-        # a valid kind without the window sets a fit that never runs
+        with pytest.raises(ConfigError, match="power or exp, got 'linear'"):
+            parse_config("[decay]\nt_a = 1.0\nt_b = 2.0\nkind = linear\n")
+        # a kind without the window, valid or not, sets a fit that never runs
         for text in ("[decay]\nkind = linear\n", "[decay]\nkind = exp\n"):
-            with pytest.raises(ConfigError, match="kind"):
+            with pytest.raises(ConfigError, match="decay.kind needs the fit window"):
                 parse_config(text)
 
     def test_syntax_error(self):
